@@ -11,7 +11,6 @@ from .bloom import (
     BloomParams,
     FilterImageError,
     FprEstimate,
-    HashFamily,
     fpr_theoretical,
     hash_indices,
     optimal_k,
@@ -27,15 +26,12 @@ from .codec import (
 )
 from .pipeline import (
     BaselineReport,
-    Decision,
     DecisionRecord,
-    FifoModel,
     PipelineStats,
     Reason,
     Verdict,
     compare_baseline,
     decision_log_csv,
-    process_packet,
     run_trace,
 )
 from .signatures import (
@@ -47,21 +43,20 @@ from .signatures import (
     SignatureSet,
     load_rules,
 )
-from .traffic import Manifest, ManifestEntry, TrafficSpec, generate_trace, mix_traces
-from .analytics import FprSweepRow, HostLoadRow, emit_csv, fpr_sweep, host_load_report
+from .traffic import Manifest, ManifestEntry, TrafficSpec, generate_trace
+from .analytics import FprSweepRow, emit_csv, fpr_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BloomFilter", "BloomParams", "FilterImageError", "FprEstimate",
-    "HashFamily", "fpr_theoretical", "hash_indices", "optimal_k",
+    "fpr_theoretical", "hash_indices", "optimal_k",
     "ParsedPacket", "PcapError", "RawFrame", "Trace", "parse_packet",
     "read_pcap", "write_pcap",
-    "BaselineReport", "Decision", "DecisionRecord", "FifoModel",
-    "PipelineStats", "Reason", "Verdict", "compare_baseline",
-    "decision_log_csv", "process_packet", "run_trace",
+    "BaselineReport", "DecisionRecord", "PipelineStats", "Reason",
+    "Verdict", "compare_baseline", "decision_log_csv", "run_trace",
     "CandidateMatch", "ExactScanner", "RuleParseError", "Signature",
     "SignatureMatcher", "SignatureSet", "load_rules",
-    "Manifest", "ManifestEntry", "TrafficSpec", "generate_trace", "mix_traces",
-    "FprSweepRow", "HostLoadRow", "emit_csv", "fpr_sweep", "host_load_report",
+    "Manifest", "ManifestEntry", "TrafficSpec", "generate_trace",
+    "FprSweepRow", "emit_csv", "fpr_sweep",
 ]

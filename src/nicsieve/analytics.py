@@ -1,10 +1,9 @@
-"""Result tables: FPR sweeps and host-load summaries, as plot-ready CSV.
+"""Result tables: FPR sweeps as plot-ready CSV.
 
 ``fpr_sweep`` measures the filter's empirical false-positive fraction
 against the closed form across a (k, n) grid -- fresh filter per cell,
-random distinct members, non-member queries only. ``host_load_report``
-distills pipeline runs into the percentage of packets the host had to
-analyze. ``emit_csv`` renders any homogeneous list of row dataclasses.
+random distinct members, non-member queries only. ``emit_csv`` renders
+any homogeneous list of row dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloom import BloomFilter, BloomParams, fpr_theoretical
-from .pipeline import PipelineStats
 
 
 @dataclass
@@ -29,14 +27,6 @@ class FprSweepRow:
     fpr_empirical: float
     trials: int
     std_err: float  # binomial standard error at the theoretical rate
-
-
-@dataclass
-class HostLoadRow:
-    scenario: str
-    total: int
-    forwarded: int
-    percent_analyzed: float
 
 
 def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
@@ -83,18 +73,6 @@ def _distinct_tokens(rng: np.random.Generator, count: int,
                             dtype=np.uint64)
         tokens.update(t.tobytes()[:width] for t in draw)
     return sorted(tokens)
-
-
-def host_load_report(stats_list: list[tuple[str, PipelineStats]]) -> list[HostLoadRow]:
-    """One row per (label, stats) pair; percent recomputed from counters."""
-    rows = []
-    for label, stats in stats_list:
-        if stats.total == 0:
-            raise ValueError(f"scenario {label!r} has zero total packets")
-        rows.append(HostLoadRow(
-            scenario=label, total=stats.total, forwarded=stats.forwarded,
-            percent_analyzed=100.0 * stats.forwarded / stats.total))
-    return rows
 
 
 def emit_csv(rows: list, row_type: type | None = None) -> bytes:

@@ -21,10 +21,10 @@ The base mixer is fixed bit-for-bit (FNV-style byte fold plus a
 murmur-style finalizer) so that filters programmed with the same seeds
 are reproducible everywhere.
 
-Batch variants (``add_many``, ``check_digests_batch``, the ``*_batch``
-digest helpers) vectorize the same arithmetic with numpy for trace-scale
-workloads. They are exact: every batch path must produce the same bits
-and answers as the scalar one, and the test suite holds them to that.
+``add`` and ``check`` probe one element via ``hash_indices``; the batch
+paths (``add_many``, ``check_many``, the ``mix64_*`` helpers) vectorize
+the same arithmetic with numpy. The test suite checks them all against
+the independent reference hash in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -146,29 +146,13 @@ def _finalize(state: np.ndarray) -> np.ndarray:
     return state
 
 
-class HashFamily:
-    """The k index functions derived from one parameter set."""
-
-    def __init__(self, params: BloomParams) -> None:
-        self.params = params
-
-    def digests(self, element: bytes) -> tuple[int, int]:
-        """Base digests (g1, g2) of ``element``."""
-        if len(element) == 0:
-            raise ValueError("element must be non-empty")
-        return mix64(self.params.seed_a, element), mix64(self.params.seed_b, element)
-
-    def indices(self, element: bytes) -> list[int]:
-        """The k bit positions for ``element``, each in 0..m-1."""
-        g1, g2 = self.digests(element)
-        stride = g2 | 1
-        m = self.params.m
-        return [finalize64(g1 + i * stride) % m for i in range(self.params.k)]
-
-
 def hash_indices(params: BloomParams, element: bytes) -> list[int]:
-    """Convenience wrapper: the k indices of ``element`` under ``params``."""
-    return HashFamily(params).indices(element)
+    """The k bit positions for ``element`` under ``params``, each in 0..m-1."""
+    if len(element) == 0:
+        raise ValueError("element must be non-empty")
+    g1 = mix64(params.seed_a, element)
+    stride = mix64(params.seed_b, element) | 1
+    return [finalize64(g1 + i * stride) % params.m for i in range(params.k)]
 
 
 class BloomFilter:
@@ -186,11 +170,6 @@ class BloomFilter:
         self._bits = bytearray((params.m + 7) // 8)
         # numpy view sharing the bytearray's memory, used by batch paths
         self._bits_np = np.frombuffer(self._bits, dtype=np.uint8)
-        self._family = HashFamily(params)
-
-    @property
-    def family(self) -> HashFamily:
-        return self._family
 
     def add(self, element: bytes) -> None:
         """Set the k bits of ``element`` and bump the programmed count.
@@ -198,7 +177,7 @@ class BloomFilter:
         Duplicates are indistinguishable from first insertions, so the
         count tracks add calls, not distinct elements.
         """
-        for i in self._family.indices(element):
+        for i in hash_indices(self.params, element):
             self._bits[i >> 3] |= 1 << (i & 7)
         self.count_programmed += 1
 
@@ -213,13 +192,18 @@ class BloomFilter:
             rows = np.frombuffer(b"".join(group), dtype=np.uint8)
             rows = rows.reshape(len(group), length)
             g1 = mix64_matrix(self.params.seed_a, rows)
-            g2 = mix64_matrix(self.params.seed_b, rows)
-            self._set_bits_batch(g1, g2)
+            stride = mix64_matrix(self.params.seed_b, rows) | np.uint64(1)
+            for i in range(self.params.k):
+                idx = self.probe_indices(g1, stride, i)
+                np.bitwise_or.at(
+                    self._bits_np, (idx >> np.uint64(3)).astype(np.int64),
+                    np.left_shift(np.uint8(1),
+                                  (idx & np.uint64(7)).astype(np.uint8)))
             self.count_programmed += len(group)
 
     def check(self, element: bytes) -> bool:
         """True iff all k bits of ``element`` are set. Never mutates."""
-        for i in self._family.indices(element):
+        for i in hash_indices(self.params, element):
             if not self._bits[i >> 3] & (1 << (i & 7)):
                 return False
         return True
@@ -233,40 +217,18 @@ class BloomFilter:
         combined = g1 + np.uint64(i) * stride
         return _finalize(combined) % np.uint64(self.params.m)
 
-    def _set_bits_batch(self, g1: np.ndarray, g2: np.ndarray) -> None:
-        stride = g2 | np.uint64(1)
-        for i in range(self.params.k):
-            idx = self.probe_indices(g1, stride, i)
-            np.bitwise_or.at(
-                self._bits_np, (idx >> np.uint64(3)).astype(np.int64),
-                np.left_shift(np.uint8(1), (idx & np.uint64(7)).astype(np.uint8)),
-            )
-
     def test_bits(self, idx: np.ndarray) -> np.ndarray:
         """Boolean value of each bit position in ``idx`` (vectorized)."""
         bit = (self._bits_np[(idx >> np.uint64(3)).astype(np.int64)]
                >> (idx & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
         return bit.astype(bool)
 
-    def check_digests_batch(self, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-        """Membership answers for pre-digested elements; boolean array.
+    def check_many(self, elements: list[bytes]) -> list[bool]:
+        """Batch ``check`` for a list of equal-length elements.
 
         Probes narrow down round by round, so later hash rounds only
         touch elements still alive after the earlier ones.
         """
-        stride = g2 | np.uint64(1)
-        alive = np.nonzero(self.test_bits(self.probe_indices(g1, stride, 0)))[0]
-        for i in range(1, self.params.k):
-            if alive.size == 0:
-                break
-            idx = self.probe_indices(g1[alive], stride[alive], i)
-            alive = alive[self.test_bits(idx)]
-        member = np.zeros(g1.shape, dtype=bool)
-        member[alive] = True
-        return member
-
-    def check_many(self, elements: list[bytes]) -> list[bool]:
-        """Batch ``check`` for a list of equal-length elements."""
         if not elements:
             return []
         length = len(elements[0])
@@ -277,8 +239,16 @@ class BloomFilter:
         rows = np.frombuffer(b"".join(elements), dtype=np.uint8).reshape(
             len(elements), length)
         g1 = mix64_matrix(self.params.seed_a, rows)
-        g2 = mix64_matrix(self.params.seed_b, rows)
-        return self.check_digests_batch(g1, g2).tolist()
+        stride = mix64_matrix(self.params.seed_b, rows) | np.uint64(1)
+        alive = np.nonzero(self.test_bits(self.probe_indices(g1, stride, 0)))[0]
+        for i in range(1, self.params.k):
+            if alive.size == 0:
+                break
+            idx = self.probe_indices(g1[alive], stride[alive], i)
+            alive = alive[self.test_bits(idx)]
+        member = np.zeros(len(elements), dtype=bool)
+        member[alive] = True
+        return member.tolist()
 
     def popcount(self) -> int:
         """Number of set bits in the vector."""

@@ -178,6 +178,11 @@ def _load_index(index_path: Path) -> dict[int, bytes]:
         except ValueError:
             raise ValueError(
                 f"{index_path}:{lineno}: bad length {length_text!r}") from None
+        if not rel.strip():
+            raise ValueError(f"{index_path}:{lineno}: no image file named")
+        if length in images:
+            raise ValueError(
+                f"{index_path}:{lineno}: length {length} listed twice")
         images[length] = (index_path.parent / rel).read_bytes()
     if not images:
         raise ValueError(f"{index_path}: no filter images listed")

@@ -8,9 +8,8 @@ create a blind spot); everything else is dropped at the card. Each
 forwarded packet costs the host one interrupt, so ``forwarded`` doubles
 as the interrupt count.
 
-A small FIFO model tracks queue depth and overflows for reporting only;
-the simulation never discards a forwarded packet, since the property
-under study is that no relevant packet is lost.
+Decisions are made in one batch pass per trace; the test suite checks
+them frame by frame against the oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ class Reason(Enum):
     CLEAN = "CLEAN"
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    reason: Reason
-
-
 @dataclass
 class PipelineStats:
     """Counters for one run; ``forwarded`` equals host interrupts."""
@@ -56,42 +49,18 @@ class PipelineStats:
 
 
 @dataclass
-class FifoModel:
-    """Host-bound queue model: depth and overflow counters, nothing lost.
-
-    Per processed packet the host drains ``drain_per_packet`` entries
-    (fractional rates accumulate); a forward arriving at full depth
-    counts an overflow but is still delivered.
-    """
-
-    capacity: int = 64
-    depth: int = 0
-    overflow_count: int = 0
-    drain_per_packet: float = 1.0
-    drain_credit: float = 0.0
-
-    def on_packet(self, forwarded: bool) -> None:
-        self.drain_credit += self.drain_per_packet
-        drained = min(self.depth, int(self.drain_credit))
-        self.depth -= drained
-        self.drain_credit -= drained
-        if forwarded:
-            if self.depth >= self.capacity:
-                self.overflow_count += 1
-            else:
-                self.depth += 1
-
-
-@dataclass
 class DecisionRecord:
     """Per-packet outcome, collected when a log list is passed in."""
 
     index: int
-    verdict: Verdict
     reason: Reason
     candidate_count: int
     verified: list[CandidateMatch]
     payload_len: int
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.DROP if self.reason is Reason.CLEAN else Verdict.FORWARD
 
 
 @dataclass
@@ -106,104 +75,77 @@ class BaselineReport:
     forwarded: Trace
 
 
-def process_packet(matcher: SignatureMatcher,
-                   frame: RawFrame) -> tuple[Decision, list[CandidateMatch]]:
-    """Decide one frame; verified matches only when it is forwarded."""
-    parsed = parse_packet(frame)
-    if parsed is None:
-        return Decision(Verdict.FORWARD, Reason.NON_PARSEABLE), []
-    candidates = matcher.scan(parsed.payload)
-    if candidates:
-        verified = matcher.verify(parsed.payload, candidates)
-        return Decision(Verdict.FORWARD, Reason.MATCH_CANDIDATE), verified
-    return Decision(Verdict.DROP, Reason.CLEAN), []
-
-
 def run_trace(matcher: SignatureMatcher, trace: Trace,
-              fifo: FifoModel | None = None,
               log: list[DecisionRecord] | None = None,
               ) -> tuple[PipelineStats, Trace]:
     """Run the card over a whole trace, in file order.
 
-    Scanning is batched across the trace but decisions are identical to
-    calling ``process_packet`` per frame. The forwarded trace keeps the
-    original bytes and timestamps of exactly the forwarded frames.
+    Each frame is decided on its own payload alone. The forwarded trace
+    keeps the original bytes and timestamps of exactly those frames.
     """
     parsed = [parse_packet(frame) for frame in trace.frames]
-    return _run_parsed(matcher, trace, parsed, fifo, log)
+    return _run_parsed(matcher, trace, parsed, log)
 
 
 def _run_parsed(matcher: SignatureMatcher, trace: Trace, parsed: list,
-                fifo: FifoModel | None,
                 log: list[DecisionRecord] | None) -> tuple[PipelineStats, Trace]:
-    if fifo is None:
-        fifo = FifoModel()
     stats = PipelineStats()
     forwarded_frames: list[RawFrame] = []
 
-    payloads = [p.payload for p in parsed if p is not None]
-    candidate_lists = matcher.scan_batch(payloads)
+    candidate_lists = iter(matcher.scan_batch(
+        [p.payload for p in parsed if p is not None]))
 
-    payload_pos = 0
-    for index, frame in enumerate(trace.frames):
-        pkt = parsed[index]
+    for index, (frame, pkt) in enumerate(zip(trace.frames, parsed)):
+        candidates: list[CandidateMatch] = []
+        verified: list[CandidateMatch] = []
         if pkt is None:
-            decision = Decision(Verdict.FORWARD, Reason.NON_PARSEABLE)
-            candidates: list[CandidateMatch] = []
-            verified: list[CandidateMatch] = []
-            payload_len = 0
+            reason = Reason.NON_PARSEABLE
         else:
-            candidates = candidate_lists[payload_pos]
-            payload_len = pkt.payload_len
-            payload_pos += 1
-            if candidates:
-                decision = Decision(Verdict.FORWARD, Reason.MATCH_CANDIDATE)
-                verified = matcher.verify(pkt.payload, candidates)
-            else:
-                decision = Decision(Verdict.DROP, Reason.CLEAN)
-                verified = []
+            candidates = next(candidate_lists)
+            reason = Reason.MATCH_CANDIDATE if candidates else Reason.CLEAN
+        if candidates:
+            verified = matcher.verify(pkt.payload, candidates)
 
         stats.total += 1
         stats.bytes_total += len(frame.data)
-        is_forward = decision.verdict is Verdict.FORWARD
-        if is_forward:
+        if reason is Reason.CLEAN:
+            stats.dropped += 1
+        else:
             stats.forwarded += 1
             stats.bytes_forwarded += len(frame.data)
             forwarded_frames.append(frame)
-            if decision.reason is Reason.NON_PARSEABLE:
+            if reason is Reason.NON_PARSEABLE:
                 stats.non_parseable_forwards += 1
             elif verified:
                 stats.true_matches += 1
             else:
                 stats.false_positive_forwards += 1
-        else:
-            stats.dropped += 1
-        fifo.on_packet(is_forward)
 
         if log is not None:
             log.append(DecisionRecord(
-                index=index, verdict=decision.verdict, reason=decision.reason,
-                candidate_count=len(candidates), verified=verified,
-                payload_len=payload_len))
+                index=index, reason=reason, candidate_count=len(candidates),
+                verified=verified,
+                payload_len=0 if pkt is None else pkt.payload_len))
 
     return stats, Trace(frames=forwarded_frames, link_type=trace.link_type)
 
 
 def compare_baseline(matcher: SignatureMatcher, trace: Trace,
-                     fifo: FifoModel | None = None,
                      log: list[DecisionRecord] | None = None) -> BaselineReport:
     """Run both paths and compare their per-packet detection sets.
 
     Path (a): every frame goes to the host, which exact-matches every
     parseable payload. Path (b): the filtered pipeline, whose forwarded
     packets carry verified matches. Equal detections mean the filter
-    dropped nothing relevant.
+    dropped nothing relevant. Records are appended to ``log``; only the
+    ones this call appends are compared.
     """
     if log is None:
         log = []
+    first = len(log)
     parsed = [parse_packet(frame) for frame in trace.frames]
-    stats, forwarded = _run_parsed(matcher, trace, parsed, fifo, log)
-    filtered = [tuple(rec.verified) for rec in log]
+    stats, forwarded = _run_parsed(matcher, trace, parsed, log)
+    filtered = [tuple(rec.verified) for rec in log[first:]]
 
     payloads = [p.payload if p is not None else b"" for p in parsed]
     baseline = [tuple(m) for m in matcher.exact_matches_batch(payloads)]

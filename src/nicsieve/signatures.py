@@ -10,16 +10,15 @@ positives and attaches signature ids.
 
 Two scanning routes exist and must agree:
 
-* the Bloom route (``SignatureMatcher.scan``) finds candidate windows,
-  complete but only probably correct;
-* the exact route (``ExactScanner``) finds the true multi-pattern match
-  set, hashing windows with a polynomial hash unrelated to the filter's
-  mixer and confirming every hit byte-for-byte.
+* the Bloom route (``SignatureMatcher.scan_batch``) finds candidate
+  windows, complete but only probably correct;
+* the exact route (``ExactScanner.matches_batch``) finds the true
+  multi-pattern match set, hashing windows with a polynomial hash
+  unrelated to the filter's mixer and confirming every hit byte-for-byte.
 
-Both offer a per-payload reference implementation and a numpy batch
-implementation that sweeps all payloads of a trace at once (windows
-never cross payload boundaries); the batch paths must return exactly
-what the reference paths do.
+Both sweep all payloads of a trace at once with numpy (windows never
+cross payload boundaries). The test suite checks them against the
+independent per-payload oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -213,7 +212,6 @@ class ExactScanner:
     _TABLE_BITS = 20
 
     def __init__(self, signature_set: SignatureSet) -> None:
-        self.signature_set = signature_set
         # duplicate patterns keep every id, in rule order
         self.exact_index: dict[bytes, tuple[str, ...]] = {}
         for sig in signature_set.signatures:
@@ -226,17 +224,6 @@ class ExactScanner:
                                 dtype=np.uint64, count=len(group))
             table[slots & np.uint64((1 << self._TABLE_BITS) - 1)] = True
             self._tables_by_length[length] = table
-
-    def matches(self, payload: bytes) -> list[CandidateMatch]:
-        """True match set by direct per-pattern search; reference path."""
-        out = []
-        for sig in self.signature_set.signatures:
-            start = payload.find(sig.pattern)
-            while start >= 0:
-                out.append(CandidateMatch(start, len(sig.pattern), sig.id))
-                start = payload.find(sig.pattern, start + 1)
-        out.sort(key=_match_key)
-        return out
 
     def matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         """Vectorized exact matching: hash windows, confirm hits by bytes."""
@@ -279,7 +266,6 @@ class SignatureMatcher:
         self.filters = filters
         self.lengths = sorted(filters)
         self.exact = ExactScanner(signature_set)
-        self.exact_index = self.exact.exact_index
 
     @classmethod
     def program(cls, signature_set: SignatureSet,
@@ -327,19 +313,8 @@ class SignatureMatcher:
         """Serialized image per programmed length."""
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
-    def scan(self, payload: bytes) -> list[CandidateMatch]:
-        """Query every window of every programmed length; reference path."""
-        out = []
-        for length in self.lengths:
-            filt = self.filters[length]
-            for off in range(len(payload) - length + 1):
-                if filt.check(payload[off : off + length]):
-                    out.append(CandidateMatch(offset=off, length=length))
-        out.sort(key=lambda c: (c.offset, c.length))
-        return out
-
     def scan_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
-        """Vectorized ``scan`` over many payloads; same answers, one pass."""
+        """Candidate windows of every programmed length, per payload, in one pass."""
         results: list[list[CandidateMatch]] = [[] for _ in payloads]
         if not payloads:
             return results
@@ -363,13 +338,10 @@ class SignatureMatcher:
                     f"candidate at {cand.offset}+{cand.length} outside "
                     f"payload of {len(payload)} bytes")
             window = payload[cand.offset : cand.offset + cand.length]
-            for sig_id in self.exact_index.get(window, ()):
+            for sig_id in self.exact.exact_index.get(window, ()):
                 verified.append(CandidateMatch(cand.offset, cand.length, sig_id))
         verified.sort(key=_match_key)
         return verified
-
-    def exact_matches(self, payload: bytes) -> list[CandidateMatch]:
-        return self.exact.matches(payload)
 
     def exact_matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         return self.exact.matches_batch(payloads)

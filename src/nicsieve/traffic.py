@@ -213,15 +213,3 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
                                ts_sec=_TS_BASE + usec // 1_000_000,
                                ts_usec=usec % 1_000_000))
     return Trace(frames=frames), Manifest(entries=entries)
-
-
-def mix_traces(a: Trace, b: Trace, seed: int = 0) -> Trace:
-    """Interleave two traces uniformly at random, preserving each order."""
-    if a.link_type != b.link_type:
-        raise ValueError(
-            f"link type mismatch: {a.link_type} != {b.link_type}")
-    order = [0] * len(a.frames) + [1] * len(b.frames)
-    random.Random(seed).shuffle(order)
-    iters = (iter(a.frames), iter(b.frames))
-    return Trace(frames=[next(iters[which]) for which in order],
-                 link_type=a.link_type)

@@ -49,6 +49,26 @@ def reference_probes(seed_a: int, seed_b: int, element: bytes, m: int,
             for i in range(k)]
 
 
+def reference_candidates(filters, payload: bytes) -> list[tuple[int, int]]:
+    """Bloom-route oracle: (offset, length) windows with all k bits set.
+
+    ``filters`` maps pattern length to a programmed filter. Probes come
+    from ``reference_probes`` and bits are read from the raw vector, so
+    neither the library's hashing nor its query path is involved.
+    """
+    out = []
+    for length, filt in filters.items():
+        p = filt.params
+        vector = filt.vector_bytes()
+        for off in range(len(payload) - length + 1):
+            probes = reference_probes(p.seed_a, p.seed_b,
+                                      payload[off : off + length], p.m, p.k)
+            if all(vector[i // 8] >> (i % 8) & 1 for i in probes):
+                out.append((off, length))
+    out.sort()
+    return out
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

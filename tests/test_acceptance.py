@@ -118,7 +118,8 @@ def test_criterion_3_host_load_reduction():
 
 
 def test_criterion_4_scanner_oracle_equivalence():
-    # verify(scan(payload)) equals the naive all-offsets matcher, 500 pairs
+    # verify(scan_batch([payload])) equals the naive all-offsets matcher,
+    # 500 pairs
     t0 = time.perf_counter()
     rng = random.Random(0xC4)
     mismatches = 0
@@ -133,7 +134,8 @@ def test_criterion_4_scanner_oracle_equivalence():
                 payload[off : off + len(sig.pattern)] = sig.pattern
         payload = bytes(payload)
         got = [(v.offset, v.length, v.signature_id)
-               for v in matcher.verify(payload, matcher.scan(payload))]
+               for v in matcher.verify(payload,
+                                       matcher.scan_batch([payload])[0])]
         if got != naive_exact_matches(sset.signatures, payload):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -1,14 +1,17 @@
+from dataclasses import dataclass
+
 import pytest
 
-from nicsieve.analytics import (
-    FprSweepRow,
-    HostLoadRow,
-    emit_csv,
-    fpr_sweep,
-    host_load_report,
-)
+from nicsieve.analytics import FprSweepRow, emit_csv, fpr_sweep
 from nicsieve.bloom import fpr_theoretical, optimal_k
-from nicsieve.pipeline import PipelineStats
+
+
+@dataclass
+class LoadRow:
+    scenario: str
+    total: int
+    forwarded: int
+    percent_analyzed: float
 
 
 def test_sweep_grid_shape_and_theory_column():
@@ -68,21 +71,6 @@ def test_theory_minimum_consistent_with_optimal_k():
         assert abs(min(optimal_k(m, n), 32) - best) <= 1
 
 
-def test_host_load_rows():
-    rows = host_load_report([
-        ("unfiltered", PipelineStats(total=1000, forwarded=1000)),
-        ("all-dropped", PipelineStats(total=1000, forwarded=0)),
-        ("five-percent", PipelineStats(total=2000, forwarded=100)),
-    ])
-    assert [r.percent_analyzed for r in rows] == [100.0, 0.0, 5.0]
-    assert rows[0].scenario == "unfiltered"
-
-
-def test_host_load_zero_total_rejected():
-    with pytest.raises(ValueError, match="zero total"):
-        host_load_report([("empty", PipelineStats())])
-
-
 def test_emit_csv_layout_and_parse_back():
     rows = fpr_sweep(16384, [4], [100, 2000], trials=1000, seed=7)
     data = emit_csv(rows).decode()
@@ -104,17 +92,17 @@ def test_emit_csv_layout_and_parse_back():
 def test_emit_csv_empty_list_header_only():
     data = emit_csv([], row_type=FprSweepRow)
     assert data == b"m,k,n,fpr_theory,fpr_empirical,trials,std_err\n"
-    assert emit_csv([], row_type=HostLoadRow).startswith(b"scenario,")
+    assert emit_csv([], row_type=LoadRow).startswith(b"scenario,")
 
 
 def test_emit_csv_single_row_two_lines():
-    rows = [HostLoadRow(scenario="x", total=10, forwarded=1,
+    rows = [LoadRow(scenario="x", total=10, forwarded=1,
                         percent_analyzed=10.0)]
     assert emit_csv(rows).count(b"\n") == 2
 
 
 def test_emit_csv_rejects_mixed_rows():
-    rows = [HostLoadRow(scenario="x", total=1, forwarded=0,
+    rows = [LoadRow(scenario="x", total=1, forwarded=0,
                         percent_analyzed=0.0),
             FprSweepRow(m=8, k=1, n=0, fpr_theory=0.0, fpr_empirical=0.0,
                         trials=1, std_err=0.0)]

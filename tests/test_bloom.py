@@ -10,7 +10,6 @@ from nicsieve.bloom import (
     BloomFilter,
     BloomParams,
     FilterImageError,
-    HashFamily,
     fpr_theoretical,
     hash_indices,
     mix64,
@@ -48,20 +47,19 @@ def test_new_filter_all_zero():
     assert not filt.check(b"anything")
 
 
-# --- hash family ------------------------------------------------------------
+# --- hash indices -----------------------------------------------------------
 
 def test_hash_indices_deterministic_and_in_range():
-    fam = HashFamily(PARAMS)
     for element in (b"abc", b"\x00", b"x" * 100):
-        first = fam.indices(element)
-        assert first == fam.indices(element)
+        first = hash_indices(PARAMS, element)
+        assert first == hash_indices(PARAMS, element)
         assert len(first) == PARAMS.k
         assert all(0 <= i < PARAMS.m for i in first)
 
 
 def test_hash_indices_rejects_empty_element():
     with pytest.raises(ValueError):
-        HashFamily(PARAMS).indices(b"")
+        hash_indices(PARAMS, b"")
     filt = BloomFilter(PARAMS)
     with pytest.raises(ValueError):
         filt.add(b"")

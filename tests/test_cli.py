@@ -201,6 +201,22 @@ def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated):
     assert code == 3
 
 
+@pytest.mark.parametrize("index_text, message", [
+    ("6,len6.bfi\n7\n15,len15.bfi\n", "index.txt:2: no image file"),
+    ("6,len6.bfi\n7,len7.bfi\n15,len15.bfi\n7,len6.bfi\n",
+     "index.txt:4: length 7 listed twice"),
+])
+def test_scan_malformed_index_exit_1_names_line(tmp_path, rules_file,
+                                                built_and_generated, capsys,
+                                                index_text, message):
+    filters, trace, _ = built_and_generated
+    (filters / "index.txt").write_text(index_text)
+    assert run("scan", filters / "index.txt", "--rules", rules_file,
+               "--in", trace, "--out", tmp_path / "f.pcap",
+               "--report", tmp_path / "r.csv") == 1
+    assert message in capsys.readouterr().err
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_default_grid_row_count(tmp_path):

@@ -3,20 +3,22 @@ import random
 import pytest
 
 from nicsieve.bloom import BloomParams
-from nicsieve.codec import RawFrame, Trace
+from nicsieve.codec import RawFrame, Trace, parse_packet
 from nicsieve.pipeline import (
-    FifoModel,
     Reason,
     Verdict,
     compare_baseline,
     decision_log_csv,
-    process_packet,
     run_trace,
 )
 from nicsieve.signatures import Signature, SignatureMatcher, SignatureSet
 from nicsieve.traffic import TrafficSpec, build_tcp_frame, generate_trace
 
-from conftest import random_signature_set
+from conftest import (
+    naive_exact_matches,
+    random_signature_set,
+    reference_candidates,
+)
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=55, seed_b=56)
 
@@ -32,31 +34,50 @@ def simple_matcher(patterns=(b"EVIL",)):
     return SignatureMatcher.program(sset, PARAMS)
 
 
-# --- process_packet ---------------------------------------------------------
+def oracle_decision(matcher, frame):
+    """Per-frame (reason, verified tuples) from the conftest oracles alone."""
+    parsed = parse_packet(frame)
+    if parsed is None:
+        return Reason.NON_PARSEABLE, []
+    if not reference_candidates(matcher.filters, parsed.payload):
+        return Reason.CLEAN, []
+    signatures = matcher.signature_set.signatures
+    return Reason.MATCH_CANDIDATE, naive_exact_matches(signatures, parsed.payload)
+
+
+def decide_one(matcher, frame):
+    log = []
+    stats, forwarded = run_trace(matcher, Trace(frames=[frame]), log=log)
+    assert len(log) == stats.total == 1
+    assert len(forwarded) == stats.forwarded
+    return log[0]
+
+
+# --- single-frame decisions -------------------------------------------------
 
 def test_attack_packet_forwarded_with_match():
     matcher = simple_matcher()
-    decision, verified = process_packet(matcher, frame_with_payload(b"xxEVILxx"))
-    assert decision.verdict is Verdict.FORWARD
-    assert decision.reason is Reason.MATCH_CANDIDATE
-    assert [(v.offset, v.length, v.signature_id) for v in verified] == \
+    rec = decide_one(matcher, frame_with_payload(b"xxEVILxx"))
+    assert rec.verdict is Verdict.FORWARD
+    assert rec.reason is Reason.MATCH_CANDIDATE
+    assert [(v.offset, v.length, v.signature_id) for v in rec.verified] == \
         [(2, 4, "s0")]
 
 
 def test_clean_packet_dropped():
     matcher = simple_matcher()
-    decision, verified = process_packet(matcher, frame_with_payload(b"hello world"))
-    assert decision.verdict is Verdict.DROP
-    assert decision.reason is Reason.CLEAN
-    assert verified == []
+    rec = decide_one(matcher, frame_with_payload(b"hello world"))
+    assert rec.verdict is Verdict.DROP
+    assert rec.reason is Reason.CLEAN
+    assert rec.verified == []
 
 
 def test_garbage_frame_fails_open():
     matcher = simple_matcher()
-    decision, verified = process_packet(matcher, RawFrame(data=b"\x01" * 13))
-    assert decision.verdict is Verdict.FORWARD
-    assert decision.reason is Reason.NON_PARSEABLE
-    assert verified == []
+    rec = decide_one(matcher, RawFrame(data=b"\x01" * 13))
+    assert rec.verdict is Verdict.FORWARD
+    assert rec.reason is Reason.NON_PARSEABLE
+    assert rec.verified == []
 
 
 # --- run_trace --------------------------------------------------------------
@@ -115,12 +136,15 @@ def test_run_trace_matches_per_packet_processing():
 
     log = []
     stats, forwarded = run_trace(matcher, trace, log=log)
-    expected = [process_packet(matcher, f) for f in frames]
+    expected = [oracle_decision(matcher, f) for f in frames]
 
-    assert [(r.verdict, r.reason, tuple(r.verified)) for r in log] == \
-        [(d.verdict, d.reason, tuple(v)) for d, v in expected]
+    assert [(r.reason, [(v.offset, v.length, v.signature_id) for v in r.verified])
+            for r in log] == expected
+    assert all((r.verdict is Verdict.DROP) == (r.reason is Reason.CLEAN)
+               for r in log)
     assert stats.total == len(frames)
-    assert stats.forwarded == sum(d.verdict is Verdict.FORWARD for d, _ in expected)
+    assert stats.forwarded == sum(reason is not Reason.CLEAN
+                                  for reason, _ in expected)
 
 
 def test_empty_signature_equivalent_trace_only_forwards_non_parseable():
@@ -138,46 +162,6 @@ def test_saturated_trace_forwards_everything():
     stats, forwarded = run_trace(matcher, Trace(frames=frames))
     assert stats.forwarded == stats.total == 8
     assert stats.dropped == 0
-
-
-# --- fifo model -------------------------------------------------------------
-
-def test_fifo_drains_and_counts_overflow():
-    fifo = FifoModel(capacity=2, drain_per_packet=0.0)
-    fifo.on_packet(True)
-    fifo.on_packet(True)
-    assert fifo.depth == 2 and fifo.overflow_count == 0
-    fifo.on_packet(True)  # full: overflow, depth capped
-    assert fifo.depth == 2 and fifo.overflow_count == 1
-    fifo.drain_per_packet = 1.0
-    fifo.on_packet(False)
-    assert fifo.depth == 1
-
-
-def test_fifo_fractional_drain_accumulates():
-    fifo = FifoModel(capacity=10, drain_per_packet=0.5)
-    for _ in range(4):
-        fifo.on_packet(True)
-    # 4 forwards, 2 whole drains accumulated
-    assert fifo.depth == 2
-
-
-def test_fifo_depth_never_exceeds_capacity():
-    rng = random.Random(61)
-    fifo = FifoModel(capacity=5, drain_per_packet=0.3)
-    for _ in range(500):
-        fifo.on_packet(rng.random() < 0.7)
-        assert 0 <= fifo.depth <= 5
-    assert fifo.overflow_count > 0
-
-
-def test_run_trace_default_drain_keeps_fifo_shallow():
-    matcher = simple_matcher()
-    fifo = FifoModel(capacity=4)
-    frames = [frame_with_payload(b"EVIL") for _ in range(50)]
-    run_trace(matcher, Trace(frames=frames), fifo=fifo)
-    assert fifo.depth <= 1
-    assert fifo.overflow_count == 0
 
 
 # --- compare_baseline -------------------------------------------------------
@@ -216,6 +200,21 @@ def test_compare_baseline_no_attacks():
     assert report.stats.true_matches == 0
     # only false positives can be forwarded; reduction stays near 1
     assert report.reduction >= 0.95
+
+
+def test_compare_baseline_reused_log_compares_only_new_records():
+    rng = random.Random(66)
+    sset = random_signature_set(rng, 50)
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    spec = TrafficSpec(packet_count=100, attack_fraction=0.1, seed=10,
+                       payload_len_range=(30, 120), signatures=sset)
+    trace, _ = generate_trace(spec)
+    log = []
+    first = compare_baseline(matcher, trace, log=log)
+    second = compare_baseline(matcher, trace, log=log)
+    assert first.equivalent and second.equivalent
+    assert second.filtered_detections == first.filtered_detections
+    assert len(log) == 2 * len(trace)
 
 
 def test_compare_baseline_empty_trace():

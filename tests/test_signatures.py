@@ -15,13 +15,25 @@ from nicsieve.signatures import (
     load_rules,
 )
 
-from conftest import naive_exact_matches, random_signature_set
+from conftest import (
+    naive_exact_matches,
+    random_signature_set,
+    reference_candidates,
+)
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=77, seed_b=78)
 
 
 def as_tuples(matches):
     return [(m.offset, m.length, m.signature_id) for m in matches]
+
+
+def as_windows(candidates):
+    return [(c.offset, c.length) for c in candidates]
+
+
+def scan_one(matcher, payload):
+    return matcher.scan_batch([payload])[0]
 
 
 # --- rule loading -----------------------------------------------------------
@@ -107,9 +119,9 @@ def test_images_reload_gives_identical_scans():
     assert reloaded.params == matcher.params
     corpus = [rng.randbytes(rng.randint(0, 200)) for _ in range(100)]
     corpus += [b"zz" + sset.signatures[0].pattern + b"zz"]
-    for payload in corpus:
-        assert reloaded.scan(payload) == matcher.scan(payload)
     assert reloaded.scan_batch(corpus) == matcher.scan_batch(corpus)
+    assert [as_windows(c) for c in reloaded.scan_batch(corpus)] == \
+        [reference_candidates(reloaded.filters, p) for p in corpus]
 
 
 def test_from_images_validates_consistency():
@@ -138,18 +150,18 @@ def test_from_images_validates_consistency():
 def test_scan_payload_shorter_than_min_length():
     rules = SignatureSet([Signature("g", b"GETX")])
     matcher = SignatureMatcher.program(rules, PARAMS)
-    assert matcher.scan(b"abc") == []
-    assert matcher.scan(b"") == []
+    assert scan_one(matcher, b"abc") == []
+    assert scan_one(matcher, b"") == []
 
 
 def test_scan_finds_contained_pattern():
     matcher = SignatureMatcher.program(SignatureSet([Signature("g", b"GET")]),
                                        PARAMS)
-    candidates = matcher.scan(b"xxGETxx")
+    candidates = scan_one(matcher, b"xxGETxx")
     assert CandidateMatch(offset=2, length=3) in candidates
     assert all(c.signature_id is None for c in candidates)
     assert candidates == sorted(candidates, key=lambda c: (c.offset, c.length))
-    assert candidates == matcher.scan(b"xxGETxx")  # deterministic
+    assert candidates == scan_one(matcher, b"xxGETxx")  # deterministic
 
 
 def test_scan_candidate_rate_tracks_theory():
@@ -173,7 +185,7 @@ def test_verify_keeps_only_true_windows():
     rules = SignatureSet([Signature("g", b"GET")])
     matcher = SignatureMatcher.program(rules, PARAMS)
     payload = b"xxGETxx"
-    verified = matcher.verify(payload, matcher.scan(payload))
+    verified = matcher.verify(payload, scan_one(matcher, payload))
     assert as_tuples(verified) == [(2, 3, "g")]
     # a non-matching candidate is dropped
     assert matcher.verify(payload, [CandidateMatch(0, 3)]) == []
@@ -192,9 +204,10 @@ def test_verify_expands_duplicate_patterns_to_all_ids():
     rules = load_rules(b"a,ascii,attack\na2,ascii,attack\n")
     matcher = SignatureMatcher.program(rules, PARAMS)
     payload = b"--attack--"
-    verified = matcher.verify(payload, matcher.scan(payload))
+    verified = matcher.verify(payload, scan_one(matcher, payload))
     assert as_tuples(verified) == [(2, 6, "a"), (2, 6, "a2")]
-    assert as_tuples(matcher.exact_matches(payload)) == [(2, 6, "a"), (2, 6, "a2")]
+    assert as_tuples(matcher.exact_matches_batch([payload])[0]) == \
+        [(2, 6, "a"), (2, 6, "a2")]
 
 
 def test_scan_verify_equals_naive_oracle_on_random_pairs():
@@ -211,11 +224,11 @@ def test_scan_verify_equals_naive_oracle_on_random_pairs():
                 payload[off : off + len(sig.pattern)] = sig.pattern
         payload = bytes(payload)
         expected = naive_exact_matches(sset.signatures, payload)
-        assert as_tuples(matcher.verify(payload, matcher.scan(payload))) == expected
-        assert as_tuples(matcher.exact_matches(payload)) == expected
+        assert as_tuples(matcher.verify(payload, scan_one(matcher, payload))) == expected
+        assert as_tuples(matcher.exact_matches_batch([payload])[0]) == expected
 
 
-def test_exact_batch_equals_scalar_and_oracle():
+def test_exact_batch_equals_oracle():
     rng = random.Random(37)
     sset = random_signature_set(rng, 60)
     scanner = ExactScanner(sset)
@@ -228,18 +241,20 @@ def test_exact_batch_equals_scalar_and_oracle():
         payloads.append(bytes(p))
     batch = scanner.matches_batch(payloads)
     for payload, got in zip(payloads, batch):
-        assert got == scanner.matches(payload)
         assert as_tuples(got) == naive_exact_matches(sset.signatures, payload)
 
 
-def test_scan_batch_equals_scan():
+def test_scan_batch_equals_reference_candidates():
     rng = random.Random(38)
     sset = random_signature_set(rng, 200)
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(rng.randint(0, 180)) for _ in range(150)]
     sigs = sset.signatures
     payloads += [b"x" * 5 + s.pattern + b"y" * 3 for s in sigs[:10]]
-    assert matcher.scan_batch(payloads) == [matcher.scan(p) for p in payloads]
+    batch = matcher.scan_batch(payloads)
+    assert all(c.signature_id is None for cands in batch for c in cands)
+    assert [as_windows(c) for c in batch] == \
+        [reference_candidates(matcher.filters, p) for p in payloads]
 
 
 def test_scan_batch_windows_never_cross_payloads():
@@ -258,10 +273,10 @@ def test_programmed_matcher_supports_concurrent_scans():
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(200) for _ in range(40)]
     payloads += [b"pad" + s.pattern for s in sset.signatures[:5]]
-    expected = [matcher.scan(p) for p in payloads]
+    expected = matcher.scan_batch(payloads)
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
-            results = list(pool.map(matcher.scan, payloads))
+            results = list(pool.map(lambda p: scan_one(matcher, p), payloads))
             assert results == expected
 
 
@@ -280,7 +295,7 @@ def test_scan_completeness_property(data):
     offset = data.draw(st.integers(0, len(body)))
     payload = bytes(body[:offset] + chosen.pattern + body[offset:])
 
-    candidates = matcher.scan(payload)
+    candidates = scan_one(matcher, payload)
     assert CandidateMatch(offset, len(chosen.pattern)) in candidates
     verified = matcher.verify(payload, candidates)
     assert (offset, len(chosen.pattern), chosen.id) in as_tuples(verified)

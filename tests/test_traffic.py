@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nicsieve.codec import Trace, parse_packet, write_pcap
+from nicsieve.codec import parse_packet, write_pcap
 from nicsieve.signatures import Signature, SignatureSet
 from nicsieve.traffic import (
     Manifest,
@@ -10,7 +10,6 @@ from nicsieve.traffic import (
     TrafficSpec,
     build_tcp_frame,
     generate_trace,
-    mix_traces,
 )
 
 from conftest import naive_exact_matches, random_signature_set
@@ -158,46 +157,6 @@ def test_build_tcp_frame_checksums():
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     assert total == 0xFFFF
-
-
-# --- mixing -----------------------------------------------------------------
-
-def test_mix_with_empty_is_identity():
-    trace, _ = generate_trace(TrafficSpec(packet_count=10, seed=2,
-                                          payload_len_range=(10, 20)))
-    mixed = mix_traces(trace, Trace(frames=[]), seed=3)
-    assert [f.data for f in mixed] == [f.data for f in trace]
-
-
-def test_mix_preserves_order_and_length():
-    a, _ = generate_trace(TrafficSpec(packet_count=40, seed=4,
-                                      payload_len_range=(10, 20)))
-    b, _ = generate_trace(TrafficSpec(packet_count=25, seed=5,
-                                      payload_len_range=(10, 20)))
-    mixed = mix_traces(a, b, seed=6)
-    assert len(mixed) == 65
-
-    def is_subsequence(sub, full):
-        it = iter(full)
-        return all(any(x is y for y in it) for x in sub)
-
-    assert is_subsequence(a.frames, mixed.frames)
-    assert is_subsequence(b.frames, mixed.frames)
-
-
-def test_mix_deterministic():
-    a, _ = generate_trace(TrafficSpec(packet_count=30, seed=7,
-                                      payload_len_range=(10, 20)))
-    b, _ = generate_trace(TrafficSpec(packet_count=30, seed=8,
-                                      payload_len_range=(10, 20)))
-    m1 = mix_traces(a, b, seed=9)
-    m2 = mix_traces(a, b, seed=9)
-    assert [f.data for f in m1] == [f.data for f in m2]
-
-
-def test_mix_link_type_mismatch():
-    with pytest.raises(ValueError, match="link type"):
-        mix_traces(Trace(frames=[]), Trace(frames=[], link_type=105))
 
 
 # --- manifest file ----------------------------------------------------------

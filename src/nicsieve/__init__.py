@@ -16,7 +16,6 @@ from .bloom import (
     optimal_k,
 )
 from .codec import (
-    ParsedPacket,
     PcapError,
     RawFrame,
     Trace,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BloomFilter", "BloomParams", "FilterImageError", "FprEstimate",
     "fpr_theoretical", "hash_indices", "optimal_k",
-    "ParsedPacket", "PcapError", "RawFrame", "Trace", "parse_packet",
+    "PcapError", "RawFrame", "Trace", "parse_packet",
     "read_pcap", "write_pcap",
     "BaselineReport", "DecisionRecord", "PipelineStats", "Reason",
     "Verdict", "compare_baseline", "decision_log_csv", "run_trace",

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analytics import FprSweepRow, emit_csv, fpr_sweep
 from .bloom import DEFAULT_SEED_A, DEFAULT_SEED_B, BloomParams, fpr_theoretical
 from .codec import read_pcap, write_pcap
-from .pipeline import compare_baseline, decision_log_csv
+from .pipeline import PipelineStats, compare_baseline, decision_log_csv
 from .signatures import SignatureMatcher, load_rules
 from .traffic import TrafficSpec, generate_trace
 
@@ -35,16 +35,8 @@ DEFAULT_K_LIST = (2, 4, 6, 8)
 DEFAULT_N_LIST = (100, 250, 500, 1000, 2000, 4000)
 
 
-@dataclass
-class ScanReportRow:
-    total: int
-    forwarded: int
-    dropped: int
-    true_matches: int
-    false_positive_forwards: int
-    non_parseable_forwards: int
-    bytes_total: int
-    bytes_forwarded: int
+@dataclass(kw_only=True)
+class ScanReportRow(PipelineStats):
     reduction: float
     equivalent: bool
 
@@ -178,7 +170,8 @@ def _load_index(index_path: Path) -> dict[int, bytes]:
         except ValueError:
             raise ValueError(
                 f"{index_path}:{lineno}: bad length {length_text!r}") from None
-        if not rel.strip():
+        rel = rel.strip()
+        if not rel:
             raise ValueError(f"{index_path}:{lineno}: no image file named")
         if length in images:
             raise ValueError(
@@ -198,13 +191,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     report = compare_baseline(matcher, trace, log=log)
     Path(args.out).write_bytes(write_pcap(report.forwarded))
     stats = report.stats
-    row = ScanReportRow(
-        total=stats.total, forwarded=stats.forwarded, dropped=stats.dropped,
-        true_matches=stats.true_matches,
-        false_positive_forwards=stats.false_positive_forwards,
-        non_parseable_forwards=stats.non_parseable_forwards,
-        bytes_total=stats.bytes_total, bytes_forwarded=stats.bytes_forwarded,
-        reduction=report.reduction, equivalent=report.equivalent)
+    row = ScanReportRow(**asdict(stats), reduction=report.reduction,
+                        equivalent=report.equivalent)
     Path(args.report).write_bytes(emit_csv([row]))
     if args.decision_log:
         Path(args.decision_log).write_bytes(decision_log_csv(log))

@@ -1,10 +1,11 @@
-"""Frame decoding and classic capture-file I/O.
+"""Payload location and classic capture-file I/O.
 
-``parse_packet`` decodes Ethernet II, IPv4 (options honored via IHL), and
-TCP/UDP, and locates the payload: the bytes after the last header it
-could decode. Parsing is total -- anything truncated or malformed comes
-back as ``None`` (not parseable) instead of raising, because the
-filtering pipeline must still carry such frames.
+``parse_packet`` locates the payload of Ethernet II / IPv4 / TCP / UDP
+frames (IPv4 options honored via IHL, TCP options via the data offset)
+and returns it: the bytes after the last header it could walk. Parsing
+is total -- anything truncated or malformed comes back as ``None`` (not
+parseable) instead of raising, because the filtering pipeline must still
+carry such frames.
 
 ``read_pcap``/``write_pcap`` speak the classic capture format (magic
 0xA1B2C3D4, version 2.4, link type 1) in either byte order, so traces
@@ -26,9 +27,8 @@ PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 _PCAP_SNAPLEN = 65535
 
-_ETH = struct.Struct("!6s6sH")
-_IPV4_FIXED = struct.Struct("!BBHHHBBH4s4s")
-_UDP = struct.Struct("!HHHH")
+_ETH_LEN = 14  # dst MAC, src MAC, ethertype
+_UDP_LEN = 8
 
 
 class PcapError(ValueError):
@@ -63,64 +63,20 @@ class Trace:
         return iter(self.frames)
 
 
-@dataclass(frozen=True, slots=True)
-class LinkHeader:
-    dst_mac: bytes
-    src_mac: bytes
-    ethertype: int
-
-
-@dataclass(frozen=True, slots=True)
-class Ipv4Header:
-    src_ip: bytes
-    dst_ip: bytes
-    protocol: int
-    header_len: int
-
-
-@dataclass(frozen=True, slots=True)
-class TransportHeader:
-    kind: str  # "tcp" | "udp"
-    src_port: int
-    dst_port: int
-    header_len: int
-
-
-@dataclass(slots=True)
-class ParsedPacket:
-    """Decoded headers plus a (offset, length) payload slice into the frame."""
-
-    data: bytes
-    link: LinkHeader
-    net: Ipv4Header | None
-    transport: TransportHeader | None
-    payload_offset: int
-    payload_len: int
-
-    @property
-    def payload(self) -> bytes:
-        return self.data[self.payload_offset : self.payload_offset + self.payload_len]
-
-
-def parse_packet(frame: RawFrame) -> ParsedPacket | None:
-    """Decode a frame; ``None`` means not parseable (truncated/malformed).
+def parse_packet(frame: RawFrame) -> bytes | None:
+    """Return the frame's payload; ``None`` means not parseable.
 
     Payload placement: after the TCP/UDP header when one decodes, after
     the IPv4 header for other IP protocols, and directly after the
     Ethernet header for non-IPv4 ethertypes.
     """
     data = frame.data
-    if len(data) < _ETH.size:
+    if len(data) < _ETH_LEN:
         return None
-    dst_mac, src_mac, ethertype = _ETH.unpack_from(data)
-    link = LinkHeader(dst_mac=dst_mac, src_mac=src_mac, ethertype=ethertype)
+    if data[12] << 8 | data[13] != ETHERTYPE_IPV4:
+        return data[_ETH_LEN:]
 
-    if ethertype != ETHERTYPE_IPV4:
-        return ParsedPacket(data=data, link=link, net=None, transport=None,
-                            payload_offset=_ETH.size,
-                            payload_len=len(data) - _ETH.size)
-
-    ip_off = _ETH.size
+    ip_off = _ETH_LEN
     if len(data) < ip_off + 20:
         return None
     version_ihl = data[ip_off]
@@ -129,34 +85,21 @@ def parse_packet(frame: RawFrame) -> ParsedPacket | None:
     ihl = (version_ihl & 0x0F) * 4
     if ihl < 20 or len(data) < ip_off + ihl:
         return None
-    fixed = _IPV4_FIXED.unpack_from(data, ip_off)
-    protocol = fixed[6]
-    net = Ipv4Header(src_ip=fixed[8], dst_ip=fixed[9], protocol=protocol,
-                     header_len=ihl)
+    protocol = data[ip_off + 9]
     l4_off = ip_off + ihl
 
     if protocol == PROTO_TCP:
         if len(data) < l4_off + 20:
             return None
-        src_port, dst_port = struct.unpack_from("!HH", data, l4_off)
         data_offset = (data[l4_off + 12] >> 4) * 4
         if data_offset < 20 or len(data) < l4_off + data_offset:
             return None
-        transport = TransportHeader("tcp", src_port, dst_port, data_offset)
-        payload_offset = l4_off + data_offset
-    elif protocol == PROTO_UDP:
-        if len(data) < l4_off + _UDP.size:
+        return data[l4_off + data_offset:]
+    if protocol == PROTO_UDP:
+        if len(data) < l4_off + _UDP_LEN:
             return None
-        src_port, dst_port, _, _ = _UDP.unpack_from(data, l4_off)
-        transport = TransportHeader("udp", src_port, dst_port, _UDP.size)
-        payload_offset = l4_off + _UDP.size
-    else:
-        transport = None
-        payload_offset = l4_off
-
-    return ParsedPacket(data=data, link=link, net=net, transport=transport,
-                        payload_offset=payload_offset,
-                        payload_len=len(data) - payload_offset)
+        return data[l4_off + _UDP_LEN:]
+    return data[l4_off:]
 
 
 def read_pcap(data: bytes) -> Trace:

@@ -83,28 +83,29 @@ def run_trace(matcher: SignatureMatcher, trace: Trace,
     Each frame is decided on its own payload alone. The forwarded trace
     keeps the original bytes and timestamps of exactly those frames.
     """
-    parsed = [parse_packet(frame) for frame in trace.frames]
-    return _run_parsed(matcher, trace, parsed, log)
+    payloads = [parse_packet(frame) for frame in trace.frames]
+    return _run_parsed(matcher, trace, payloads, log)
 
 
-def _run_parsed(matcher: SignatureMatcher, trace: Trace, parsed: list,
+def _run_parsed(matcher: SignatureMatcher, trace: Trace,
+                payloads: list[bytes | None],
                 log: list[DecisionRecord] | None) -> tuple[PipelineStats, Trace]:
     stats = PipelineStats()
     forwarded_frames: list[RawFrame] = []
 
     candidate_lists = iter(matcher.scan_batch(
-        [p.payload for p in parsed if p is not None]))
+        [p for p in payloads if p is not None]))
 
-    for index, (frame, pkt) in enumerate(zip(trace.frames, parsed)):
+    for index, (frame, payload) in enumerate(zip(trace.frames, payloads)):
         candidates: list[CandidateMatch] = []
         verified: list[CandidateMatch] = []
-        if pkt is None:
+        if payload is None:
             reason = Reason.NON_PARSEABLE
         else:
             candidates = next(candidate_lists)
             reason = Reason.MATCH_CANDIDATE if candidates else Reason.CLEAN
         if candidates:
-            verified = matcher.verify(pkt.payload, candidates)
+            verified = matcher.verify(payload, candidates)
 
         stats.total += 1
         stats.bytes_total += len(frame.data)
@@ -125,7 +126,7 @@ def _run_parsed(matcher: SignatureMatcher, trace: Trace, parsed: list,
             log.append(DecisionRecord(
                 index=index, reason=reason, candidate_count=len(candidates),
                 verified=verified,
-                payload_len=0 if pkt is None else pkt.payload_len))
+                payload_len=0 if payload is None else len(payload)))
 
     return stats, Trace(frames=forwarded_frames, link_type=trace.link_type)
 
@@ -143,12 +144,12 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace,
     if log is None:
         log = []
     first = len(log)
-    parsed = [parse_packet(frame) for frame in trace.frames]
-    stats, forwarded = _run_parsed(matcher, trace, parsed, log)
+    payloads = [parse_packet(frame) for frame in trace.frames]
+    stats, forwarded = _run_parsed(matcher, trace, payloads, log)
     filtered = [tuple(rec.verified) for rec in log[first:]]
 
-    payloads = [p.payload if p is not None else b"" for p in parsed]
-    baseline = [tuple(m) for m in matcher.exact_matches_batch(payloads)]
+    baseline = [tuple(m) for m in matcher.exact_matches_batch(
+        [b"" if p is None else p for p in payloads])]
 
     reduction = 1.0 - stats.forwarded / stats.total if stats.total else 0.0
     return BaselineReport(

@@ -100,7 +100,7 @@ def test_criterion_3_host_load_reduction():
     for i, frame in enumerate(trace):
         if i in attack_set:
             continue
-        plen = parse_packet(frame).payload_len
+        plen = len(parse_packet(frame))
         p = sum(max(0, plen - length + 1) * fpr
                 for length, fpr in per_length_fpr.items())
         p_clean.append(min(1.0, p))

@@ -161,6 +161,22 @@ def test_scan_deterministic_outputs(tmp_path, rules_file, built_and_generated):
                    "--report", tmp_path / f"{tag}.csv") == 0
     assert (tmp_path / "x.pcap").read_bytes() == (tmp_path / "y.pcap").read_bytes()
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+    header = (tmp_path / "x.csv").read_text().splitlines()[0]
+    assert header == ("total,forwarded,dropped,true_matches,"
+                      "false_positive_forwards,non_parseable_forwards,"
+                      "bytes_total,bytes_forwarded,reduction,equivalent")
+
+
+def test_scan_index_tolerates_spaces_after_comma(tmp_path, rules_file,
+                                                 built_and_generated):
+    filters, trace, _ = built_and_generated
+    index = filters / "index.txt"
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "a.pcap", "--report", tmp_path / "a.csv") == 0
+    index.write_text(index.read_text().replace(",", ", "))
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "b.pcap", "--report", tmp_path / "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_scan_missing_trace_exit_2(tmp_path, rules_file, built_and_generated):

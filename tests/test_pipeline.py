@@ -36,13 +36,13 @@ def simple_matcher(patterns=(b"EVIL",)):
 
 def oracle_decision(matcher, frame):
     """Per-frame (reason, verified tuples) from the conftest oracles alone."""
-    parsed = parse_packet(frame)
-    if parsed is None:
+    payload = parse_packet(frame)
+    if payload is None:
         return Reason.NON_PARSEABLE, []
-    if not reference_candidates(matcher.filters, parsed.payload):
+    if not reference_candidates(matcher.filters, payload):
         return Reason.CLEAN, []
     signatures = matcher.signature_set.signatures
-    return Reason.MATCH_CANDIDATE, naive_exact_matches(signatures, parsed.payload)
+    return Reason.MATCH_CANDIDATE, naive_exact_matches(signatures, payload)
 
 
 def decide_one(matcher, frame):
@@ -243,7 +243,7 @@ def test_clean_traffic_forward_rate_within_union_bound():
 
     per_packet = []
     for frame in trace:
-        plen = parse_packet(frame).payload_len
+        plen = len(parse_packet(frame))
         p = sum(max(0, plen - length + 1)
                 * fpr_theoretical(PARAMS.m, PARAMS.k,
                                   matcher.filters[length].count_programmed).fpr

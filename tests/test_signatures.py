@@ -244,10 +244,15 @@ def test_exact_batch_equals_oracle():
         assert as_tuples(got) == naive_exact_matches(sset.signatures, payload)
 
 
-def test_scan_batch_equals_reference_candidates():
+# the dense filter sets enough bits that a window with k-1 of its k probe
+# bits set is common, so a scan that skips a probe round shows up
+@pytest.mark.parametrize("params", [
+    PARAMS, BloomParams(m=1024, k=4, seed_a=77, seed_b=78)],
+    ids=["sparse", "dense"])
+def test_scan_batch_equals_reference_candidates(params):
     rng = random.Random(38)
     sset = random_signature_set(rng, 200)
-    matcher = SignatureMatcher.program(sset, PARAMS)
+    matcher = SignatureMatcher.program(sset, params)
     payloads = [rng.randbytes(rng.randint(0, 180)) for _ in range(150)]
     sigs = sset.signatures
     payloads += [b"x" * 5 + s.pattern + b"y" * 3 for s in sigs[:10]]

@@ -79,11 +79,12 @@ def test_frames_are_well_formed_tcp():
                        payload_len_range=(20, 80), signatures=small_rules())
     trace, _ = generate_trace(spec)
     for frame, entry in zip(trace, generate_trace(spec)[1].entries):
-        pkt = parse_packet(frame)
-        assert pkt is not None
-        assert pkt.net is not None and pkt.net.protocol == 6
-        assert pkt.transport.kind == "tcp"
-        assert 20 <= pkt.payload_len <= 80
+        data = frame.data
+        assert data[12:14] == b"\x08\x00"  # IPv4
+        assert data[23] == 6  # TCP
+        payload = parse_packet(frame)
+        assert payload == data[54:]
+        assert 20 <= len(payload) <= 80
 
 
 def test_manifest_matches_independent_scanner():
@@ -95,7 +96,7 @@ def test_manifest_matches_independent_scanner():
 
     flagged = set()
     for i, frame in enumerate(trace):
-        payload = parse_packet(frame).payload
+        payload = parse_packet(frame)
         if naive_exact_matches(rules.signatures, payload):
             flagged.add(i)
     assert flagged == set(manifest.attack_indices())
@@ -104,7 +105,7 @@ def test_manifest_matches_independent_scanner():
     by_id = {s.id: s.pattern for s in rules.signatures}
     for entry in manifest.entries:
         if entry.is_attack:
-            payload = parse_packet(trace.frames[entry.index]).payload
+            payload = parse_packet(trace.frames[entry.index])
             pattern = by_id[entry.signature_id]
             assert payload[entry.embed_offset : entry.embed_offset
                            + len(pattern)] == pattern
@@ -118,7 +119,7 @@ def test_zero_fraction_background_is_clean():
     trace, manifest = generate_trace(spec)
     assert manifest.attack_indices() == []
     for frame in trace:
-        payload = parse_packet(frame).payload
+        payload = parse_packet(frame)
         assert naive_exact_matches(rules.signatures, payload) == []
 
 

@@ -12,7 +12,6 @@ from .bloom import (
     FilterImageError,
     FprEstimate,
     fpr_theoretical,
-    hash_indices,
     optimal_k,
 )
 from .codec import (
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BloomFilter", "BloomParams", "FilterImageError", "FprEstimate",
-    "fpr_theoretical", "hash_indices", "optimal_k",
+    "fpr_theoretical", "optimal_k",
     "PcapError", "RawFrame", "Trace", "parse_packet",
     "read_pcap", "write_pcap",
     "BaselineReport", "DecisionRecord", "PipelineStats", "Reason",

@@ -21,10 +21,12 @@ The base mixer is fixed bit-for-bit (FNV-style byte fold plus a
 murmur-style finalizer) so that filters programmed with the same seeds
 are reproducible everywhere.
 
-``add`` and ``check`` probe one element via ``hash_indices``; the batch
-paths (``add_many``, ``check_many``, the ``mix64_*`` helpers) vectorize
-the same arithmetic with numpy. The test suite checks them all against
-the independent reference hash in ``tests/conftest.py``.
+The numpy fold kernels ``mix64_windows`` and ``mix64_at`` are the only
+implementation of the hash: ``add_many`` and ``check_many`` fold each
+same-length group with ``mix64_at``, the payload scan folds windows with
+both, and the queries and the scan share one probe loop,
+``BloomFilter.narrow``. The test suite checks them against the
+independent reference hash in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -76,42 +78,14 @@ class BloomParams:
             raise ValueError("seed_a and seed_b must differ")
 
 
-def finalize64(value: int) -> int:
-    """The two-round 64-bit finalizer: xor-shift 33, multiply, xor-shift 33."""
-    value &= MASK64
-    value ^= value >> 33
-    value = (value * _FINAL_MULT) & MASK64
-    value ^= value >> 33
-    return value
-
-
-def mix64(seed: int, data: bytes) -> int:
-    """Digest ``data`` into an unsigned 64-bit value, bit-exact by contract.
-
-    Per byte: state = (state XOR byte) * 0x100000001B3 (mod 2**64), then
-    the ``finalize64`` rounds.
-    """
-    state = seed & MASK64
-    for b in data:
-        state = ((state ^ b) * _FOLD_PRIME) & MASK64
-    return finalize64(state)
-
-
-def mix64_matrix(seed: int, rows: np.ndarray) -> np.ndarray:
-    """Vectorized ``mix64`` over a (count, length) uint8 matrix of elements."""
-    state = np.full(rows.shape[0], seed & MASK64, dtype=np.uint64)
-    cols = rows.astype(np.uint64, copy=False)
-    for j in range(rows.shape[1]):
-        state ^= cols[:, j]
-        state *= np.uint64(_FOLD_PRIME)
-    return _finalize(state)
-
-
 def mix64_windows(seed: int, buf: np.ndarray, length: int) -> np.ndarray:
-    """Vectorized ``mix64`` of every ``length``-byte window of ``buf``.
+    """The seeded 64-bit digest of every ``length``-byte window of ``buf``.
 
-    ``buf`` is a uint8 (or uint64-widened) 1-D array; the result has
-    ``buf.size - length + 1`` digests, one per window start offset.
+    Bit-exact by contract: per byte, state = (state XOR byte) *
+    0x100000001B3 (mod 2**64), starting from ``seed``; then xor-shift 33,
+    multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a uint8 (or
+    uint64-widened) 1-D array; the result has ``buf.size - length + 1``
+    digests, one per window start offset.
     """
     n = buf.size - length + 1
     if n <= 0:
@@ -126,10 +100,10 @@ def mix64_windows(seed: int, buf: np.ndarray, length: int) -> np.ndarray:
 
 def mix64_at(seed: int, buf: np.ndarray, length: int,
              positions: np.ndarray) -> np.ndarray:
-    """``mix64`` of the ``length``-byte windows starting at ``positions``.
+    """The ``mix64_windows`` digests of the windows starting at ``positions``.
 
-    Gather-based variant of ``mix64_windows`` for when only a few window
-    digests are needed out of a large buffer.
+    Gather-based variant of ``mix64_windows``, for a few windows out of
+    a large buffer or for equal-length elements joined end to end.
     """
     wide = buf.astype(np.uint64, copy=False)
     state = np.full(positions.size, seed & MASK64, dtype=np.uint64)
@@ -144,15 +118,6 @@ def _finalize(state: np.ndarray) -> np.ndarray:
     state *= np.uint64(_FINAL_MULT)
     state ^= state >> np.uint64(33)
     return state
-
-
-def hash_indices(params: BloomParams, element: bytes) -> list[int]:
-    """The k bit positions for ``element`` under ``params``, each in 0..m-1."""
-    if len(element) == 0:
-        raise ValueError("element must be non-empty")
-    g1 = mix64(params.seed_a, element)
-    stride = mix64(params.seed_b, element) | 1
-    return [finalize64(g1 + i * stride) % params.m for i in range(params.k)]
 
 
 class BloomFilter:
@@ -171,28 +136,29 @@ class BloomFilter:
         # numpy view sharing the bytearray's memory, used by batch paths
         self._bits_np = np.frombuffer(self._bits, dtype=np.uint8)
 
-    def add(self, element: bytes) -> None:
-        """Set the k bits of ``element`` and bump the programmed count.
-
-        Duplicates are indistinguishable from first insertions, so the
-        count tracks add calls, not distinct elements.
-        """
-        for i in hash_indices(self.params, element):
-            self._bits[i >> 3] |= 1 << (i & 7)
-        self.count_programmed += 1
+    def _digests(self, group: list[bytes],
+                 length: int) -> tuple[np.ndarray, np.ndarray]:
+        """g1 and the odd stride of each element of an equal-length group."""
+        buf = np.frombuffer(b"".join(group), dtype=np.uint8).astype(np.uint64)
+        starts = np.arange(len(group), dtype=np.int64) * length
+        g1 = mix64_at(self.params.seed_a, buf, length, starts)
+        stride = mix64_at(self.params.seed_b, buf, length, starts) | np.uint64(1)
+        return g1, stride
 
     def add_many(self, elements: list[bytes]) -> None:
-        """Add every element; same-length runs go through the batch path."""
+        """Set the k bits of every element, one batch per element length.
+
+        Duplicates are indistinguishable from first insertions, so
+        ``count_programmed`` grows by ``len(elements)``, not by the
+        number of distinct elements.
+        """
         by_length: dict[int, list[bytes]] = {}
         for element in elements:
             if len(element) == 0:
                 raise ValueError("element must be non-empty")
             by_length.setdefault(len(element), []).append(element)
         for length, group in by_length.items():
-            rows = np.frombuffer(b"".join(group), dtype=np.uint8)
-            rows = rows.reshape(len(group), length)
-            g1 = mix64_matrix(self.params.seed_a, rows)
-            stride = mix64_matrix(self.params.seed_b, rows) | np.uint64(1)
+            g1, stride = self._digests(group, length)
             for i in range(self.params.k):
                 idx = self.probe_indices(g1, stride, i)
                 np.bitwise_or.at(
@@ -200,16 +166,6 @@ class BloomFilter:
                     np.left_shift(np.uint8(1),
                                   (idx & np.uint64(7)).astype(np.uint8)))
             self.count_programmed += len(group)
-
-    def check(self, element: bytes) -> bool:
-        """True iff all k bits of ``element`` are set. Never mutates."""
-        for i in hash_indices(self.params, element):
-            if not self._bits[i >> 3] & (1 << (i & 7)):
-                return False
-        return True
-
-    def __contains__(self, element: bytes) -> bool:
-        return self.check(element)
 
     def probe_indices(self, g1: np.ndarray, stride: np.ndarray,
                       i: int) -> np.ndarray:
@@ -223,12 +179,23 @@ class BloomFilter:
                >> (idx & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
         return bit.astype(bool)
 
-    def check_many(self, elements: list[bytes]) -> list[bool]:
-        """Batch ``check`` for a list of equal-length elements.
+    def narrow(self, g1: np.ndarray, stride: np.ndarray,
+               first: int) -> np.ndarray:
+        """Indices of the elements whose probes ``first``..k-1 all hit set bits.
 
-        Probes narrow down round by round, so later hash rounds only
-        touch elements still alive after the earlier ones.
+        Each round probes only the elements that survived the rounds
+        before it.
         """
+        alive = np.arange(g1.size)
+        for i in range(first, self.params.k):
+            if alive.size == 0:
+                break
+            idx = self.probe_indices(g1[alive], stride[alive], i)
+            alive = alive[self.test_bits(idx)]
+        return alive
+
+    def check_many(self, elements: list[bytes]) -> list[bool]:
+        """Membership of each element of an equal-length list. Never mutates."""
         if not elements:
             return []
         length = len(elements[0])
@@ -236,18 +203,9 @@ class BloomFilter:
             raise ValueError("check_many requires equal-length elements")
         if length == 0:
             raise ValueError("element must be non-empty")
-        rows = np.frombuffer(b"".join(elements), dtype=np.uint8).reshape(
-            len(elements), length)
-        g1 = mix64_matrix(self.params.seed_a, rows)
-        stride = mix64_matrix(self.params.seed_b, rows) | np.uint64(1)
-        alive = np.nonzero(self.test_bits(self.probe_indices(g1, stride, 0)))[0]
-        for i in range(1, self.params.k):
-            if alive.size == 0:
-                break
-            idx = self.probe_indices(g1[alive], stride[alive], i)
-            alive = alive[self.test_bits(idx)]
+        g1, stride = self._digests(elements, length)
         member = np.zeros(len(elements), dtype=bool)
-        member[alive] = True
+        member[self.narrow(g1, stride, 0)] = True
         return member.tolist()
 
     def popcount(self) -> int:

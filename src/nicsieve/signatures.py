@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloom import MASK64, BloomFilter, BloomParams, mix64_at, mix64_windows
+from .bloom import BloomFilter, BloomParams, mix64_at, mix64_windows
 
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
@@ -101,8 +101,6 @@ def load_rules(text: bytes | str) -> SignatureSet:
         if len(parts) != 3:
             raise RuleParseError(lineno, "expected 'id,encoding,value'")
         sig_id, encoding, value = parts[0].strip(), parts[1].strip().lower(), parts[2]
-        if not sig_id:
-            raise RuleParseError(lineno, "empty signature id")
         if sig_id in seen_ids:
             raise RuleParseError(lineno, f"duplicate id {sig_id!r}")
         if encoding == "hex":
@@ -114,12 +112,11 @@ def load_rules(text: bytes | str) -> SignatureSet:
             pattern = value.encode("utf-8")
         else:
             raise RuleParseError(lineno, f"unknown encoding {encoding!r}")
-        if not PATTERN_MIN_LEN <= len(pattern) <= PATTERN_MAX_LEN:
-            raise RuleParseError(
-                lineno, f"pattern length {len(pattern)} outside "
-                        f"{PATTERN_MIN_LEN}..{PATTERN_MAX_LEN}")
+        try:
+            signatures.append(Signature(id=sig_id, pattern=pattern))
+        except ValueError as exc:
+            raise RuleParseError(lineno, str(exc)) from None
         seen_ids.add(sig_id)
-        signatures.append(Signature(id=sig_id, pattern=pattern))
     return SignatureSet(signatures=signatures)
 
 
@@ -134,13 +131,6 @@ class CandidateMatch:
 
 def _match_key(c: CandidateMatch) -> tuple:
     return (c.offset, c.length, c.signature_id or "")
-
-
-def _poly64(data: bytes) -> int:
-    h = 0
-    for b in data:
-        h = (h * _EXACT_MULT + b) & MASK64
-    return h
 
 
 def _poly64_windows(buf: np.ndarray, length: int) -> np.ndarray:
@@ -194,14 +184,7 @@ def _bloom_candidate_positions(filt: BloomFilter, block: _PayloadBlock,
     if pos.size == 0 or params.k == 1:
         return pos
     stride = mix64_at(params.seed_b, block.buf, length, pos) | np.uint64(1)
-    g1 = g1[pos]
-    alive = np.arange(pos.size)
-    for i in range(1, params.k):
-        idx = filt.probe_indices(g1[alive], stride[alive], i)
-        alive = alive[filt.test_bits(idx)]
-        if alive.size == 0:
-            break
-    return pos[alive]
+    return pos[filt.narrow(g1[pos], stride, 1)]
 
 
 class ExactScanner:
@@ -220,8 +203,9 @@ class ExactScanner:
         self._tables_by_length: dict[int, np.ndarray] = {}
         for length, group in signature_set.by_length().items():
             table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
-            slots = np.fromiter((_poly64(s.pattern) for s in group),
-                                dtype=np.uint64, count=len(group))
+            joined = np.frombuffer(b"".join(s.pattern for s in group),
+                                   dtype=np.uint8)
+            slots = _poly64_windows(joined, length)[::length]
             table[slots & np.uint64((1 << self._TABLE_BITS) - 1)] = True
             self._tables_by_length[length] = table
 

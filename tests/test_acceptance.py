@@ -208,31 +208,25 @@ def test_criterion_6_bloom_structural_properties():
         if trial % 2:
             filt.add_many(elements)
         else:
-            for e in elements:
-                filt.add(e)
-        false_negatives += sum(not filt.check(e) for e in elements[:200])
-        false_negatives += sum(not hit
-                               for hit in _grouped_check(filt, elements[200:]))
+            _add_in_slices(filt, elements)
+        false_negatives += sum(not hit for hit in _grouped_check(filt, elements))
 
     # purity: checks leave the serialized image untouched
     filt = BloomFilter(BloomParams(m=4096, k=4, seed_a=1, seed_b=2))
     filt.add_many([rng.randbytes(8) for _ in range(100)])
     before = filt.to_image()
-    for _ in range(2000):
-        filt.check(rng.randbytes(rng.randint(1, 12)))
+    _grouped_check(filt, [rng.randbytes(rng.randint(1, 12)) for _ in range(2000)])
     purity_ok = filt.to_image() == before
 
     # monotonicity: later adds never clear bits or revoke membership
     filt = BloomFilter(BloomParams(m=2048, k=3, seed_a=3, seed_b=4))
     first = [rng.randbytes(6) for _ in range(50)]
-    for e in first:
-        filt.add(e)
+    filt.add_many(first)
     bits_before = filt.vector_bytes()
-    for e in (rng.randbytes(6) for _ in range(500)):
-        filt.add(e)
+    _add_in_slices(filt, [rng.randbytes(6) for _ in range(500)])
     bits_after = filt.vector_bytes()
     monotone_ok = all(b & a == b for b, a in zip(bits_before, bits_after))
-    monotone_ok &= all(filt.check(e) for e in first)
+    monotone_ok &= all(_grouped_check(filt, first))
 
     elapsed = time.perf_counter() - t0
     ok = false_negatives == 0 and purity_ok and monotone_ok
@@ -242,6 +236,12 @@ def test_criterion_6_bloom_structural_properties():
     assert false_negatives == 0
     assert purity_ok
     assert monotone_ok
+
+
+def _add_in_slices(filt, elements, size=64):
+    """Program ``elements`` incrementally, ``size`` per ``add_many`` call."""
+    for start in range(0, len(elements), size):
+        filt.add_many(elements[start : start + size])
 
 
 def _grouped_check(filt, elements):

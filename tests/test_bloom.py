@@ -11,10 +11,7 @@ from nicsieve.bloom import (
     BloomParams,
     FilterImageError,
     fpr_theoretical,
-    hash_indices,
-    mix64,
     mix64_at,
-    mix64_matrix,
     mix64_windows,
     optimal_k,
 )
@@ -22,6 +19,24 @@ from nicsieve.bloom import (
 from conftest import reference_mix64, reference_probes
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=101, seed_b=202)
+
+
+def reference_vector(params, elements):
+    """The bit vector programming ``elements`` must give, from the oracle."""
+    vector = bytearray((params.m + 7) // 8)
+    for e in elements:
+        for i in reference_probes(params.seed_a, params.seed_b, e,
+                                  params.m, params.k):
+            vector[i // 8] |= 1 << (i % 8)
+    return bytes(vector)
+
+
+def reference_check(filt, element):
+    """Oracle membership: all ``reference_probes`` bits set in the vector."""
+    p = filt.params
+    vector = filt.vector_bytes()
+    return all(vector[i // 8] >> (i % 8) & 1
+               for i in reference_probes(p.seed_a, p.seed_b, element, p.m, p.k))
 
 
 # --- parameters -------------------------------------------------------------
@@ -44,40 +59,40 @@ def test_new_filter_all_zero():
     filt = BloomFilter(BloomParams(m=16384, k=4, seed_a=1, seed_b=2))
     assert filt.popcount() == 0
     assert filt.count_programmed == 0
-    assert not filt.check(b"anything")
+    assert filt.check_many([b"anything"]) == [False]
 
 
 # --- hash indices -----------------------------------------------------------
 
 def test_hash_indices_deterministic_and_in_range():
+    filt = BloomFilter(PARAMS)
     for element in (b"abc", b"\x00", b"x" * 100):
-        first = hash_indices(PARAMS, element)
-        assert first == hash_indices(PARAMS, element)
+        buf = np.frombuffer(element, dtype=np.uint8)
+        start = np.zeros(1, dtype=np.int64)
+        g1 = mix64_at(PARAMS.seed_a, buf, len(element), start)
+        stride = mix64_at(PARAMS.seed_b, buf, len(element), start) | np.uint64(1)
+        first = [int(filt.probe_indices(g1, stride, i)[0])
+                 for i in range(PARAMS.k)]
+        assert first == [int(filt.probe_indices(g1, stride, i)[0])
+                         for i in range(PARAMS.k)]
         assert len(first) == PARAMS.k
         assert all(0 <= i < PARAMS.m for i in first)
 
 
 def test_hash_indices_rejects_empty_element():
-    with pytest.raises(ValueError):
-        hash_indices(PARAMS, b"")
     filt = BloomFilter(PARAMS)
     with pytest.raises(ValueError):
-        filt.add(b"")
-    with pytest.raises(ValueError):
-        filt.check(b"")
+        filt.add_many([b""])
+    with pytest.raises(ValueError, match="non-empty"):
+        filt.check_many([b""])
 
 
 def test_hash_indices_match_independent_mixer():
-    # probe construction recomputed from an independent mixer rewrite
+    # programmed bits recomputed from an independent mixer rewrite
     for element in (b"abc", b"GET /", bytes(range(64))):
-        expected = reference_probes(PARAMS.seed_a, PARAMS.seed_b, element,
-                                    PARAMS.m, PARAMS.k)
-        assert hash_indices(PARAMS, element) == expected
-
-
-@given(st.binary(min_size=1, max_size=64))
-def test_mix64_matches_reference(data):
-    assert mix64(0x1234, data) == reference_mix64(0x1234, data)
+        filt = BloomFilter(PARAMS)
+        filt.add_many([element])
+        assert filt.vector_bytes() == reference_vector(PARAMS, [element])
 
 
 @given(st.binary(min_size=4, max_size=200), st.integers(1, 4))
@@ -86,55 +101,57 @@ def test_vectorized_digests_match_scalar(buf, length):
     arr = np.frombuffer(buf, dtype=np.uint8)
     for seed in (PARAMS.seed_a, PARAMS.seed_b):
         windows = mix64_windows(seed, arr, length)
-        expected = [mix64(seed, buf[o : o + length])
+        expected = [reference_mix64(seed, buf[o : o + length])
                     for o in range(len(buf) - length + 1)]
         assert windows.tolist() == expected
         pos = np.arange(len(buf) - length + 1, dtype=np.int64)
         assert mix64_at(seed, arr, length, pos).tolist() == expected
-    rows = np.frombuffer(buf[: (len(buf) // length) * length],
-                         dtype=np.uint8).reshape(-1, length)
-    digests = mix64_matrix(PARAMS.seed_a, rows)
-    assert digests.tolist() == [mix64(PARAMS.seed_a, r.tobytes()) for r in rows]
 
 
 # --- add / check ------------------------------------------------------------
 
 def test_add_sets_k_bits_and_counts():
     filt = BloomFilter(PARAMS)
-    filt.add(b"element-1")
+    filt.add_many([b"element-1"])
     assert 1 <= filt.popcount() <= PARAMS.k
     assert filt.count_programmed == 1
-    assert filt.check(b"element-1")
+    assert filt.check_many([b"element-1"])[0]
 
 
 def test_add_twice_is_idempotent_on_bits():
     filt = BloomFilter(PARAMS)
-    filt.add(b"dup")
+    filt.add_many([b"dup"])
     once = filt.vector_bytes()
-    filt.add(b"dup")
+    filt.add_many([b"dup"])
     assert filt.vector_bytes() == once
     assert filt.count_programmed == 2
 
 
 def test_check_does_not_mutate():
     filt = BloomFilter(PARAMS)
-    filt.add(b"stored")
+    filt.add_many([b"stored"])
     before = filt.to_image()
     for probe in (b"stored", b"missing", b"\xff" * 32):
-        filt.check(probe)
+        filt.check_many([probe])
     assert filt.to_image() == before
+
+
+def test_check_many_input_checks():
+    # the empty element is in test_hash_indices_rejects_empty_element
+    filt = BloomFilter(PARAMS)
+    filt.add_many([b"ab", b"abc"])
+    assert filt.check_many([]) == []
+    with pytest.raises(ValueError, match="equal-length"):
+        filt.check_many([b"ab", b"abc"])
 
 
 def test_add_many_equals_sequential_adds():
     rng = random.Random(5)
     elements = [rng.randbytes(rng.randint(1, 24)) for _ in range(500)]
-    a = BloomFilter(PARAMS)
-    for e in elements:
-        a.add(e)
-    b = BloomFilter(PARAMS)
-    b.add_many(elements)
-    assert a.vector_bytes() == b.vector_bytes()
-    assert a.count_programmed == b.count_programmed
+    filt = BloomFilter(PARAMS)
+    filt.add_many(elements)
+    assert filt.vector_bytes() == reference_vector(PARAMS, elements)
+    assert filt.count_programmed == len(elements)
 
 
 def test_check_many_equals_scalar_checks():
@@ -142,7 +159,7 @@ def test_check_many_equals_scalar_checks():
     filt = BloomFilter(PARAMS)
     filt.add_many([rng.randbytes(8) for _ in range(300)])
     probes = [rng.randbytes(8) for _ in range(2000)]
-    assert filt.check_many(probes) == [filt.check(p) for p in probes]
+    assert filt.check_many(probes) == [reference_check(filt, p) for p in probes]
 
 
 @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=60))
@@ -150,8 +167,8 @@ def test_check_many_equals_scalar_checks():
 def test_no_false_negatives(elements):
     filt = BloomFilter(BloomParams(m=512, k=3, seed_a=7, seed_b=9))
     for e in elements:
-        filt.add(e)
-    assert all(filt.check(e) for e in elements)
+        filt.add_many([e])
+    assert all(filt.check_many([e])[0] for e in elements)
 
 
 @given(st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=40),
@@ -161,22 +178,22 @@ def test_adds_are_monotone(first, later):
     params = BloomParams(m=256, k=2, seed_a=3, seed_b=4)
     filt = BloomFilter(params)
     for e in first:
-        filt.add(e)
+        filt.add_many([e])
     bits_before = filt.vector_bytes()
-    members_before = [p for p in first + later if filt.check(p)]
+    members_before = [p for p in first + later if filt.check_many([p])[0]]
     for e in later:
-        filt.add(e)
+        filt.add_many([e])
     bits_after = filt.vector_bytes()
     # no bit flips 1 -> 0, and member answers never regress
     assert all(b & a == b for b, a in zip(bits_before, bits_after))
-    assert all(filt.check(p) for p in members_before)
+    assert all(filt.check_many([p])[0] for p in members_before)
 
 
 def test_popcount_bounded_by_k_times_n():
     rng = random.Random(8)
     filt = BloomFilter(PARAMS)
     for _ in range(200):
-        filt.add(rng.randbytes(12))
+        filt.add_many([rng.randbytes(12)])
     assert filt.popcount() <= PARAMS.k * filt.count_programmed
 
 
@@ -263,18 +280,15 @@ def test_image_layout_matches_documented_format():
     import zlib
 
     filt = BloomFilter(BloomParams(m=64, k=2, seed_a=9, seed_b=10))
-    filt.add(b"ab")
+    filt.add_many([b"ab"])
     image = filt.to_image()
     assert image[:4] == b"PEIC"
     version, k = struct.unpack_from("<HH", image, 4)
     m, seed_a, seed_b, count = struct.unpack_from("<QQQQ", image, 8)
     assert (version, k, m, seed_a, seed_b, count) == (1, 2, 64, 9, 10, 1)
     vector = image[40:48]
-    # LSB-first bit layout: recompute positions from the hash family
-    expected = bytearray(8)
-    for i in hash_indices(filt.params, b"ab"):
-        expected[i // 8] |= 1 << (i % 8)
-    assert vector == bytes(expected)
+    # LSB-first bit layout: recompute positions from the reference hash
+    assert vector == reference_vector(filt.params, [b"ab"])
     (crc,) = struct.unpack_from("<I", image, 48)
     assert crc == zlib.crc32(image[:48])
     assert len(image) == 52
@@ -282,7 +296,7 @@ def test_image_layout_matches_documented_format():
 
 def test_image_error_cases():
     filt = BloomFilter(BloomParams(m=256, k=2, seed_a=1, seed_b=2))
-    filt.add(b"xy")
+    filt.add_many([b"xy"])
     image = filt.to_image()
 
     with pytest.raises(FilterImageError, match="magic"):
@@ -308,5 +322,5 @@ def test_image_error_cases():
 def test_image_roundtrip_property(elements, m, k):
     filt = BloomFilter(BloomParams(m=m, k=k, seed_a=21, seed_b=22))
     for e in elements:
-        filt.add(e)
+        filt.add_many([e])
     assert BloomFilter.from_image(filt.to_image()).to_image() == filt.to_image()

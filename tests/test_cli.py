@@ -209,7 +209,7 @@ def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated):
     filters, trace, _ = built_and_generated
     original = BloomFilter.from_image((filters / "len15.bfi").read_bytes())
     bogus = BloomFilter(original.params)
-    bogus.add(b"not the real pattern")  # count matches, bits do not
+    bogus.add_many([b"not the real pattern"])  # count matches, bits do not
     (filters / "len15.bfi").write_bytes(bogus.to_image())
     code = run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", trace, "--out", tmp_path / "f.pcap",

@@ -11,7 +11,12 @@ from nicsieve.pipeline import (
     decision_log_csv,
     run_trace,
 )
-from nicsieve.signatures import Signature, SignatureMatcher, SignatureSet
+from nicsieve.signatures import (
+    Signature,
+    SignatureMatcher,
+    SignatureSet,
+    load_rules,
+)
 from nicsieve.traffic import TrafficSpec, build_tcp_frame, generate_trace
 
 from conftest import (
@@ -215,6 +220,24 @@ def test_compare_baseline_reused_log_compares_only_new_records():
     assert first.equivalent and second.equivalent
     assert second.filtered_detections == first.filtered_detections
     assert len(log) == 2 * len(trace)
+
+
+def test_compare_baseline_duplicate_patterns_carry_every_id():
+    sset = load_rules(b"a,ascii,EVILX\nb,ascii,EVILX\nc,hex,deadbeef\n")
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    spec = TrafficSpec(packet_count=400, attack_fraction=0.2, seed=11,
+                       payload_len_range=(30, 120), signatures=sset)
+    trace, manifest = generate_trace(spec)
+    report = compare_baseline(matcher, trace)
+    assert report.equivalent
+    evil = [e for e in manifest.entries if e.signature_id in ("a", "b")]
+    assert evil
+    for entry in evil:
+        for detections in (report.baseline_detections[entry.index],
+                           report.filtered_detections[entry.index]):
+            ids = {m.signature_id for m in detections
+                   if m.offset == entry.embed_offset and m.length == 5}
+            assert ids == {"a", "b"}
 
 
 def test_compare_baseline_empty_trace():

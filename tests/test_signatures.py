@@ -82,6 +82,9 @@ def test_load_rules_errors_carry_line_numbers():
     with pytest.raises(RuleParseError, match="length"):
         load_rules(f"a,ascii,{'x' * 65}\n")
 
+    with pytest.raises(RuleParseError, match="line 1"):
+        load_rules(b" ,ascii,xx\n")  # empty id
+
 
 def test_signature_set_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
@@ -108,7 +111,7 @@ def test_program_thousand_random_patterns_all_member():
     sset = random_signature_set(rng, 1000)
     matcher = SignatureMatcher.program(sset, PARAMS)
     for sig in sset.signatures:
-        assert matcher.filters[len(sig.pattern)].check(sig.pattern)
+        assert matcher.filters[len(sig.pattern)].check_many([sig.pattern])[0]
 
 
 def test_images_reload_gives_identical_scans():

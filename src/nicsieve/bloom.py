@@ -27,6 +27,15 @@ same-length group with ``mix64_at``, the payload scan folds windows with
 both, and the queries and the scan share one probe loop,
 ``BloomFilter.narrow``. The test suite checks them against the
 independent reference hash in ``tests/conftest.py``.
+
+The fold state after j bytes does not depend on how long the window
+will be, so a ``WindowFold`` carries one running fold of every window
+start across ascending lengths: each payload byte column is folded once
+for all lengths, and each length finalizes a copy. A filter keeps its
+vector unpacked, one bool per bit, so a probe round is one gather; the
+packed LSB-first bytes exist only in ``vector_bytes`` and images. Probe
+indices reduce with a mask when m is a power of two and modulo m
+otherwise, which gives the same index.
 """
 
 from __future__ import annotations
@@ -78,24 +87,48 @@ class BloomParams:
             raise ValueError("seed_a and seed_b must differ")
 
 
-def mix64_windows(seed: int, buf: np.ndarray, length: int) -> np.ndarray:
+class WindowFold:
+    """One running fold of every window start of ``buf``, for one seed.
+
+    ``mix64_windows`` advances it through ascending window lengths, so a
+    byte column folded for a shorter length is not folded again for a
+    longer one. Create one per buffer scan; it is not shared between
+    threads.
+    """
+
+    def __init__(self, seed: int, buf: np.ndarray) -> None:
+        self.seed = seed & MASK64
+        self.buf = buf
+        self.state = np.full(buf.size, self.seed, dtype=np.uint64)
+        self.folded = 0  # bytes of every window already in ``state``
+
+
+def mix64_windows(seed: int, buf: np.ndarray, length: int,
+                  fold: WindowFold | None = None) -> np.ndarray:
     """The seeded 64-bit digest of every ``length``-byte window of ``buf``.
 
     Bit-exact by contract: per byte, state = (state XOR byte) *
     0x100000001B3 (mod 2**64), starting from ``seed``; then xor-shift 33,
-    multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a uint8 (or
-    uint64-widened) 1-D array; the result has ``buf.size - length + 1``
-    digests, one per window start offset.
+    multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a uint8 1-D
+    array; the result has ``buf.size - length + 1`` digests, one per
+    window start offset. With ``fold``, the bytes it already folded are
+    reused and it is advanced to ``length``, which must not be below
+    what it already folded.
     """
-    n = buf.size - length + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.uint64)
-    wide = buf.astype(np.uint64, copy=False)
-    state = np.full(n, seed & MASK64, dtype=np.uint64)
-    for j in range(length):
-        state ^= wide[j : j + n]
+    if fold is None:
+        fold = WindowFold(seed, buf)
+    elif fold.buf is not buf or fold.seed != seed & MASK64:
+        raise ValueError("fold belongs to another buffer or seed")
+    if length < fold.folded:
+        raise ValueError(f"fold already covers {fold.folded} bytes, "
+                         f"cannot finalize length {length}")
+    n = max(0, buf.size - length + 1)
+    state = fold.state[:n]
+    for j in range(fold.folded, length):
+        state ^= buf[j : j + n]  # widened per column, never the whole buffer
         state *= np.uint64(_FOLD_PRIME)
-    return _finalize(state)
+    fold.state, fold.folded = state, length
+    return _finalize(state.copy())
 
 
 def mix64_at(seed: int, buf: np.ndarray, length: int,
@@ -105,10 +138,9 @@ def mix64_at(seed: int, buf: np.ndarray, length: int,
     Gather-based variant of ``mix64_windows``, for a few windows out of
     a large buffer or for equal-length elements joined end to end.
     """
-    wide = buf.astype(np.uint64, copy=False)
     state = np.full(positions.size, seed & MASK64, dtype=np.uint64)
     for j in range(length):
-        state ^= wide[positions + j]
+        state ^= buf[positions + j]
         state *= np.uint64(_FOLD_PRIME)
     return _finalize(state)
 
@@ -123,23 +155,23 @@ def _finalize(state: np.ndarray) -> np.ndarray:
 class BloomFilter:
     """An m-bit vector programmed with byte-string elements.
 
-    Bits live in a bytearray, LSB-first within each byte (bit i sits at
-    byte i//8, position i%8) -- the same layout the image format uses.
-    Programming is single-writer; a programmed filter may be queried from
-    any number of threads concurrently.
+    Bits live unpacked, one bool per bit, in 8 * ceil(m/8) entries: the
+    bits past m are the image's padding bits, kept so that any image
+    round-trips. ``vector_bytes`` packs them LSB-first within each byte
+    (bit i sits at byte i//8, position i%8) -- the layout the image
+    format uses. Programming is single-writer; a programmed filter may
+    be queried from any number of threads concurrently.
     """
 
     def __init__(self, params: BloomParams, count_programmed: int = 0) -> None:
         self.params = params
         self.count_programmed = count_programmed
-        self._bits = bytearray((params.m + 7) // 8)
-        # numpy view sharing the bytearray's memory, used by batch paths
-        self._bits_np = np.frombuffer(self._bits, dtype=np.uint8)
+        self._table = np.zeros(8 * ((params.m + 7) // 8), dtype=bool)
 
     def _digests(self, group: list[bytes],
                  length: int) -> tuple[np.ndarray, np.ndarray]:
         """g1 and the odd stride of each element of an equal-length group."""
-        buf = np.frombuffer(b"".join(group), dtype=np.uint8).astype(np.uint64)
+        buf = np.frombuffer(b"".join(group), dtype=np.uint8)
         starts = np.arange(len(group), dtype=np.int64) * length
         g1 = mix64_at(self.params.seed_a, buf, length, starts)
         stride = mix64_at(self.params.seed_b, buf, length, starts) | np.uint64(1)
@@ -161,23 +193,21 @@ class BloomFilter:
             g1, stride = self._digests(group, length)
             for i in range(self.params.k):
                 idx = self.probe_indices(g1, stride, i)
-                np.bitwise_or.at(
-                    self._bits_np, (idx >> np.uint64(3)).astype(np.int64),
-                    np.left_shift(np.uint8(1),
-                                  (idx & np.uint64(7)).astype(np.uint8)))
+                self._table[idx.view(np.int64)] = True
             self.count_programmed += len(group)
 
     def probe_indices(self, g1: np.ndarray, stride: np.ndarray,
                       i: int) -> np.ndarray:
         """Vectorized i-th probe: F(g1 + i*stride mod 2**64) mod m."""
-        combined = g1 + np.uint64(i) * stride
-        return _finalize(combined) % np.uint64(self.params.m)
+        combined = _finalize(g1 + np.uint64(i) * stride)
+        m = self.params.m
+        if m & (m - 1) == 0:
+            return np.bitwise_and(combined, np.uint64(m - 1), out=combined)
+        return np.remainder(combined, np.uint64(m), out=combined)
 
     def test_bits(self, idx: np.ndarray) -> np.ndarray:
-        """Boolean value of each bit position in ``idx`` (vectorized)."""
-        bit = (self._bits_np[(idx >> np.uint64(3)).astype(np.int64)]
-               >> (idx & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
-        return bit.astype(bool)
+        """Boolean value of each bit position in ``idx``, uint64 below m."""
+        return self._table.take(idx.view(np.int64))
 
     def narrow(self, g1: np.ndarray, stride: np.ndarray,
                first: int) -> np.ndarray:
@@ -210,18 +240,18 @@ class BloomFilter:
 
     def popcount(self) -> int:
         """Number of set bits in the vector."""
-        return int.from_bytes(self._bits, "little").bit_count()
+        return int(np.count_nonzero(self._table))
 
     def vector_bytes(self) -> bytes:
         """The raw bit vector, ceil(m/8) bytes, LSB-first."""
-        return bytes(self._bits)
+        return np.packbits(self._table, bitorder="little").tobytes()
 
     def to_image(self) -> bytes:
         """Serialize to the portable image format (header, vector, CRC32)."""
         p = self.params
         body = _IMAGE_HEADER.pack(IMAGE_MAGIC, IMAGE_VERSION, p.k, p.m,
                                   p.seed_a, p.seed_b, self.count_programmed)
-        body += bytes(self._bits)
+        body += self.vector_bytes()
         return body + struct.pack("<I", zlib.crc32(body))
 
     @classmethod
@@ -248,7 +278,9 @@ class BloomFilter:
         except ValueError as exc:
             raise FilterImageError(f"invalid parameters in image: {exc}") from exc
         filt = cls(params, count_programmed=count)
-        filt._bits[:] = data[_IMAGE_HEADER.size : _IMAGE_HEADER.size + nbytes]
+        vector = np.frombuffer(data, dtype=np.uint8, count=nbytes,
+                               offset=_IMAGE_HEADER.size)
+        filt._table = np.unpackbits(vector, bitorder="little").view(bool)
         return filt
 
 

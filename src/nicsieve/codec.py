@@ -5,7 +5,9 @@ frames (IPv4 options honored via IHL, TCP options via the data offset)
 and returns it: the bytes after the last header it could walk. Parsing
 is total -- anything truncated or malformed comes back as ``None`` (not
 parseable) instead of raising, because the filtering pipeline must still
-carry such frames.
+carry such frames. IPv4 fragments are not parseable too: the card
+decides each frame on its own and does not reassemble, and a non-first
+fragment's body would otherwise be read as a transport header.
 
 ``read_pcap``/``write_pcap`` speak the classic capture format (magic
 0xA1B2C3D4, version 2.4, link type 1) in either byte order, so traces
@@ -28,6 +30,8 @@ PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 _PCAP_SNAPLEN = 65535
 
 _ETH_LEN = 14  # dst MAC, src MAC, ethertype
+_IPV4_MORE_FRAGMENTS = 0x2000
+_IPV4_FRAGMENT_OFFSET = 0x1FFF
 _UDP_LEN = 8
 
 
@@ -68,7 +72,8 @@ def parse_packet(frame: RawFrame) -> bytes | None:
 
     Payload placement: after the TCP/UDP header when one decodes, after
     the IPv4 header for other IP protocols, and directly after the
-    Ethernet header for non-IPv4 ethertypes.
+    Ethernet header for non-IPv4 ethertypes. An IPv4 fragment (MF set
+    or a non-zero fragment offset) is not parseable; DF alone is fine.
     """
     data = frame.data
     if len(data) < _ETH_LEN:
@@ -84,6 +89,9 @@ def parse_packet(frame: RawFrame) -> bytes | None:
         return None
     ihl = (version_ihl & 0x0F) * 4
     if ihl < 20 or len(data) < ip_off + ihl:
+        return None
+    flags_offset = data[ip_off + 6] << 8 | data[ip_off + 7]
+    if flags_offset & (_IPV4_MORE_FRAGMENTS | _IPV4_FRAGMENT_OFFSET):
         return None
     protocol = data[ip_off + 9]
     l4_off = ip_off + ihl

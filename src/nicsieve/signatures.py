@@ -17,7 +17,12 @@ Two scanning routes exist and must agree:
   unrelated to the filter's mixer and confirming every hit byte-for-byte.
 
 Both sweep all payloads of a trace at once with numpy (windows never
-cross payload boundaries). The test suite checks them against the
+cross payload boundaries). Both hash each byte column once for all
+pattern lengths: a window's hash state after j bytes is the same for
+every length of at least j bytes, so each route keeps one running
+state over all window starts and advances it through the lengths in
+ascending order (a ``WindowFold`` for the filters' mixer, a Horner
+prefix for the exact route). The test suite checks them against the
 independent per-payload oracles in ``tests/conftest.py``.
 """
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloom import BloomFilter, BloomParams, mix64_at, mix64_windows
+from .bloom import BloomFilter, BloomParams, WindowFold, mix64_at, mix64_windows
 
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
@@ -133,16 +138,25 @@ def _match_key(c: CandidateMatch) -> tuple:
     return (c.offset, c.length, c.signature_id or "")
 
 
-def _poly64_windows(buf: np.ndarray, length: int) -> np.ndarray:
-    n = buf.size - length + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.uint64)
-    wide = buf.astype(np.uint64, copy=False)
-    state = np.zeros(n, dtype=np.uint64)
-    for j in range(length):
-        state *= np.uint64(_EXACT_MULT)
-        state += wide[j : j + n]
-    return state
+def _poly64_prefixes(buf: np.ndarray, lengths: list[int]):
+    """Yield (length, Horner hash of every ``length``-byte window of ``buf``).
+
+    ``lengths`` ascend; each is reached by folding only the byte columns
+    the previous one did not. The yielded array is overwritten by the
+    next step, so use it before advancing.
+    """
+    state = np.zeros(buf.size, dtype=np.uint64)
+    folded = 0
+    for length in lengths:
+        n = buf.size - length + 1
+        if n <= 0:
+            return
+        state = state[:n]
+        for j in range(folded, length):
+            state *= np.uint64(_EXACT_MULT)
+            state += buf[j : j + n]
+        folded = length
+        yield length, state
 
 
 class _PayloadBlock:
@@ -152,9 +166,8 @@ class _PayloadBlock:
         lengths = np.fromiter((len(p) for p in payloads), dtype=np.int64,
                               count=len(payloads))
         self.starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        self.owner = np.repeat(np.arange(len(payloads), dtype=np.int64), lengths)
-        raw = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-        self.buf = raw.astype(np.uint64)  # widened once, sliced per window column
+        self.owner = np.repeat(np.arange(len(payloads), dtype=np.int32), lengths)
+        self.buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
 
     def same_payload(self, pos: np.ndarray, length: int) -> np.ndarray:
         """Keep window start positions that do not cross a payload boundary."""
@@ -169,15 +182,16 @@ class _PayloadBlock:
 
 
 def _bloom_candidate_positions(filt: BloomFilter, block: _PayloadBlock,
-                               length: int) -> np.ndarray:
+                               length: int, fold: WindowFold) -> np.ndarray:
     """Window start positions whose k filter bits are all set.
 
-    The first probe needs no stride, so the second digest is computed via
-    gather for first-probe survivors only; with well-sized filters that
-    is a small fraction of the windows.
+    ``fold`` is advanced to ``length``. The first probe needs no stride,
+    so the second digest is computed via gather for first-probe
+    survivors only; with well-sized filters that is a small fraction of
+    the windows.
     """
     params = filt.params
-    g1 = mix64_windows(params.seed_a, block.buf, length)
+    g1 = mix64_windows(params.seed_a, block.buf, length, fold=fold)
     zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
     pos = np.nonzero(filt.test_bits(filt.probe_indices(g1, zero, 0)))[0]
     pos = block.same_payload(pos, length)
@@ -205,7 +219,8 @@ class ExactScanner:
             table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
             joined = np.frombuffer(b"".join(s.pattern for s in group),
                                    dtype=np.uint8)
-            slots = _poly64_windows(joined, length)[::length]
+            _, window_hashes = next(_poly64_prefixes(joined, [length]))
+            slots = window_hashes[::length]
             table[slots & np.uint64((1 << self._TABLE_BITS) - 1)] = True
             self._tables_by_length[length] = table
 
@@ -216,11 +231,10 @@ class ExactScanner:
             return results
         block = _PayloadBlock(payloads)
         mask = np.uint64((1 << self._TABLE_BITS) - 1)
-        for length, table in sorted(self._tables_by_length.items()):
-            window_hashes = _poly64_windows(block.buf, length)
-            if window_hashes.size == 0:
-                continue
-            hit = table[window_hashes & mask]
+        for length, window_hashes in _poly64_prefixes(
+                block.buf, sorted(self._tables_by_length)):
+            table = self._tables_by_length[length]
+            hit = table.take((window_hashes & mask).view(np.int64))
             pos = block.same_payload(np.nonzero(hit)[0], length)
             owners, offsets = block.locate(pos)
             for pkt, off in zip(owners.tolist(), offsets.tolist()):
@@ -303,8 +317,10 @@ class SignatureMatcher:
         if not payloads:
             return results
         block = _PayloadBlock(payloads)
+        fold = WindowFold(self.params.seed_a, block.buf)
         for length in self.lengths:
-            pos = _bloom_candidate_positions(self.filters[length], block, length)
+            pos = _bloom_candidate_positions(self.filters[length], block,
+                                             length, fold)
             owners, offsets = block.locate(pos)
             for pkt, off in zip(owners.tolist(), offsets.tolist()):
                 results[pkt].append(CandidateMatch(offset=off, length=length))

@@ -10,6 +10,7 @@ from nicsieve.bloom import (
     BloomFilter,
     BloomParams,
     FilterImageError,
+    WindowFold,
     fpr_theoretical,
     mix64_at,
     mix64_windows,
@@ -19,6 +20,9 @@ from nicsieve.bloom import (
 from conftest import reference_mix64, reference_probes
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=101, seed_b=202)
+# m neither a power of two nor a multiple of 8: probes reduce modulo m and
+# the vector has padding bits
+ODD_M = BloomParams(m=1001, k=3, seed_a=101, seed_b=202)
 
 
 def reference_vector(params, elements):
@@ -106,6 +110,16 @@ def test_vectorized_digests_match_scalar(buf, length):
         assert windows.tolist() == expected
         pos = np.arange(len(buf) - length + 1, dtype=np.int64)
         assert mix64_at(seed, arr, length, pos).tolist() == expected
+        # one fold shared by ascending, non-contiguous lengths
+        fold = WindowFold(seed, arr)
+        for shared in (length, length + 2, length + 5):
+            assert mix64_windows(seed, arr, shared, fold=fold).tolist() == \
+                [reference_mix64(seed, buf[o : o + shared])
+                 for o in range(len(buf) - shared + 1)]
+        with pytest.raises(ValueError, match="already covers"):
+            mix64_windows(seed, arr, length, fold=fold)
+        with pytest.raises(ValueError, match="another buffer or seed"):
+            mix64_windows(seed ^ 1, arr, length + 6, fold=fold)
 
 
 # --- add / check ------------------------------------------------------------
@@ -148,10 +162,11 @@ def test_check_many_input_checks():
 def test_add_many_equals_sequential_adds():
     rng = random.Random(5)
     elements = [rng.randbytes(rng.randint(1, 24)) for _ in range(500)]
-    filt = BloomFilter(PARAMS)
-    filt.add_many(elements)
-    assert filt.vector_bytes() == reference_vector(PARAMS, elements)
-    assert filt.count_programmed == len(elements)
+    for params in (PARAMS, ODD_M):
+        filt = BloomFilter(params)
+        filt.add_many(elements)
+        assert filt.vector_bytes() == reference_vector(params, elements)
+        assert filt.count_programmed == len(elements)
 
 
 def test_check_many_equals_scalar_checks():
@@ -264,15 +279,30 @@ def test_optimal_k_matches_exhaustive_argmin(n):
 # --- image serialization ----------------------------------------------------
 
 def test_image_roundtrip_bit_identical():
-    rng = random.Random(44)
-    filt = BloomFilter(BloomParams(m=2048, k=3, seed_a=11, seed_b=12))
-    filt.add_many([rng.randbytes(rng.randint(1, 20)) for _ in range(100)])
-    image = filt.to_image()
-    back = BloomFilter.from_image(image)
-    assert back.to_image() == image
-    assert back.params == filt.params
-    assert back.count_programmed == filt.count_programmed
-    assert back.vector_bytes() == filt.vector_bytes()
+    for params in (BloomParams(m=2048, k=3, seed_a=11, seed_b=12), ODD_M):
+        rng = random.Random(44)
+        filt = BloomFilter(params)
+        elements = [rng.randbytes(rng.randint(1, 20)) for _ in range(100)]
+        filt.add_many(elements)
+        image = filt.to_image()
+        back = BloomFilter.from_image(image)
+        assert back.to_image() == image
+        assert back.params == filt.params
+        assert back.count_programmed == filt.count_programmed
+        assert back.vector_bytes() == filt.vector_bytes()
+        # a reloaded filter keeps programming onto the loaded bits
+        more = [rng.randbytes(rng.randint(1, 20)) for _ in range(50)]
+        back.add_many(more)
+        assert back.vector_bytes() == reference_vector(params, elements + more)
+    # bits 1001..1007 of ODD_M's last vector byte are padding: a set one
+    # still round-trips
+    import struct
+    import zlib
+
+    image = bytearray(BloomFilter(ODD_M).to_image())
+    image[40 + 125] |= 0x80
+    image[-4:] = struct.pack("<I", zlib.crc32(image[:-4]))
+    assert BloomFilter.from_image(bytes(image)).to_image() == bytes(image)
 
 
 def test_image_layout_matches_documented_format():

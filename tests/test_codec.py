@@ -20,10 +20,10 @@ def eth_header(ethertype, dst=b"\x02" * 6, src=b"\x04" * 6):
 
 
 def ipv4_header(protocol, src=b"\x0a\x00\x00\x01", dst=b"\xc0\xa8\x00\x02",
-                ihl_words=5, options=b""):
+                ihl_words=5, options=b"", flags_offset=0):
     total = ihl_words * 4  # total_length field is not used for slicing
-    return struct.pack("!BBHHHBBH4s4s", 0x40 | ihl_words, 0, total, 0, 0,
-                       64, protocol, 0, src, dst) + options
+    return struct.pack("!BBHHHBBH4s4s", 0x40 | ihl_words, 0, total, 0,
+                       flags_offset, 64, protocol, 0, src, dst) + options
 
 
 def tcp_header(sport, dport, offset_words=5, options=b""):
@@ -39,6 +39,10 @@ def udp_header(sport, dport, length=8):
 
 def test_parse_minimal_tcp_frame():
     frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6)
+                     + tcp_header(4321, 80) + b"GET")
+    assert parse_packet(frame) == b"GET"
+    # don't-fragment alone is not a fragment
+    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6, flags_offset=0x4000)
                      + tcp_header(4321, 80) + b"GET")
     assert parse_packet(frame) == b"GET"
 
@@ -85,6 +89,12 @@ def test_parse_non_tcp_udp_payload_after_ip():
     + struct.pack("!HHIIBBHHH", 1, 2, 0, 0, 4 << 4, 0, 0, 0, 0),
     eth_header(0x0800) + ipv4_header(6, ihl_words=7),  # options cut short
     eth_header(0x0800) + ipv4_header(17) + udp_header(1, 2)[:6],  # short UDP
+    eth_header(0x0800) + ipv4_header(6, flags_offset=0x2000)  # first fragment
+    + tcp_header(1, 2) + b"GET",
+    eth_header(0x0800) + ipv4_header(6, flags_offset=185)     # later fragment
+    + tcp_header(1, 2) + b"GET",
+    eth_header(0x0800) + ipv4_header(6, flags_offset=0x4000 | 185)
+    + tcp_header(1, 2) + b"GET",                               # DF + offset
 ])
 def test_parse_malformed_frames_not_parseable(data):
     assert parse_packet(RawFrame(data=data)) is None

@@ -85,6 +85,19 @@ def test_garbage_frame_fails_open():
     assert rec.verified == []
 
 
+def test_ipv4_fragment_forwarded_unscanned():
+    # a non-first fragment (offset 185 x 8 bytes, protocol TCP) has no TCP
+    # header; reading its body as one would skip the pattern and drop it
+    matcher = simple_matcher((b"cmd.exe",))
+    head = frame_with_payload(b"").data[:34]  # Ethernet + IPv4 headers
+    body = b"cmd.exe /c dir " + b"A" * 40
+    frame = RawFrame(data=head[:20] + (185).to_bytes(2, "big") + head[22:] + body)
+    rec = decide_one(matcher, frame)
+    assert rec.verdict is Verdict.FORWARD
+    assert rec.reason is Reason.NON_PARSEABLE
+    assert rec.verified == []
+
+
 # --- run_trace --------------------------------------------------------------
 
 def mixed_trace(matcher):

@@ -155,6 +155,12 @@ def test_scan_payload_shorter_than_min_length():
     matcher = SignatureMatcher.program(rules, PARAMS)
     assert scan_one(matcher, b"abc") == []
     assert scan_one(matcher, b"") == []
+    # the batch is shorter than the longest length, not the shortest
+    rules = SignatureSet([Signature("g", b"GET"), Signature("l", b"0123456789ab")])
+    matcher = SignatureMatcher.program(rules, PARAMS)
+    assert CandidateMatch(offset=2, length=3) in scan_one(matcher, b"xxGETxx")
+    assert as_tuples(matcher.exact_matches_batch([b"xxGETxx"])[0]) == \
+        [(2, 3, "g")]
 
 
 def test_scan_finds_contained_pattern():
@@ -248,10 +254,12 @@ def test_exact_batch_equals_oracle():
 
 
 # the dense filter sets enough bits that a window with k-1 of its k probe
-# bits set is common, so a scan that skips a probe round shows up
+# bits set is common, so a scan that skips a probe round shows up; odd-m
+# reduces probes modulo m, not with the power-of-two mask
 @pytest.mark.parametrize("params", [
-    PARAMS, BloomParams(m=1024, k=4, seed_a=77, seed_b=78)],
-    ids=["sparse", "dense"])
+    PARAMS, BloomParams(m=1024, k=4, seed_a=77, seed_b=78),
+    BloomParams(m=1001, k=3, seed_a=77, seed_b=78)],
+    ids=["sparse", "dense", "odd-m"])
 def test_scan_batch_equals_reference_candidates(params):
     rng = random.Random(38)
     sset = random_signature_set(rng, 200)

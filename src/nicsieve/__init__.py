@@ -30,7 +30,6 @@ from .pipeline import (
     Verdict,
     compare_baseline,
     decision_log_csv,
-    run_trace,
 )
 from .signatures import (
     CandidateMatch,
@@ -52,7 +51,7 @@ __all__ = [
     "PcapError", "RawFrame", "Trace", "parse_packet",
     "read_pcap", "write_pcap",
     "BaselineReport", "DecisionRecord", "PipelineStats", "Reason",
-    "Verdict", "compare_baseline", "decision_log_csv", "run_trace",
+    "Verdict", "compare_baseline", "decision_log_csv",
     "CandidateMatch", "ExactScanner", "RuleParseError", "Signature",
     "SignatureMatcher", "SignatureSet", "load_rules",
     "Manifest", "ManifestEntry", "TrafficSpec", "generate_trace",

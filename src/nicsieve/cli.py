@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analytics import FprSweepRow, emit_csv, fpr_sweep
-from .bloom import DEFAULT_SEED_A, DEFAULT_SEED_B, BloomParams, fpr_theoretical
+from .bloom import BloomParams, fpr_theoretical
 from .codec import read_pcap, write_pcap
 from .pipeline import PipelineStats, compare_baseline, decision_log_csv
 from .signatures import SignatureMatcher, load_rules
@@ -33,6 +33,7 @@ from .traffic import TrafficSpec, generate_trace
 
 DEFAULT_K_LIST = (2, 4, 6, 8)
 DEFAULT_N_LIST = (100, 250, 500, 1000, 2000, 4000)
+DEFAULT_PARAMS = BloomParams()
 
 
 @dataclass(kw_only=True)
@@ -57,13 +58,13 @@ def _int_list(text: str) -> list[int]:
 
 
 def _params_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=int, default=16384,
-                     help="bit-vector length in bits (default 16384)")
-    sub.add_argument("--k", type=int, default=4,
-                     help="number of hash functions (default 4)")
-    sub.add_argument("--seed-a", type=int, default=DEFAULT_SEED_A,
+    sub.add_argument("--m", type=int, default=DEFAULT_PARAMS.m,
+                     help=f"bit-vector length in bits (default {DEFAULT_PARAMS.m})")
+    sub.add_argument("--k", type=int, default=DEFAULT_PARAMS.k,
+                     help=f"number of hash functions (default {DEFAULT_PARAMS.k})")
+    sub.add_argument("--seed-a", type=int, default=DEFAULT_PARAMS.seed_a,
                      help="first 64-bit hash seed")
-    sub.add_argument("--seed-b", type=int, default=DEFAULT_SEED_B,
+    sub.add_argument("--seed-b", type=int, default=DEFAULT_PARAMS.seed_b,
                      help="second 64-bit hash seed")
 
 
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     sweep = commands.add_parser("sweep", help="empirical vs theoretical FPR grid")
-    sweep.add_argument("--m", type=int, default=16384)
+    sweep.add_argument("--m", type=int, default=DEFAULT_PARAMS.m)
     sweep.add_argument("--k-list", type=_int_list, default=list(DEFAULT_K_LIST))
     sweep.add_argument("--n-list", type=_int_list, default=list(DEFAULT_N_LIST))
     sweep.add_argument("--trials", type=int, default=20000)
@@ -115,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_build(args: argparse.Namespace) -> int:
     ruleset = load_rules(Path(args.rules).read_bytes())
-    if len(ruleset) == 0:
-        raise ValueError("rule file contains no signatures")
     params = BloomParams(m=args.m, k=args.k, seed_a=args.seed_a,
                          seed_b=args.seed_b)
     matcher = SignatureMatcher.program(ruleset, params)
@@ -187,15 +186,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     matcher = SignatureMatcher.from_images(ruleset, _load_index(Path(args.index)))
     trace = read_pcap(Path(args.in_trace).read_bytes())
 
-    log: list = []
-    report = compare_baseline(matcher, trace, log=log)
+    report = compare_baseline(matcher, trace)
     Path(args.out).write_bytes(write_pcap(report.forwarded))
     stats = report.stats
     row = ScanReportRow(**asdict(stats), reduction=report.reduction,
                         equivalent=report.equivalent)
     Path(args.report).write_bytes(emit_csv([row]))
     if args.decision_log:
-        Path(args.decision_log).write_bytes(decision_log_csv(log))
+        Path(args.decision_log).write_bytes(decision_log_csv(report.records))
 
     print(f"{stats.total} packets: forwarded {stats.forwarded} "
           f"({100.0 * stats.forwarded / stats.total if stats.total else 0.0:.2f}%), "

@@ -55,10 +55,9 @@ class RawFrame:
 
 @dataclass
 class Trace:
-    """An ordered sequence of frames sharing one link type."""
+    """An ordered sequence of Ethernet frames."""
 
     frames: list[RawFrame] = field(default_factory=list)
-    link_type: int = LINKTYPE_ETHERNET
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -141,15 +140,13 @@ def read_pcap(data: bytes) -> Trace:
                                ts_sec=ts_sec, ts_usec=ts_usec,
                                orig_len=orig_len))
         off += incl_len
-    return Trace(frames=frames, link_type=network)
+    return Trace(frames=frames)
 
 
 def write_pcap(trace: Trace) -> bytes:
     """Encode a trace as a little-endian classic capture file."""
-    if trace.link_type != LINKTYPE_ETHERNET:
-        raise PcapError(f"unsupported link type {trace.link_type}")
     parts = [struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
-                         _PCAP_SNAPLEN, trace.link_type)]
+                         _PCAP_SNAPLEN, LINKTYPE_ETHERNET)]
     for frame in trace.frames:
         parts.append(struct.pack("<IIII", frame.ts_sec, frame.ts_usec,
                                  len(frame.data), frame.orig_len))

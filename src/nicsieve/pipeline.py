@@ -8,8 +8,11 @@ create a blind spot); everything else is dropped at the card. Each
 forwarded packet costs the host one interrupt, so ``forwarded`` doubles
 as the interrupt count.
 
-Decisions are made in one batch pass per trace; the test suite checks
-them frame by frame against the oracles in ``tests/conftest.py``.
+``compare_baseline`` is the one entry point. It decides a whole trace in
+one batch pass, runs the unfiltered host route beside it, and returns
+both, with one ``DecisionRecord`` per frame in ``records``. The test
+suite checks the decisions frame by frame against the oracles in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class PipelineStats:
 
 @dataclass
 class DecisionRecord:
-    """Per-packet outcome, collected when a log list is passed in."""
+    """Per-packet outcome of the card."""
 
     index: int
     reason: Reason
@@ -73,39 +76,33 @@ class BaselineReport:
     stats: PipelineStats
     reduction: float  # 1 - forwarded/total
     forwarded: Trace
+    records: list[DecisionRecord]  # one per frame, in file order
 
 
-def run_trace(matcher: SignatureMatcher, trace: Trace,
-              log: list[DecisionRecord] | None = None,
-              ) -> tuple[PipelineStats, Trace]:
-    """Run the card over a whole trace, in file order.
+def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
+    """Run the card over a whole trace and check it against the host.
 
-    Each frame is decided on its own payload alone. The forwarded trace
-    keeps the original bytes and timestamps of exactly those frames.
+    Path (b), the card: each frame is decided on its own payload alone,
+    and the forwarded trace keeps the original bytes and timestamps of
+    exactly the frames it forwards; their verified matches are the
+    filtered detections. Path (a): every frame goes to the host, which
+    exact-matches every parseable payload. Equal detections mean the
+    filter dropped nothing relevant.
     """
     payloads = [parse_packet(frame) for frame in trace.frames]
-    return _run_parsed(matcher, trace, payloads, log)
-
-
-def _run_parsed(matcher: SignatureMatcher, trace: Trace,
-                payloads: list[bytes | None],
-                log: list[DecisionRecord] | None) -> tuple[PipelineStats, Trace]:
+    # an unparseable frame is scanned as an empty payload: no window, no match
+    scanned = [b"" if p is None else p for p in payloads]
     stats = PipelineStats()
-    forwarded_frames: list[RawFrame] = []
+    forwarded: list[RawFrame] = []
+    records: list[DecisionRecord] = []
 
-    candidate_lists = iter(matcher.scan_batch(
-        [p for p in payloads if p is not None]))
-
-    for index, (frame, payload) in enumerate(zip(trace.frames, payloads)):
-        candidates: list[CandidateMatch] = []
-        verified: list[CandidateMatch] = []
-        if payload is None:
+    for index, (frame, payload, candidates) in enumerate(
+            zip(trace.frames, scanned, matcher.scan_batch(scanned))):
+        verified = matcher.verify(payload, candidates) if candidates else []
+        if payloads[index] is None:
             reason = Reason.NON_PARSEABLE
         else:
-            candidates = next(candidate_lists)
             reason = Reason.MATCH_CANDIDATE if candidates else Reason.CLEAN
-        if candidates:
-            verified = matcher.verify(payload, candidates)
 
         stats.total += 1
         stats.bytes_total += len(frame.data)
@@ -114,48 +111,24 @@ def _run_parsed(matcher: SignatureMatcher, trace: Trace,
         else:
             stats.forwarded += 1
             stats.bytes_forwarded += len(frame.data)
-            forwarded_frames.append(frame)
+            forwarded.append(frame)
             if reason is Reason.NON_PARSEABLE:
                 stats.non_parseable_forwards += 1
             elif verified:
                 stats.true_matches += 1
             else:
                 stats.false_positive_forwards += 1
+        records.append(DecisionRecord(
+            index=index, reason=reason, candidate_count=len(candidates),
+            verified=verified, payload_len=len(payload)))
 
-        if log is not None:
-            log.append(DecisionRecord(
-                index=index, reason=reason, candidate_count=len(candidates),
-                verified=verified,
-                payload_len=0 if payload is None else len(payload)))
-
-    return stats, Trace(frames=forwarded_frames, link_type=trace.link_type)
-
-
-def compare_baseline(matcher: SignatureMatcher, trace: Trace,
-                     log: list[DecisionRecord] | None = None) -> BaselineReport:
-    """Run both paths and compare their per-packet detection sets.
-
-    Path (a): every frame goes to the host, which exact-matches every
-    parseable payload. Path (b): the filtered pipeline, whose forwarded
-    packets carry verified matches. Equal detections mean the filter
-    dropped nothing relevant. Records are appended to ``log``; only the
-    ones this call appends are compared.
-    """
-    if log is None:
-        log = []
-    first = len(log)
-    payloads = [parse_packet(frame) for frame in trace.frames]
-    stats, forwarded = _run_parsed(matcher, trace, payloads, log)
-    filtered = [tuple(rec.verified) for rec in log[first:]]
-
-    baseline = [tuple(m) for m in matcher.exact_matches_batch(
-        [b"" if p is None else p for p in payloads])]
-
+    filtered = [tuple(rec.verified) for rec in records]
+    baseline = [tuple(m) for m in matcher.exact_matches_batch(scanned)]
     reduction = 1.0 - stats.forwarded / stats.total if stats.total else 0.0
     return BaselineReport(
         baseline_detections=baseline, filtered_detections=filtered,
         equivalent=baseline == filtered, stats=stats, reduction=reduction,
-        forwarded=forwarded)
+        forwarded=Trace(frames=forwarded), records=records)
 
 
 def decision_log_csv(records: list[DecisionRecord]) -> bytes:

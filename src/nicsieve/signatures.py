@@ -16,6 +16,9 @@ Two scanning routes exist and must agree:
   multi-pattern match set, hashing windows with a polynomial hash
   unrelated to the filter's mixer and confirming every hit byte-for-byte.
 
+Both routes end in ``ExactScanner.confirm``, the one place a window is
+compared with the patterns and given its signature ids.
+
 Both sweep all payloads of a trace at once with numpy (windows never
 cross payload boundaries). Both hash each byte column once for all
 pattern lengths: a window's hash state after j bytes is the same for
@@ -134,10 +137,6 @@ class CandidateMatch:
     signature_id: str | None = None
 
 
-def _match_key(c: CandidateMatch) -> tuple:
-    return (c.offset, c.length, c.signature_id or "")
-
-
 def _poly64_prefixes(buf: np.ndarray, lengths: list[int]):
     """Yield (length, Horner hash of every ``length``-byte window of ``buf``).
 
@@ -226,9 +225,9 @@ class ExactScanner:
 
     def matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         """Vectorized exact matching: hash windows, confirm hits by bytes."""
-        results: list[list[CandidateMatch]] = [[] for _ in payloads]
+        hits: list[list[CandidateMatch]] = [[] for _ in payloads]
         if not payloads:
-            return results
+            return hits
         block = _PayloadBlock(payloads)
         mask = np.uint64((1 << self._TABLE_BITS) - 1)
         for length, window_hashes in _poly64_prefixes(
@@ -238,12 +237,24 @@ class ExactScanner:
             pos = block.same_payload(np.nonzero(hit)[0], length)
             owners, offsets = block.locate(pos)
             for pkt, off in zip(owners.tolist(), offsets.tolist()):
-                window = payloads[pkt][off : off + length]
-                for sig_id in self.exact_index.get(window, ()):
-                    results[pkt].append(CandidateMatch(off, length, sig_id))
-        for matches in results:
-            matches.sort(key=_match_key)
-        return results
+                hits[pkt].append(CandidateMatch(off, length))
+        return [self.confirm(payload, windows) if windows else windows
+                for payload, windows in zip(payloads, hits)]
+
+    def confirm(self, payload: bytes,
+                candidates: list[CandidateMatch]) -> list[CandidateMatch]:
+        """Keep windows whose bytes equal a pattern, one match per id, sorted."""
+        confirmed = []
+        for cand in candidates:
+            if cand.offset < 0 or cand.offset + cand.length > len(payload):
+                raise ValueError(
+                    f"candidate at {cand.offset}+{cand.length} outside "
+                    f"payload of {len(payload)} bytes")
+            window = payload[cand.offset : cand.offset + cand.length]
+            for sig_id in self.exact_index.get(window, ()):
+                confirmed.append(CandidateMatch(cand.offset, cand.length, sig_id))
+        confirmed.sort(key=lambda c: (c.offset, c.length, c.signature_id))
+        return confirmed
 
     def contains_any_batch(self, payloads: list[bytes]) -> list[bool]:
         """Per payload: does any pattern occur anywhere in it?"""
@@ -286,6 +297,8 @@ class SignatureMatcher:
 
         The images carry only the programmed vectors; the rule set
         supplies the patterns the host needs for exact verification.
+        Images that lack a rule pattern (built from other rules) are
+        refused: the card would drop every packet carrying it.
         """
         if len(signature_set) == 0:
             raise ValueError("signature set is empty")
@@ -305,6 +318,14 @@ class SignatureMatcher:
                     f"length-{length} image programmed with "
                     f"{filt.count_programmed} elements, rules have "
                     f"{len(groups[length])}")
+        missing: list[str] = []
+        for length, group in sorted(groups.items()):
+            member = filters[length].check_many([sig.pattern for sig in group])
+            missing += [sig.id for sig, ok in zip(group, member) if not ok]
+        if missing:
+            raise ValueError(
+                f"filter images are stale: no filter holds the pattern of "
+                f"{', '.join(missing)}")
         return cls(params_seen.pop(), signature_set, filters)
 
     def filter_images(self) -> dict[int, bytes]:
@@ -331,17 +352,7 @@ class SignatureMatcher:
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:
         """Keep candidates whose bytes equal a pattern; attach each id."""
-        verified = []
-        for cand in candidates:
-            if cand.offset < 0 or cand.offset + cand.length > len(payload):
-                raise ValueError(
-                    f"candidate at {cand.offset}+{cand.length} outside "
-                    f"payload of {len(payload)} bytes")
-            window = payload[cand.offset : cand.offset + cand.length]
-            for sig_id in self.exact.exact_index.get(window, ()):
-                verified.append(CandidateMatch(cand.offset, cand.length, sig_id))
-        verified.sort(key=_match_key)
-        return verified
+        return self.exact.confirm(payload, candidates)
 
     def exact_matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         return self.exact.matches_batch(payloads)

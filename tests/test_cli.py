@@ -53,6 +53,13 @@ def test_build_bad_rules_exit_1_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_build_empty_rules_exit_1(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"# no rules yet\n")
+    assert run("build", "--rules", empty, "--out", tmp_path / "f") == 1
+    assert "empty" in capsys.readouterr().err
+
+
 def test_build_missing_rules_exit_2(tmp_path):
     assert run("build", "--rules", tmp_path / "nope.txt",
                "--out", tmp_path / "f") == 2
@@ -204,16 +211,44 @@ def test_scan_stale_rules_exit_1(tmp_path, rules_file, built_and_generated):
                "--report", tmp_path / "r.csv") == 1
 
 
-def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated):
-    # a mis-programmed card drops relevant packets; scan must notice
+def test_scan_stale_image_exit_1_names_id(tmp_path, rules_file,
+                                         built_and_generated, capsys):
+    # same lengths and counts as the images, but web2 is now cmd.com: the
+    # length-7 filter would drop every packet carrying it, even on a
+    # trace where none does yet
+    filters, _, _ = built_and_generated
+    clean = tmp_path / "clean.pcap"
+    assert run("gen", "--count", 200, "--seed", 12, "--out", clean,
+               "--manifest", tmp_path / "clean.csv") == 0
+    edited = tmp_path / "edited.txt"
+    edited.write_bytes(RULES.replace(b"cmd.exe", b"cmd.com"))
+    capsys.readouterr()
+    assert run("scan", filters / "index.txt", "--rules", edited,
+               "--in", clean, "--out", tmp_path / "f.pcap",
+               "--report", tmp_path / "r.csv") == 1
+    assert "web2" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated,
+                                    capsys, monkeypatch):
+    # a mis-programmed card drops relevant packets; scan must notice: at
+    # load time (exit 1, naming the id), and, with that check blinded,
+    # through the baseline comparison
     filters, trace, _ = built_and_generated
     original = BloomFilter.from_image((filters / "len15.bfi").read_bytes())
     bogus = BloomFilter(original.params)
     bogus.add_many([b"not the real pattern"])  # count matches, bits do not
     (filters / "len15.bfi").write_bytes(bogus.to_image())
-    code = run("scan", filters / "index.txt", "--rules", rules_file,
-               "--in", trace, "--out", tmp_path / "f.pcap",
-               "--report", tmp_path / "r.csv")
+    argv = ("scan", filters / "index.txt", "--rules", rules_file,
+            "--in", trace, "--out", tmp_path / "f.pcap",
+            "--report", tmp_path / "r.csv")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert "web1" in capsys.readouterr().err
+    monkeypatch.setattr(BloomFilter, "check_many",
+                        lambda self, elements: [True] * len(elements))
+    code = run(*argv)
     assert code == 3
 
 

@@ -189,11 +189,6 @@ def test_pcap_truncated_record():
         read_pcap(good[: 24 + 7])  # record header cut short
 
 
-def test_pcap_write_rejects_other_link_types():
-    with pytest.raises(PcapError, match="link type"):
-        write_pcap(Trace(frames=[], link_type=105))
-
-
 @given(st.lists(st.binary(min_size=0, max_size=60), max_size=20))
 @settings(max_examples=50)
 def test_pcap_roundtrip_property(datas):

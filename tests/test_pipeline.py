@@ -9,7 +9,6 @@ from nicsieve.pipeline import (
     Verdict,
     compare_baseline,
     decision_log_csv,
-    run_trace,
 )
 from nicsieve.signatures import (
     Signature,
@@ -51,11 +50,10 @@ def oracle_decision(matcher, frame):
 
 
 def decide_one(matcher, frame):
-    log = []
-    stats, forwarded = run_trace(matcher, Trace(frames=[frame]), log=log)
-    assert len(log) == stats.total == 1
-    assert len(forwarded) == stats.forwarded
-    return log[0]
+    report = compare_baseline(matcher, Trace(frames=[frame]))
+    assert len(report.records) == report.stats.total == 1
+    assert len(report.forwarded) == report.stats.forwarded
+    return report.records[0]
 
 
 # --- single-frame decisions -------------------------------------------------
@@ -74,6 +72,15 @@ def test_clean_packet_dropped():
     rec = decide_one(matcher, frame_with_payload(b"hello world"))
     assert rec.verdict is Verdict.DROP
     assert rec.reason is Reason.CLEAN
+    assert rec.verified == []
+
+
+def test_empty_payload_is_clean_not_unparseable():
+    matcher = simple_matcher()
+    rec = decide_one(matcher, frame_with_payload(b""))
+    assert rec.verdict is Verdict.DROP
+    assert rec.reason is Reason.CLEAN
+    assert rec.payload_len == 0
     assert rec.verified == []
 
 
@@ -98,7 +105,7 @@ def test_ipv4_fragment_forwarded_unscanned():
     assert rec.verified == []
 
 
-# --- run_trace --------------------------------------------------------------
+# --- the card over a trace --------------------------------------------------------------
 
 def mixed_trace(matcher):
     frames = [
@@ -114,8 +121,8 @@ def mixed_trace(matcher):
 def test_run_trace_counters_and_forwarded_trace():
     matcher = simple_matcher()
     trace = mixed_trace(matcher)
-    log = []
-    stats, forwarded = run_trace(matcher, trace, log=log)
+    report = compare_baseline(matcher, trace)
+    stats, forwarded, log = report.stats, report.forwarded, report.records
 
     assert stats.total == 5
     assert stats.forwarded == 3 and stats.dropped == 2
@@ -152,8 +159,8 @@ def test_run_trace_matches_per_packet_processing():
             frames.append(frame_with_payload(bytes(payload)))
     trace = Trace(frames=frames)
 
-    log = []
-    stats, forwarded = run_trace(matcher, trace, log=log)
+    report = compare_baseline(matcher, trace)
+    stats, log = report.stats, report.records
     expected = [oracle_decision(matcher, f) for f in frames]
 
     assert [(r.reason, [(v.offset, v.length, v.signature_id) for v in r.verified])
@@ -170,14 +177,14 @@ def test_empty_signature_equivalent_trace_only_forwards_non_parseable():
     matcher = simple_matcher(patterns=(b"\x00never-there\x00",))
     frames = [frame_with_payload(b"plain text payload") for _ in range(10)]
     frames.append(RawFrame(data=b"xx"))
-    stats, forwarded = run_trace(matcher, Trace(frames=frames))
+    stats = compare_baseline(matcher, Trace(frames=frames)).stats
     assert stats.forwarded == stats.non_parseable_forwards == 1
 
 
 def test_saturated_trace_forwards_everything():
     matcher = simple_matcher()
     frames = [frame_with_payload(b"EVIL" * 3) for _ in range(8)]
-    stats, forwarded = run_trace(matcher, Trace(frames=frames))
+    stats = compare_baseline(matcher, Trace(frames=frames)).stats
     assert stats.forwarded == stats.total == 8
     assert stats.dropped == 0
 
@@ -220,19 +227,18 @@ def test_compare_baseline_no_attacks():
     assert report.reduction >= 0.95
 
 
-def test_compare_baseline_reused_log_compares_only_new_records():
+def test_compare_baseline_two_calls_return_their_own_records():
     rng = random.Random(66)
     sset = random_signature_set(rng, 50)
     matcher = SignatureMatcher.program(sset, PARAMS)
     spec = TrafficSpec(packet_count=100, attack_fraction=0.1, seed=10,
                        payload_len_range=(30, 120), signatures=sset)
     trace, _ = generate_trace(spec)
-    log = []
-    first = compare_baseline(matcher, trace, log=log)
-    second = compare_baseline(matcher, trace, log=log)
+    first = compare_baseline(matcher, trace)
+    second = compare_baseline(matcher, trace)
     assert first.equivalent and second.equivalent
     assert second.filtered_detections == first.filtered_detections
-    assert len(log) == 2 * len(trace)
+    assert len(first.records) == len(second.records) == len(trace)
 
 
 def test_compare_baseline_duplicate_patterns_carry_every_id():
@@ -275,7 +281,7 @@ def test_clean_traffic_forward_rate_within_union_bound():
     spec = TrafficSpec(packet_count=4000, attack_fraction=0.0, seed=65,
                        payload_len_range=(100, 600), signatures=sset)
     trace, _ = generate_trace(spec)
-    stats, _ = run_trace(matcher, trace)
+    stats = compare_baseline(matcher, trace).stats
 
     per_packet = []
     for frame in trace:
@@ -295,9 +301,8 @@ def test_clean_traffic_forward_rate_within_union_bound():
 
 def test_decision_log_csv_layout():
     matcher = simple_matcher()
-    log = []
-    run_trace(matcher, mixed_trace(matcher), log=log)
-    text = decision_log_csv(log).decode()
+    report = compare_baseline(matcher, mixed_trace(matcher))
+    text = decision_log_csv(report.records).decode()
     lines = text.splitlines()
     assert lines[0] == "index,verdict,reason,candidates,verified,payload_len"
     assert len(lines) == 6

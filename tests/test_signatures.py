@@ -148,6 +148,16 @@ def test_from_images_validates_consistency():
             SignatureMatcher.from_images(smaller, images)
 
 
+def test_from_images_refuses_stale_images():
+    built = load_rules(b"a,ascii,cmd.exe\nb,ascii,GET /x\n")
+    images = SignatureMatcher.program(built, PARAMS).filter_images()
+    edited = load_rules(b"a,ascii,cmd.com\nb,ascii,GET /x\n")
+    with pytest.raises(ValueError, match="stale") as exc:
+        SignatureMatcher.from_images(edited, images)
+    assert str(exc.value).endswith("pattern of a")
+    assert SignatureMatcher.from_images(built, images).lengths == [6, 7]
+
+
 # --- scanning ---------------------------------------------------------------
 
 def test_scan_payload_shorter_than_min_length():

@@ -143,8 +143,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     ruleset = None
     if args.rules is not None:
         ruleset = load_rules(Path(args.rules).read_bytes())
-    if args.attack_fraction > 0 and ruleset is None:
-        raise ValueError("--attack-fraction > 0 requires --rules")
     spec = TrafficSpec(packet_count=args.count,
                        attack_fraction=args.attack_fraction,
                        payload_len_range=(args.payload_min, args.payload_max),

@@ -1,31 +1,26 @@
 """Signature rules, per-length Bloom matchers, and payload scanning.
 
-Patterns of different byte lengths cannot share one filter without
-losing the no-false-negative guarantee, so the matcher programs one
-filter per distinct pattern length (all sharing the same parameters) and
-slides a window of each length across the payload at every offset. A
-window that answers "member" becomes a candidate; candidates are then
-verified against the exact pattern table, which removes Bloom false
-positives and attaches signature ids.
+The matcher programs one filter per distinct pattern length, all with
+the same parameters. One shared filter would hold every pattern too and
+lose none; one per length is used because the card this models runs one
+engine per length, and each length's window false-positive rate then
+follows ``(1 - e^{-k n_L/m})^k`` for that length's own pattern count
+n_L. A window of a programmed length that answers "member" at any
+payload offset is a candidate. ``ExactScanner.confirm`` is the one place
+a window is compared with the patterns and given its signature ids.
 
-Two scanning routes exist and must agree:
-
-* the Bloom route (``SignatureMatcher.scan_batch``) finds candidate
-  windows, complete but only probably correct;
-* the exact route (``ExactScanner.matches_batch``) finds the true
-  multi-pattern match set, hashing windows with a polynomial hash
-  unrelated to the filter's mixer and confirming every hit byte-for-byte.
-
-Both routes end in ``ExactScanner.confirm``, the one place a window is
-compared with the patterns and given its signature ids.
-
-Both sweep all payloads of a trace at once with numpy (windows never
-cross payload boundaries). Both hash each byte column once for all
-pattern lengths: a window's hash state after j bytes is the same for
-every length of at least j bytes, so each route keeps one running
-state over all window starts and advances it through the lengths in
+Two scanning routes exist and must agree: the Bloom route
+(``SignatureMatcher.scan_batch``) finds candidates, complete but only
+probably correct; the exact route (``ExactScanner.matches_batch``) finds
+the true match set with a polynomial hash unrelated to the filter's
+mixer, confirming every hit byte-for-byte. Both sweep all payloads of a
+trace at once with numpy, keep only windows inside one payload, and
+return one list per payload through ``_PayloadBlock.collect``. Both hash
+each byte column once for all lengths: a window's hash state after j
+bytes is the same for every length of at least j bytes, so one running
+state over all window starts is advanced through the lengths in
 ascending order (a ``WindowFold`` for the filters' mixer, a Horner
-prefix for the exact route). The test suite checks them against the
+prefix for the exact route). The tests check both routes against the
 independent per-payload oracles in ``tests/conftest.py``.
 """
 
@@ -95,17 +90,18 @@ def load_rules(text: bytes | str) -> SignatureSet:
 
     ``encoding`` is ``ascii`` (value taken literally) or ``hex``. Lines
     starting with ``#`` and blank lines are skipped. All errors carry the
-    offending line number.
+    offending line number. Lines end only at ``\n``, ``\r\n`` or ``\r``.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     signatures: list[Signature] = []
     seen_ids: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = raw.rstrip("\r\n").split(",", 2)
+        parts = raw.split(",", 2)
         if len(parts) != 3:
             raise RuleParseError(lineno, "expected 'id,encoding,value'")
         sig_id, encoding, value = parts[0].strip(), parts[1].strip().lower(), parts[2]
@@ -159,25 +155,33 @@ def _poly64_prefixes(buf: np.ndarray, lengths: list[int]):
 
 
 class _PayloadBlock:
-    """Payloads concatenated for whole-trace vectorized window scans."""
+    """Payloads joined end to end for whole-trace vectorized window scans.
+
+    ``ends[i]`` is the buffer offset just past payload i. Position ``pos``
+    lies in payload ``ends.searchsorted(pos, side="right")``, the first
+    one to end after it, so an empty payload is never found.
+    """
 
     def __init__(self, payloads: list[bytes]) -> None:
-        lengths = np.fromiter((len(p) for p in payloads), dtype=np.int64,
-                              count=len(payloads))
-        self.starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        self.owner = np.repeat(np.arange(len(payloads), dtype=np.int32), lengths)
+        self.ends = np.cumsum([len(p) for p in payloads], dtype=np.int64)
         self.buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
 
     def same_payload(self, pos: np.ndarray, length: int) -> np.ndarray:
         """Keep window start positions that do not cross a payload boundary."""
-        if pos.size == 0:
-            return pos
-        return pos[self.owner[pos] == self.owner[pos + length - 1]]
+        ends = self.ends[self.ends.searchsorted(pos, side="right")]
+        return pos[pos + length <= ends]
 
-    def locate(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map buffer positions to (payload index, offset within payload)."""
-        owners = self.owner[pos]
-        return owners, pos - self.starts[owners]
+    def collect(self, found) -> list[list[CandidateMatch]]:
+        """(length, positions) pairs as per-payload candidates, by offset, length."""
+        results: list[list[CandidateMatch]] = [[] for _ in self.ends]
+        starts = np.concatenate(([0], self.ends[:-1]))
+        for length, pos in found:
+            owners = self.ends.searchsorted(pos, side="right")
+            for pkt, off in zip(owners.tolist(), (pos - starts[owners]).tolist()):
+                results[pkt].append(CandidateMatch(off, length))
+        for matches in results:
+            matches.sort(key=lambda c: (c.offset, c.length))
+        return results
 
 
 def _bloom_candidate_positions(filt: BloomFilter, block: _PayloadBlock,
@@ -225,21 +229,16 @@ class ExactScanner:
 
     def matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         """Vectorized exact matching: hash windows, confirm hits by bytes."""
-        hits: list[list[CandidateMatch]] = [[] for _ in payloads]
-        if not payloads:
-            return hits
         block = _PayloadBlock(payloads)
         mask = np.uint64((1 << self._TABLE_BITS) - 1)
+        found = []
         for length, window_hashes in _poly64_prefixes(
                 block.buf, sorted(self._tables_by_length)):
             table = self._tables_by_length[length]
             hit = table.take((window_hashes & mask).view(np.int64))
-            pos = block.same_payload(np.nonzero(hit)[0], length)
-            owners, offsets = block.locate(pos)
-            for pkt, off in zip(owners.tolist(), offsets.tolist()):
-                hits[pkt].append(CandidateMatch(off, length))
+            found.append((length, block.same_payload(np.nonzero(hit)[0], length)))
         return [self.confirm(payload, windows) if windows else windows
-                for payload, windows in zip(payloads, hits)]
+                for payload, windows in zip(payloads, block.collect(found))]
 
     def confirm(self, payload: bytes,
                 candidates: list[CandidateMatch]) -> list[CandidateMatch]:
@@ -334,20 +333,12 @@ class SignatureMatcher:
 
     def scan_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         """Candidate windows of every programmed length, per payload, in one pass."""
-        results: list[list[CandidateMatch]] = [[] for _ in payloads]
-        if not payloads:
-            return results
         block = _PayloadBlock(payloads)
         fold = WindowFold(self.params.seed_a, block.buf)
-        for length in self.lengths:
-            pos = _bloom_candidate_positions(self.filters[length], block,
-                                             length, fold)
-            owners, offsets = block.locate(pos)
-            for pkt, off in zip(owners.tolist(), offsets.tolist()):
-                results[pkt].append(CandidateMatch(offset=off, length=length))
-        for matches in results:
-            matches.sort(key=lambda c: (c.offset, c.length))
-        return results
+        return block.collect(
+            (length, _bloom_candidate_positions(self.filters[length], block,
+                                                length, fold))
+            for length in self.lengths)
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

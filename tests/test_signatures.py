@@ -61,6 +61,27 @@ def test_load_rules_ascii_value_may_contain_commas():
     assert rules.signatures[0].pattern == b"a,b,c"
 
 
+def test_load_rules_breaks_lines_only_at_line_ends():
+    # str.splitlines() would also break at these; they belong to the value
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        rules = load_rules(f"a,ascii,GET /x{ch}b,ascii,cmd.exe\n".encode())
+        assert [(s.id, s.pattern) for s in rules.signatures] == [
+            ("a", f"GET /x{ch}b,ascii,cmd.exe".encode())]
+        rules = load_rules(f"a,ascii,x{ch}y\n")
+        assert rules.signatures[0].pattern == f"x{ch}y".encode()
+
+
+def test_load_rules_crlf_and_cr_line_ends():
+    for eol in ("\r\n", "\r", "\n"):
+        text = eol.join(["a,ascii,cmd.exe", "# note", "", "b,hex,4745 54"]) + eol
+        rules = load_rules(text.encode())
+        assert [(s.id, s.pattern) for s in rules.signatures] == [
+            ("a", b"cmd.exe"), ("b", b"GET")]
+        with pytest.raises(RuleParseError) as err:
+            load_rules(f"a,ascii,xx{eol}{eol}a,ascii,yy{eol}")
+        assert err.value.line == 3
+
+
 def test_load_rules_errors_carry_line_numbers():
     with pytest.raises(RuleParseError, match="line 1") as err:
         load_rules(b"a,hex,4\n")
@@ -289,6 +310,12 @@ def test_scan_batch_windows_never_cross_payloads():
     matcher = SignatureMatcher.program(sset, PARAMS)
     results = matcher.scan_batch([b"xxABC", b"DEFyy"])
     assert results == [[], []]
+    # both routes, with empty payloads first, in the middle and last
+    payloads = [b"", b"xxABC", b"", b"DEFyy", b"ABCDEF", b""]
+    expected = [[]] * 4 + [[CandidateMatch(0, 6)], []]
+    assert matcher.scan_batch(payloads) == expected
+    assert matcher.exact_matches_batch(payloads) == (
+        [[]] * 4 + [[CandidateMatch(0, 6, "s")], []])
 
 
 def test_programmed_matcher_supports_concurrent_scans():

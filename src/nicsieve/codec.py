@@ -9,9 +9,11 @@ carry such frames. IPv4 fragments are not parseable too: the card
 decides each frame on its own and does not reassemble, and a non-first
 fragment's body would otherwise be read as a transport header.
 
-``read_pcap``/``write_pcap`` speak the classic capture format (magic
-0xA1B2C3D4, version 2.4, link type 1) in either byte order, so traces
-interchange with standard capture tooling.
+``read_pcap``/``write_pcap`` speak the classic capture format (version
+2.4, link type 1) in either byte order, so traces interchange with
+standard capture tooling. Magic 0xA1B2C3D4 marks microsecond timestamps
+and 0xA1B23C4D nanosecond ones; a trace keeps the resolution it was read
+in and is written back in it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ PROTO_UDP = 17
 LINKTYPE_ETHERNET = 1
 
 PCAP_MAGIC = 0xA1B2C3D4
-PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
+PCAP_MAGIC_NSEC = 0xA1B23C4D
+USEC = 1_000_000
+NSEC = 1_000_000_000
+_MAGIC_RESOLUTION = {PCAP_MAGIC: USEC, PCAP_MAGIC_NSEC: NSEC}
 _PCAP_SNAPLEN = 65535
 
 _ETH_LEN = 14  # dst MAC, src MAC, ethertype
@@ -41,7 +46,11 @@ class PcapError(ValueError):
 
 @dataclass(slots=True)
 class RawFrame:
-    """A captured frame: bytes plus timestamp and original wire length."""
+    """A captured frame: bytes plus timestamp and original wire length.
+
+    ``ts_usec`` is the sub-second part of the timestamp in its trace's
+    resolution: microseconds, or nanoseconds in a nanosecond trace.
+    """
 
     data: bytes
     ts_sec: int = 0
@@ -55,9 +64,14 @@ class RawFrame:
 
 @dataclass
 class Trace:
-    """An ordered sequence of Ethernet frames."""
+    """An ordered sequence of Ethernet frames.
+
+    ``ts_resolution`` is the number of timestamp ticks per second:
+    ``USEC`` or ``NSEC``.
+    """
 
     frames: list[RawFrame] = field(default_factory=list)
+    ts_resolution: int = USEC
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -110,14 +124,15 @@ def parse_packet(frame: RawFrame) -> bytes | None:
 
 
 def read_pcap(data: bytes) -> Trace:
-    """Parse a classic capture file, accepting either byte order."""
+    """Parse a classic capture file: either byte order, µs or ns timestamps."""
     if len(data) < 24:
         raise PcapError("bad magic: file too short for a capture header")
     (magic,) = struct.unpack_from("<I", data)
-    if magic == PCAP_MAGIC:
+    (swapped,) = struct.unpack_from(">I", data)
+    if magic in _MAGIC_RESOLUTION:
         endian = "<"
-    elif magic == PCAP_MAGIC_SWAPPED:
-        endian = ">"
+    elif swapped in _MAGIC_RESOLUTION:
+        endian, magic = ">", swapped
     else:
         raise PcapError(f"bad magic: 0x{magic:08X}")
     _, _, _, _, _, network = struct.unpack_from(endian + "HHiIII", data, 4)
@@ -140,12 +155,13 @@ def read_pcap(data: bytes) -> Trace:
                                ts_sec=ts_sec, ts_usec=ts_usec,
                                orig_len=orig_len))
         off += incl_len
-    return Trace(frames=frames)
+    return Trace(frames=frames, ts_resolution=_MAGIC_RESOLUTION[magic])
 
 
 def write_pcap(trace: Trace) -> bytes:
     """Encode a trace as a little-endian classic capture file."""
-    parts = [struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
+    magic = PCAP_MAGIC_NSEC if trace.ts_resolution == NSEC else PCAP_MAGIC
+    parts = [struct.pack("<IHHiIII", magic, 2, 4, 0, 0,
                          _PCAP_SNAPLEN, LINKTYPE_ETHERNET)]
     for frame in trace.frames:
         parts.append(struct.pack("<IIII", frame.ts_sec, frame.ts_usec,

@@ -128,7 +128,8 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
     return BaselineReport(
         baseline_detections=baseline, filtered_detections=filtered,
         equivalent=baseline == filtered, stats=stats, reduction=reduction,
-        forwarded=Trace(frames=forwarded), records=records)
+        forwarded=Trace(frames=forwarded, ts_resolution=trace.ts_resolution),
+        records=records)
 
 
 def decision_log_csv(records: list[DecisionRecord]) -> bytes:

@@ -13,12 +13,17 @@ Two scanning routes exist and must agree: the Bloom route
 (``SignatureMatcher.scan_batch``) finds candidates, complete but only
 probably correct; the exact route (``ExactScanner.matches_batch``) finds
 the true match set with a polynomial hash unrelated to the filter's
-mixer, confirming every hit byte-for-byte. Both sweep all payloads of a
-trace at once with numpy, keep only windows inside one payload, and
-return one list per payload through ``_PayloadBlock.collect``. Both hash
-each byte column once for all lengths: a window's hash state after j
-bytes is the same for every length of at least j bytes, so one running
-state over all window starts is advanced through the lengths in
+mixer, confirming every hit byte-for-byte. Both cut the payload list
+into groups of whole payloads (``GROUP_BYTES`` at most, or one longer
+payload), join each group into a ``_PayloadBlock``, and hash and probe
+its windows with numpy in slices of ``SLICE_WINDOWS`` window starts, so
+the working arrays stay cache-sized and do not grow with the trace.
+Only the windows that pass the first test of a slice outlive it; those
+inside one payload are finished per group and returned, one list per
+payload in file order, through ``_PayloadBlock.collect``. Both hash each
+byte column once for all lengths: a window's hash state after j bytes
+is the same for every length of at least j bytes, so one running state
+over a slice's window starts is advanced through the lengths in
 ascending order (a ``WindowFold`` for the filters' mixer, a Horner
 prefix for the exact route). The tests check both routes against the
 independent per-payload oracles in ``tests/conftest.py``.
@@ -35,7 +40,12 @@ from .bloom import BloomFilter, BloomParams, WindowFold, mix64_at, mix64_windows
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
 
-_EXACT_MULT = 0x5851F42D4C957F2D  # odd 64-bit LCG multiplier, Horner hashing
+_EXACT_MULT = 0x4C957F2D  # odd LCG multiplier, Horner hashing mod 2**32
+
+# Scan working-set bounds: payload bytes per group, and window starts per
+# slice, so that a slice's uint64 arrays (256 KiB each) stay in cache.
+GROUP_BYTES = 256 * 1024
+SLICE_WINDOWS = 32 * 1024
 
 
 class RuleParseError(ValueError):
@@ -133,29 +143,46 @@ class CandidateMatch:
     signature_id: str | None = None
 
 
-def _poly64_prefixes(buf: np.ndarray, lengths: list[int]):
-    """Yield (length, Horner hash of every ``length``-byte window of ``buf``).
+def _poly32_prefixes(buf: np.ndarray, lengths: list[int]):
+    """Yield (length, Horner hash mod 2**32 of every ``length``-byte window).
 
     ``lengths`` ascend; each is reached by folding only the byte columns
-    the previous one did not. The yielded array is overwritten by the
-    next step, so use it before advancing.
+    the previous one did not. A length longer than ``buf`` yields an
+    empty array. Arithmetic mod 2**32 is enough: a prefilter table reads
+    only the low ``ExactScanner._TABLE_BITS`` bits. The yielded array is
+    overwritten by the next step, so use it before advancing.
     """
-    state = np.zeros(buf.size, dtype=np.uint64)
+    state = np.zeros(buf.size, dtype=np.uint32)
     folded = 0
     for length in lengths:
-        n = buf.size - length + 1
-        if n <= 0:
-            return
+        n = max(0, buf.size - length + 1)
         state = state[:n]
         for j in range(folded, length):
-            state *= np.uint64(_EXACT_MULT)
+            state *= np.uint32(_EXACT_MULT)
             state += buf[j : j + n]
         folded = length
         yield length, state
 
 
+def _payload_groups(payloads: list[bytes]):
+    """Consecutive runs of payloads holding at most ``GROUP_BYTES`` bytes.
+
+    A payload longer than that forms a group of its own. Windows never
+    cross payloads, so the groups can be scanned one after another with
+    no overlap.
+    """
+    ends = np.cumsum([len(p) for p in payloads], dtype=np.int64)
+    start = 0
+    while start < len(payloads):
+        base = int(ends[start - 1]) if start else 0
+        stop = int(ends.searchsorted(base + GROUP_BYTES, side="right"))
+        stop = max(stop, start + 1)
+        yield payloads[start:stop]
+        start = stop
+
+
 class _PayloadBlock:
-    """Payloads joined end to end for whole-trace vectorized window scans.
+    """One group of payloads joined end to end for vectorized window scans.
 
     ``ends[i]`` is the buffer offset just past payload i. Position ``pos``
     lies in payload ``ends.searchsorted(pos, side="right")``, the first
@@ -166,10 +193,19 @@ class _PayloadBlock:
         self.ends = np.cumsum([len(p) for p in payloads], dtype=np.int64)
         self.buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
 
+    def slices(self, longest: int):
+        """(offset, view) per run of ``SLICE_WINDOWS`` window starts.
+
+        A view reaches ``longest - 1`` bytes past its last start, so it
+        holds every window that starts in the run; the caller keeps only
+        those. An empty buffer still gives one (empty) slice.
+        """
+        for a in range(0, max(self.buf.size, 1), SLICE_WINDOWS):
+            yield a, self.buf[a : a + SLICE_WINDOWS + longest - 1]
+
     def same_payload(self, pos: np.ndarray, length: int) -> np.ndarray:
-        """Keep window start positions that do not cross a payload boundary."""
-        ends = self.ends[self.ends.searchsorted(pos, side="right")]
-        return pos[pos + length <= ends]
+        """True where the window at ``pos`` does not cross a payload boundary."""
+        return pos + length <= self.ends[self.ends.searchsorted(pos, side="right")]
 
     def collect(self, found) -> list[list[CandidateMatch]]:
         """(length, positions) pairs as per-payload candidates, by offset, length."""
@@ -182,26 +218,6 @@ class _PayloadBlock:
         for matches in results:
             matches.sort(key=lambda c: (c.offset, c.length))
         return results
-
-
-def _bloom_candidate_positions(filt: BloomFilter, block: _PayloadBlock,
-                               length: int, fold: WindowFold) -> np.ndarray:
-    """Window start positions whose k filter bits are all set.
-
-    ``fold`` is advanced to ``length``. The first probe needs no stride,
-    so the second digest is computed via gather for first-probe
-    survivors only; with well-sized filters that is a small fraction of
-    the windows.
-    """
-    params = filt.params
-    g1 = mix64_windows(params.seed_a, block.buf, length, fold=fold)
-    zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
-    pos = np.nonzero(filt.test_bits(filt.probe_indices(g1, zero, 0)))[0]
-    pos = block.same_payload(pos, length)
-    if pos.size == 0 or params.k == 1:
-        return pos
-    stride = mix64_at(params.seed_b, block.buf, length, pos) | np.uint64(1)
-    return pos[filt.narrow(g1[pos], stride, 1)]
 
 
 class ExactScanner:
@@ -222,23 +238,31 @@ class ExactScanner:
             table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
             joined = np.frombuffer(b"".join(s.pattern for s in group),
                                    dtype=np.uint8)
-            _, window_hashes = next(_poly64_prefixes(joined, [length]))
+            _, window_hashes = next(_poly32_prefixes(joined, [length]))
             slots = window_hashes[::length]
-            table[slots & np.uint64((1 << self._TABLE_BITS) - 1)] = True
+            table[slots & np.uint32((1 << self._TABLE_BITS) - 1)] = True
             self._tables_by_length[length] = table
 
     def matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
         """Vectorized exact matching: hash windows, confirm hits by bytes."""
-        block = _PayloadBlock(payloads)
-        mask = np.uint64((1 << self._TABLE_BITS) - 1)
-        found = []
-        for length, window_hashes in _poly64_prefixes(
-                block.buf, sorted(self._tables_by_length)):
-            table = self._tables_by_length[length]
-            hit = table.take((window_hashes & mask).view(np.int64))
-            found.append((length, block.same_payload(np.nonzero(hit)[0], length)))
-        return [self.confirm(payload, windows) if windows else windows
-                for payload, windows in zip(payloads, block.collect(found))]
+        mask = np.uint32((1 << self._TABLE_BITS) - 1)
+        lengths = sorted(self._tables_by_length)
+        results = []
+        for group in _payload_groups(payloads):
+            block = _PayloadBlock(group)
+            hits: dict[int, list[np.ndarray]] = {length: [] for length in lengths}
+            for a, view in block.slices(lengths[-1]):
+                for length, window_hashes in _poly32_prefixes(view, lengths):
+                    table = self._tables_by_length[length]
+                    hit = table.take(window_hashes[:SLICE_WINDOWS] & mask)
+                    hits[length].append(np.nonzero(hit)[0] + a)
+            found = []
+            for length, parts in hits.items():
+                pos = np.concatenate(parts)
+                found.append((length, pos[block.same_payload(pos, length)]))
+            results += [self.confirm(payload, windows) if windows else windows
+                        for payload, windows in zip(group, block.collect(found))]
+        return results
 
     def confirm(self, payload: bytes,
                 candidates: list[CandidateMatch]) -> list[CandidateMatch]:
@@ -332,13 +356,50 @@ class SignatureMatcher:
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
     def scan_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
-        """Candidate windows of every programmed length, per payload, in one pass."""
-        block = _PayloadBlock(payloads)
-        fold = WindowFold(self.params.seed_a, block.buf)
-        return block.collect(
-            (length, _bloom_candidate_positions(self.filters[length], block,
-                                                length, fold))
-            for length in self.lengths)
+        """Candidate windows of every programmed length, per payload, group by group."""
+        results = []
+        for group in _payload_groups(payloads):
+            block = _PayloadBlock(group)
+            survivors = self._first_probe_survivors(block)
+            results += block.collect(
+                (length, self._narrow(block, length, *survivors[length]))
+                for length in self.lengths)
+        return results
+
+    def _first_probe_survivors(self, block: _PayloadBlock):
+        """Per length: (start, g1) of the windows whose first probe bit is set.
+
+        Round 0 tests every window, so it runs slice by slice: each
+        slice's fold state, digests and probe temporaries are dropped
+        once its survivors are kept. The first probe needs no stride.
+        """
+        seed = self.params.seed_a
+        zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
+        kept: dict[int, list] = {length: [] for length in self.lengths}
+        for a, view in block.slices(self.lengths[-1]):
+            fold = WindowFold(seed, view)
+            for length in self.lengths:
+                filt = self.filters[length]
+                g1 = mix64_windows(seed, view, length, fold=fold)[:SLICE_WINDOWS]
+                pos = np.nonzero(filt.test_bits(filt.probe_indices(g1, zero, 0)))[0]
+                kept[length].append((pos + a, g1[pos]))
+        return {length: [np.concatenate(arrays) for arrays in zip(*parts)]
+                for length, parts in kept.items()}
+
+    def _narrow(self, block: _PayloadBlock, length: int, pos: np.ndarray,
+                g1: np.ndarray) -> np.ndarray:
+        """The first-probe survivors at ``pos`` whose other probes hit too.
+
+        Only windows inside one payload are kept. The second digest is
+        gathered for those survivors only; with well-sized filters that
+        is a small fraction of the windows.
+        """
+        inside = block.same_payload(pos, length)
+        pos, g1 = pos[inside], g1[inside]
+        if pos.size == 0 or self.params.k == 1:
+            return pos
+        stride = mix64_at(self.params.seed_b, block.buf, length, pos) | np.uint64(1)
+        return pos[self.filters[length].narrow(g1, stride, 1)]
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

@@ -19,6 +19,7 @@ import io
 import random
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .codec import RawFrame, Trace
 from .signatures import ExactScanner, SignatureSet
@@ -133,7 +134,8 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
     rng = random.Random(spec.seed)
     lo, hi = spec.payload_len_range
     signatures = spec.signatures.signatures if spec.signatures else []
-    attack_count = int(spec.attack_fraction * spec.packet_count)
+    # the floor of the fraction as written: 0.29 * 100 is 28.999... in floats
+    attack_count = int(Fraction(repr(spec.attack_fraction)) * spec.packet_count)
     attack_set = set(rng.sample(range(spec.packet_count), attack_count))
 
     if attack_count:

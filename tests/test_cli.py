@@ -2,7 +2,7 @@ import pytest
 
 from nicsieve.bloom import BloomFilter
 from nicsieve.cli import main
-from nicsieve.codec import read_pcap
+from nicsieve.codec import NSEC, RawFrame, Trace, read_pcap, write_pcap
 from nicsieve.traffic import Manifest
 
 RULES = b"""# demo rules
@@ -191,6 +191,28 @@ def test_scan_missing_trace_exit_2(tmp_path, rules_file, built_and_generated):
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", tmp_path / "missing.pcap", "--out", tmp_path / "f.pcap",
                "--report", tmp_path / "r.csv") == 2
+
+
+def test_scan_keeps_nanosecond_timestamps(tmp_path, rules_file,
+                                          built_and_generated):
+    filters, trace_path, _ = built_and_generated
+    frames = [RawFrame(f.data, f.ts_sec, f.ts_usec * 1000 + i % 1000, f.orig_len)
+              for i, f in enumerate(read_pcap(trace_path.read_bytes()))]
+    ns_trace = tmp_path / "ns.pcap"
+    ns_trace.write_bytes(write_pcap(Trace(frames, ts_resolution=NSEC)))
+    fwd, decisions = tmp_path / "fwd.pcap", tmp_path / "decisions.csv"
+    assert run("scan", filters / "index.txt", "--rules", rules_file,
+               "--in", ns_trace, "--out", fwd, "--report", tmp_path / "r.csv",
+               "--decision-log", decisions) == 0
+
+    verdicts = [line.split(",")[1]
+                for line in decisions.read_text().splitlines()[1:]]
+    expected = [f for f, v in zip(frames, verdicts) if v == "FORWARD"]
+    assert len(expected) >= 100  # every attack at least
+    assert fwd.read_bytes()[:4] == (0xA1B23C4D).to_bytes(4, "little")
+    forwarded = read_pcap(fwd.read_bytes())
+    assert forwarded.ts_resolution == NSEC
+    assert forwarded.frames == expected
 
 
 def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated):

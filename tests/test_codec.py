@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicsieve.codec import (
+    NSEC,
+    USEC,
     PcapError,
     RawFrame,
     Trace,
@@ -166,6 +168,30 @@ def test_pcap_reads_swapped_byte_order():
     back = read_pcap(big)
     assert [f.data for f in back] == [f.data for f in trace]
     assert [f.ts_usec for f in back] == [f.ts_usec for f in trace]
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_pcap_reads_nanosecond_captures(endian):
+    trace = sample_trace()
+    # a nanosecond capture written by hand: magic 0xA1B23C4D, ns fractions
+    parts = [struct.pack(endian + "IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)]
+    for i, f in enumerate(trace):
+        parts.append(struct.pack(endian + "IIII", f.ts_sec, 999_999_000 + i,
+                                 len(f.data), f.orig_len))
+        parts.append(f.data)
+    data = b"".join(parts)
+
+    back = read_pcap(data)
+    assert back.ts_resolution == NSEC
+    assert [f.data for f in back] == [f.data for f in trace]
+    assert [f.ts_usec for f in back] == [999_999_000 + i for i in range(25)]
+    # written back at the resolution it was read in
+    rewritten = write_pcap(back)
+    assert struct.unpack_from("<I", rewritten)[0] == 0xA1B23C4D
+    if endian == "<":
+        assert rewritten == data
+    assert read_pcap(rewritten) == back
+    assert read_pcap(write_pcap(trace)).ts_resolution == USEC
 
 
 def test_pcap_bad_magic():

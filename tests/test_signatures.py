@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nicsieve import signatures
 from nicsieve.bloom import BloomParams, fpr_theoretical
 from nicsieve.signatures import (
     CandidateMatch,
@@ -22,6 +24,7 @@ from conftest import (
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=77, seed_b=78)
+DENSE = BloomParams(m=1024, k=4, seed_a=77, seed_b=78)
 
 
 def as_tuples(matches):
@@ -288,8 +291,7 @@ def test_exact_batch_equals_oracle():
 # bits set is common, so a scan that skips a probe round shows up; odd-m
 # reduces probes modulo m, not with the power-of-two mask
 @pytest.mark.parametrize("params", [
-    PARAMS, BloomParams(m=1024, k=4, seed_a=77, seed_b=78),
-    BloomParams(m=1001, k=3, seed_a=77, seed_b=78)],
+    PARAMS, DENSE, BloomParams(m=1001, k=3, seed_a=77, seed_b=78)],
     ids=["sparse", "dense", "odd-m"])
 def test_scan_batch_equals_reference_candidates(params):
     rng = random.Random(38)
@@ -353,3 +355,66 @@ def test_scan_completeness_property(data):
     verified = matcher.verify(payload, candidates)
     assert (offset, len(chosen.pattern), chosen.id) in as_tuples(verified)
     assert as_tuples(verified) == naive_exact_matches(sset.signatures, payload)
+
+
+# tiny groups and slices, so a few short payloads cross many of their edges
+EDGE_GROUP_BYTES, EDGE_SLICE_WINDOWS = 64, 16
+EDGE_RULES = random_signature_set(random.Random(40), 240, lengths=[3, 9, 20])
+EDGE_MATCHERS = {name: SignatureMatcher.program(EDGE_RULES, params)
+                 for name, params in (("sparse", PARAMS), ("dense", DENSE))}
+
+
+@pytest.mark.parametrize("name", ["sparse", "dense"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
+    matcher = EDGE_MATCHERS[name]
+    sigs = EDGE_RULES.signatures
+    embedded = st.builds(lambda pre, sig, post: pre + sig.pattern + post,
+                         st.binary(max_size=20), st.sampled_from(sigs),
+                         st.binary(max_size=20))
+    payloads = data.draw(st.lists(
+        st.one_of(st.just(b""), st.binary(max_size=40), embedded), max_size=8))
+    # the first payload opens the first group, so a pattern placed
+    # ``cut`` bytes before SLICE_WINDOWS straddles the first slice edge
+    sig = data.draw(st.sampled_from(sigs))
+    cut = data.draw(st.integers(1, min(len(sig.pattern) - 1,
+                                       EDGE_SLICE_WINDOWS)))
+    straddler = bytes(EDGE_SLICE_WINDOWS - cut) + sig.pattern
+    # longer than a group: a group of its own
+    long_body = data.draw(st.binary(min_size=EDGE_GROUP_BYTES + 1,
+                                    max_size=2 * EDGE_GROUP_BYTES))
+    long_payload = long_body[:30] + data.draw(embedded) + long_body[30:]
+    for extra in (b"", long_payload, b""):
+        payloads.insert(data.draw(st.integers(0, len(payloads))), extra)
+    payloads.insert(0, straddler)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
+        mp.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
+        scanned = matcher.scan_batch(payloads)
+        exact = matcher.exact_matches_batch(payloads)
+    assert [as_windows(c) for c in scanned] == \
+        [reference_candidates(matcher.filters, p) for p in payloads]
+    assert [as_tuples(m) for m in exact] == \
+        [naive_exact_matches(sigs, p) for p in payloads]
+    assert (EDGE_SLICE_WINDOWS - cut, len(sig.pattern), sig.id) in \
+        as_tuples(exact[0])
+
+
+def test_scan_memory_does_not_grow_with_the_batch():
+    rng = random.Random(41)
+    sset = random_signature_set(rng, 60, lengths=[7, 12, 15])
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    payloads, total = [], 0
+    while total < 8 << 20:
+        payloads.append(rng.randbytes(rng.randint(200, 1400)))
+        total += len(payloads[-1])
+    for scan in (matcher.scan_batch, matcher.exact_matches_batch):
+        tracemalloc.start()
+        try:
+            scan(payloads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"{scan.__name__} peaked at {peak >> 20} MiB"

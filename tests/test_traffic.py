@@ -66,7 +66,8 @@ def test_generation_deterministic():
 def test_attack_count_is_floor_of_fraction():
     rules = small_rules()
     for count, fraction, expected in [(1000, 0.05, 50), (999, 0.05, 49),
-                                      (10, 0.19, 1), (10, 0.0, 0)]:
+                                      (10, 0.19, 1), (10, 0.0, 0),
+                                      (100, 0.29, 29), (100, 0.57, 57)]:
         spec = TrafficSpec(packet_count=count, attack_fraction=fraction,
                            payload_len_range=(20, 60), signatures=rules)
         _, manifest = generate_trace(spec)

@@ -19,12 +19,14 @@ from .codec import (
     RawFrame,
     Trace,
     parse_packet,
+    parse_payloads,
     read_pcap,
     write_pcap,
 )
 from .pipeline import (
     BaselineReport,
     DecisionRecord,
+    Decisions,
     PipelineStats,
     Reason,
     Verdict,
@@ -34,10 +36,12 @@ from .pipeline import (
 from .signatures import (
     CandidateMatch,
     ExactScanner,
+    Payloads,
     RuleParseError,
     Signature,
     SignatureMatcher,
     SignatureSet,
+    Windows,
     load_rules,
 )
 from .traffic import Manifest, ManifestEntry, TrafficSpec, generate_trace
@@ -48,12 +52,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BloomFilter", "BloomParams", "FilterImageError", "FprEstimate",
     "fpr_theoretical", "optimal_k",
-    "PcapError", "RawFrame", "Trace", "parse_packet",
+    "PcapError", "RawFrame", "Trace", "parse_packet", "parse_payloads",
     "read_pcap", "write_pcap",
-    "BaselineReport", "DecisionRecord", "PipelineStats", "Reason",
-    "Verdict", "compare_baseline", "decision_log_csv",
-    "CandidateMatch", "ExactScanner", "RuleParseError", "Signature",
-    "SignatureMatcher", "SignatureSet", "load_rules",
+    "BaselineReport", "DecisionRecord", "Decisions", "PipelineStats",
+    "Reason", "Verdict", "compare_baseline", "decision_log_csv",
+    "CandidateMatch", "ExactScanner", "Payloads", "RuleParseError",
+    "Signature", "SignatureMatcher", "SignatureSet", "Windows", "load_rules",
     "Manifest", "ManifestEntry", "TrafficSpec", "generate_trace",
     "FprSweepRow", "emit_csv", "fpr_sweep",
 ]

@@ -9,21 +9,26 @@ forwarded packet costs the host one interrupt, so ``forwarded`` doubles
 as the interrupt count.
 
 ``compare_baseline`` is the one entry point. It decides a whole trace in
-one batch pass, runs the unfiltered host route beside it, and returns
-both, with one ``DecisionRecord`` per frame in ``records``. The test
-suite checks the decisions frame by frame against the oracles in
-``tests/conftest.py``.
+one batch pass with arrays -- a reason code, a candidate count and a
+payload length per frame -- and runs the unfiltered host route beside
+it. Only frames with candidate windows reach ``verify``, and only frames
+with matches have detections, so a dropped frame costs numpy work and no
+Python object. ``Decisions`` makes a ``DecisionRecord`` for a frame when
+one is asked for. The test suite checks the decisions frame by frame
+against the oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import RawFrame, Trace, parse_packet
-from .signatures import CandidateMatch, SignatureMatcher
+import numpy as np
+
+# parse_packet is the scalar parse, re-exported beside the batch one
+from .codec import Trace, parse_packet, parse_payloads  # noqa: F401
+from .signatures import CandidateMatch, Payloads, SignatureMatcher
 
 
 class Verdict(Enum):
@@ -35,6 +40,11 @@ class Reason(Enum):
     MATCH_CANDIDATE = "MATCH_CANDIDATE"
     NON_PARSEABLE = "NON_PARSEABLE"
     CLEAN = "CLEAN"
+
+
+REASONS = tuple(Reason)  # a reason code is its index here
+_MATCH, _NON_PARSEABLE, _CLEAN = range(len(REASONS))
+_LOG_ROWS = 16 * 1024  # decision-log rows rendered per block
 
 
 @dataclass
@@ -66,17 +76,46 @@ class DecisionRecord:
         return Verdict.DROP if self.reason is Reason.CLEAN else Verdict.FORWARD
 
 
+@dataclass(eq=False)
+class Decisions(Sequence):
+    """The card's decisions over a trace, one array entry per frame.
+
+    ``reason`` holds codes into ``REASONS``; ``verified`` holds the
+    verified matches of the frames that have any. Indexing makes the
+    frame's ``DecisionRecord``.
+    """
+
+    reason: np.ndarray  # uint8
+    candidates: np.ndarray  # int64
+    payload_len: np.ndarray  # int64
+    verified: dict[int, tuple[CandidateMatch, ...]]
+
+    def __len__(self) -> int:
+        return self.reason.size
+
+    def __getitem__(self, i: int) -> DecisionRecord:
+        i = range(len(self))[i]
+        return DecisionRecord(
+            index=i, reason=REASONS[self.reason[i]],
+            candidate_count=int(self.candidates[i]),
+            verified=list(self.verified.get(i, ())),
+            payload_len=int(self.payload_len[i]))
+
+
 @dataclass
 class BaselineReport:
-    """Filtered-vs-unfiltered detection comparison for one trace."""
+    """Filtered-vs-unfiltered detection comparison for one trace.
 
-    baseline_detections: list[tuple[CandidateMatch, ...]]
-    filtered_detections: list[tuple[CandidateMatch, ...]]
+    Both detection maps hold only the frames with matches, by frame index.
+    """
+
+    baseline_detections: dict[int, tuple[CandidateMatch, ...]]
+    filtered_detections: dict[int, tuple[CandidateMatch, ...]]
     equivalent: bool
     stats: PipelineStats
     reduction: float  # 1 - forwarded/total
     forwarded: Trace
-    records: list[DecisionRecord]  # one per frame, in file order
+    records: Decisions  # one per frame, in file order
 
 
 def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
@@ -89,57 +128,52 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
     exact-matches every parseable payload. Equal detections mean the
     filter dropped nothing relevant.
     """
-    payloads = [parse_packet(frame) for frame in trace.frames]
     # an unparseable frame is scanned as an empty payload: no window, no match
-    scanned = [b"" if p is None else p for p in payloads]
-    stats = PipelineStats()
-    forwarded: list[RawFrame] = []
-    records: list[DecisionRecord] = []
+    start, end, unparseable = parse_payloads(trace)
+    payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)
+    candidates = matcher.scan_batch(payloads)
+    filtered = {}
+    for i, windows in candidates.by_payload().items():
+        verified = matcher.verify(payloads[i], windows)
+        if verified:
+            filtered[i] = tuple(verified)
+    baseline = {i: tuple(matches) for i, matches in
+                matcher.exact_matches_batch(payloads).items()}
 
-    for index, (frame, payload, candidates) in enumerate(
-            zip(trace.frames, scanned, matcher.scan_batch(scanned))):
-        verified = matcher.verify(payload, candidates) if candidates else []
-        if payloads[index] is None:
-            reason = Reason.NON_PARSEABLE
-        else:
-            reason = Reason.MATCH_CANDIDATE if candidates else Reason.CLEAN
-
-        stats.total += 1
-        stats.bytes_total += len(frame.data)
-        if reason is Reason.CLEAN:
-            stats.dropped += 1
-        else:
-            stats.forwarded += 1
-            stats.bytes_forwarded += len(frame.data)
-            forwarded.append(frame)
-            if reason is Reason.NON_PARSEABLE:
-                stats.non_parseable_forwards += 1
-            elif verified:
-                stats.true_matches += 1
-            else:
-                stats.false_positive_forwards += 1
-        records.append(DecisionRecord(
-            index=index, reason=reason, candidate_count=len(candidates),
-            verified=verified, payload_len=len(payload)))
-
-    filtered = [tuple(rec.verified) for rec in records]
-    baseline = [tuple(m) for m in matcher.exact_matches_batch(scanned)]
-    reduction = 1.0 - stats.forwarded / stats.total if stats.total else 0.0
+    counts = candidates.counts()
+    reason = np.where(unparseable, _NON_PARSEABLE,
+                      np.where(counts > 0, _MATCH, _CLEAN)).astype(np.uint8)
+    forward = reason != _CLEAN
+    total, forwarded = len(trace), int(np.count_nonzero(forward))
+    matched = int(np.count_nonzero(reason == _MATCH))
+    stats = PipelineStats(
+        total=total, forwarded=forwarded, dropped=total - forwarded,
+        true_matches=len(filtered),
+        false_positive_forwards=matched - len(filtered),
+        non_parseable_forwards=int(np.count_nonzero(unparseable)),
+        bytes_total=int(trace.caplen.sum(dtype=np.int64)),
+        bytes_forwarded=int(trace.caplen[forward].sum(dtype=np.int64)))
     return BaselineReport(
         baseline_detections=baseline, filtered_detections=filtered,
-        equivalent=baseline == filtered, stats=stats, reduction=reduction,
-        forwarded=Trace(frames=forwarded, ts_resolution=trace.ts_resolution),
-        records=records)
+        equivalent=baseline == filtered, stats=stats,
+        reduction=1.0 - forwarded / total if total else 0.0,
+        forwarded=trace.select(forward),
+        records=Decisions(reason, counts, end - start, filtered))
 
 
-def decision_log_csv(records: list[DecisionRecord]) -> bytes:
-    """Render decision records as CSV (one row per packet)."""
-    out = io.StringIO(newline="")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "verdict", "reason", "candidates", "verified",
-                     "payload_len"])
-    for rec in records:
-        writer.writerow([rec.index, rec.verdict.value, rec.reason.value,
-                         rec.candidate_count, len(rec.verified),
-                         rec.payload_len])
-    return out.getvalue().encode("utf-8")
+def decision_log_csv(decisions: Decisions) -> bytes:
+    """Render the decisions as CSV (one row per packet), a block of rows at a time."""
+    labels = [f"{(Verdict.DROP if r is Reason.CLEAN else Verdict.FORWARD).value},"
+              f"{r.value}" for r in REASONS]
+    verified = np.zeros(len(decisions), dtype=np.int64)
+    verified[list(decisions.verified)] = [len(v) for v in
+                                          decisions.verified.values()]
+    parts = [b"index,verdict,reason,candidates,verified,payload_len\n"]
+    for a in range(0, len(decisions), _LOG_ROWS):
+        b = a + _LOG_ROWS
+        rows = zip(range(a, min(b, len(decisions))), decisions.reason[a:b].tolist(),
+                   decisions.candidates[a:b].tolist(), verified[a:b].tolist(),
+                   decisions.payload_len[a:b].tolist())
+        parts.append("".join([f"{i},{labels[r]},{c},{v},{n}\n"
+                              for i, r, c, v, n in rows]).encode("utf-8"))
+    return b"".join(parts)

@@ -13,24 +13,31 @@ Two scanning routes exist and must agree: the Bloom route
 (``SignatureMatcher.scan_batch``) finds candidates, complete but only
 probably correct; the exact route (``ExactScanner.matches_batch``) finds
 the true match set with a polynomial hash unrelated to the filter's
-mixer, confirming every hit byte-for-byte. Both cut the payload list
-into groups of whole payloads (``GROUP_BYTES`` at most, or one longer
-payload), join each group into a ``_PayloadBlock``, and hash and probe
-its windows with numpy in slices of ``SLICE_WINDOWS`` window starts, so
-the working arrays stay cache-sized and do not grow with the trace.
-Only the windows that pass the first test of a slice outlive it; those
-inside one payload are finished per group and returned, one list per
-payload in file order, through ``_PayloadBlock.collect``. Both hash each
-byte column once for all lengths: a window's hash state after j bytes
-is the same for every length of at least j bytes, so one running state
-over a slice's window starts is advanced through the lengths in
-ascending order (a ``WindowFold`` for the filters' mixer, a Horner
-prefix for the exact route). The tests check both routes against the
-independent per-payload oracles in ``tests/conftest.py``.
+mixer, confirming every hit byte-for-byte. Both take the batch as
+``Payloads``, bounds into one buffer (a capture's, as it was read), cut
+it into groups of whole payloads (``GROUP_BYTES`` payload bytes and
+``SLICE_WINDOWS`` payloads at most, or one longer payload), gather each
+group's payload bytes into a ``_PayloadBlock``, and hash and probe its
+windows with numpy in slices of ``SLICE_WINDOWS`` window starts, so the
+working arrays stay cache-sized and do not grow with the trace. Only the
+windows that pass the first test of a slice outlive it; those inside one
+payload are finished per group. The Bloom route returns them as
+``Windows``: arrays of (payload, offset, length), sorted, with no Python
+object per payload; ``CandidateMatch`` objects are made only for the
+payloads that someone asks about. The exact route confirms its windows
+group by group and returns the matches of the payloads that have any, by
+payload index. Both hash each byte column once for
+all lengths: a window's hash state after j bytes is the same for every
+length of at least j bytes, so one running state over a slice's window
+starts is advanced through the lengths in ascending order (a
+``WindowFold`` for the filters' mixer, a Horner prefix for the exact
+route). The tests check both routes against the independent
+per-payload oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +50,8 @@ PATTERN_MAX_LEN = 64
 _EXACT_MULT = 0x4C957F2D  # odd LCG multiplier, Horner hashing mod 2**32
 
 # Scan working-set bounds: payload bytes per group, and window starts per
-# slice, so that a slice's uint64 arrays (256 KiB each) stay in cache.
+# slice (also the most payloads a group holds), so that a slice's uint64
+# arrays and a group's per-payload arrays (256 KiB each) stay in cache.
 GROUP_BYTES = 256 * 1024
 SLICE_WINDOWS = 32 * 1024
 
@@ -164,34 +172,139 @@ def _poly32_prefixes(buf: np.ndarray, lengths: list[int]):
         yield length, state
 
 
-def _payload_groups(payloads: list[bytes]):
-    """Consecutive runs of payloads holding at most ``GROUP_BYTES`` bytes.
+@dataclass(eq=False)
+class Payloads:
+    """A batch of payloads: payload i is ``buf[starts[i] : ends[i]]``.
 
-    A payload longer than that forms a group of its own. Windows never
-    cross payloads, so the groups can be scanned one after another with
-    no overlap.
+    The bounds ascend and do not overlap, and they may leave gaps, so
+    the payloads of a capture are scanned where they lie, with no copy
+    per payload.
+    Iterating yields each payload as a numpy view; indexing, its bytes.
     """
-    ends = np.cumsum([len(p) for p in payloads], dtype=np.int64)
+
+    buf: np.ndarray  # uint8
+    starts: np.ndarray  # int64
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, payloads: Sequence[bytes]) -> Payloads:
+        """The payloads joined end to end in a new buffer."""
+        lengths = np.array([len(p) for p in payloads], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        return cls(np.frombuffer(b"".join(payloads), dtype=np.uint8),
+                   ends - lengths, ends)
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, i: int) -> bytes:
+        i = range(len(self))[i]
+        return self.buf[self.starts[i] : self.ends[i]].tobytes()
+
+    def __iter__(self):
+        buf = self.buf
+        return (buf[a:b] for a, b in zip(self.starts.tolist(), self.ends.tolist()))
+
+
+def _as_payloads(payloads: Payloads | Sequence[bytes]) -> Payloads:
+    return payloads if isinstance(payloads, Payloads) else Payloads.of(payloads)
+
+
+def _int_column(parts) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+
+
+@dataclass(eq=False)
+class Windows:
+    """Windows found in a batch of ``size`` payloads, one row per window.
+
+    Row r is the window of ``length[r]`` bytes at ``offset[r]`` in
+    payload ``payload[r]``. Rows are sorted by payload, offset and
+    length. Indexing or iterating gives the windows of each payload as
+    ``CandidateMatch`` objects, made on access.
+    """
+
+    size: int
+    payload: np.ndarray  # int64
+    offset: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def sorted_rows(cls, size: int, rows) -> Windows:
+        """Windows from unsorted (payload, offset, length) array triples."""
+        columns = list(zip(*rows)) or [(), (), ()]
+        payload, offset, length = (_int_column(c) for c in columns)
+        order = np.lexsort((length, offset, payload))
+        return cls(size, payload[order], offset[order], length[order])
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> list[CandidateMatch]:
+        i = range(self.size)[i]
+        a, b = self.payload.searchsorted([i, i + 1])
+        return [CandidateMatch(o, n) for o, n in
+                zip(self.offset[a:b].tolist(), self.length[a:b].tolist())]
+
+    def __iter__(self):
+        found = self.by_payload()
+        return (found.get(i, []) for i in range(self.size))
+
+    def counts(self) -> np.ndarray:
+        """Windows per payload."""
+        return np.bincount(self.payload, minlength=self.size)
+
+    def by_payload(self) -> dict[int, list[CandidateMatch]]:
+        """The windows of each payload that has any, in payload order."""
+        out: dict[int, list[CandidateMatch]] = {}
+        for p, o, n in zip(self.payload.tolist(), self.offset.tolist(),
+                           self.length.tolist()):
+            out.setdefault(p, []).append(CandidateMatch(o, n))
+        return out
+
+
+def _payload_groups(payloads: Payloads):
+    """(first, stop) of consecutive payloads to scan as one group.
+
+    A group holds at most ``GROUP_BYTES`` payload bytes and at most
+    ``SLICE_WINDOWS`` payloads, so neither its bytes nor its per-payload
+    arrays grow with the capture, however many empty payloads it has; a
+    payload longer than ``GROUP_BYTES`` forms a group of its own.
+    Windows never cross payloads, so the groups can be scanned one after
+    another with no overlap.
+    """
     start = 0
     while start < len(payloads):
-        base = int(ends[start - 1]) if start else 0
-        stop = int(ends.searchsorted(base + GROUP_BYTES, side="right"))
-        stop = max(stop, start + 1)
-        yield payloads[start:stop]
+        ahead = slice(start, start + SLICE_WINDOWS)
+        sizes = np.cumsum(payloads.ends[ahead] - payloads.starts[ahead])
+        stop = start + max(int(sizes.searchsorted(GROUP_BYTES, side="right")), 1)
+        yield start, stop
         start = stop
 
 
 class _PayloadBlock:
-    """One group of payloads joined end to end for vectorized window scans.
+    """Payloads ``first`` to ``stop`` gathered end to end for window scans.
 
-    ``ends[i]`` is the buffer offset just past payload i. Position ``pos``
-    lies in payload ``ends.searchsorted(pos, side="right")``, the first
-    one to end after it, so an empty payload is never found.
+    ``starts[i]``/``ends[i]`` bound the group's payload i in ``buf``.
+    Position ``pos`` lies in payload ``ends.searchsorted(pos, side="right")``,
+    the first one to end after it, so an empty payload is never found.
     """
 
-    def __init__(self, payloads: list[bytes]) -> None:
-        self.ends = np.cumsum([len(p) for p in payloads], dtype=np.int64)
-        self.buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    def __init__(self, payloads: Payloads, first: int, stop: int) -> None:
+        src = payloads.starts[first:stop]
+        lengths = payloads.ends[first:stop] - src
+        self.first = first
+        self.ends = np.cumsum(lengths)
+        self.starts = self.ends - lengths
+        # gather the payload bytes only, never the gaps between them: the
+        # source index steps by one per byte, and by one plus the gap at
+        # each payload's first byte; summing the steps in place needs no
+        # second index-sized array
+        nonempty = lengths > 0
+        at = np.ones(int(self.ends[-1]), dtype=np.int64)
+        at[self.starts[nonempty]] += np.diff((src - self.starts)[nonempty],
+                                             prepend=1)
+        self.buf = payloads.buf[np.cumsum(at, out=at)]
 
     def slices(self, longest: int):
         """(offset, view) per run of ``SLICE_WINDOWS`` window starts.
@@ -207,17 +320,11 @@ class _PayloadBlock:
         """True where the window at ``pos`` does not cross a payload boundary."""
         return pos + length <= self.ends[self.ends.searchsorted(pos, side="right")]
 
-    def collect(self, found) -> list[list[CandidateMatch]]:
-        """(length, positions) pairs as per-payload candidates, by offset, length."""
-        results: list[list[CandidateMatch]] = [[] for _ in self.ends]
-        starts = np.concatenate(([0], self.ends[:-1]))
-        for length, pos in found:
-            owners = self.ends.searchsorted(pos, side="right")
-            for pkt, off in zip(owners.tolist(), (pos - starts[owners]).tolist()):
-                results[pkt].append(CandidateMatch(off, length))
-        for matches in results:
-            matches.sort(key=lambda c: (c.offset, c.length))
-        return results
+    def locate(self, pos: np.ndarray, length: int):
+        """(payload, offset, length) rows of the windows at block positions ``pos``."""
+        owners = self.ends.searchsorted(pos, side="right")
+        return (owners + self.first, pos - self.starts[owners],
+                np.full(pos.size, length, dtype=np.int64))
 
 
 class ExactScanner:
@@ -243,26 +350,36 @@ class ExactScanner:
             table[slots & np.uint32((1 << self._TABLE_BITS) - 1)] = True
             self._tables_by_length[length] = table
 
-    def matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
-        """Vectorized exact matching: hash windows, confirm hits by bytes."""
+    def matches_batch(self, payloads: Payloads | Sequence[bytes]
+                      ) -> dict[int, list[CandidateMatch]]:
+        """Vectorized exact matching: hash windows, confirm hits by bytes.
+
+        Returns the matches of each payload that has any, by payload
+        index in ascending order.
+        """
+        payloads = _as_payloads(payloads)
         mask = np.uint32((1 << self._TABLE_BITS) - 1)
         lengths = sorted(self._tables_by_length)
-        results = []
-        for group in _payload_groups(payloads):
-            block = _PayloadBlock(group)
+        matches: dict[int, list[CandidateMatch]] = {}
+        for first, stop in _payload_groups(payloads):
+            block = _PayloadBlock(payloads, first, stop)
             hits: dict[int, list[np.ndarray]] = {length: [] for length in lengths}
             for a, view in block.slices(lengths[-1]):
                 for length, window_hashes in _poly32_prefixes(view, lengths):
                     table = self._tables_by_length[length]
                     hit = table.take(window_hashes[:SLICE_WINDOWS] & mask)
                     hits[length].append(np.nonzero(hit)[0] + a)
-            found = []
+            rows = []
             for length, parts in hits.items():
                 pos = np.concatenate(parts)
-                found.append((length, pos[block.same_payload(pos, length)]))
-            results += [self.confirm(payload, windows) if windows else windows
-                        for payload, windows in zip(group, block.collect(found))]
-        return results
+                rows.append(block.locate(pos[block.same_payload(pos, length)],
+                                         length))
+            found = Windows.sorted_rows(stop, rows)
+            for i, windows in found.by_payload().items():
+                confirmed = self.confirm(payloads[i], windows)
+                if confirmed:
+                    matches[i] = confirmed
+        return matches
 
     def confirm(self, payload: bytes,
                 candidates: list[CandidateMatch]) -> list[CandidateMatch]:
@@ -279,9 +396,12 @@ class ExactScanner:
         confirmed.sort(key=lambda c: (c.offset, c.length, c.signature_id))
         return confirmed
 
-    def contains_any_batch(self, payloads: list[bytes]) -> list[bool]:
+    def contains_any_batch(self, payloads: Payloads | Sequence[bytes]) -> np.ndarray:
         """Per payload: does any pattern occur anywhere in it?"""
-        return [bool(m) for m in self.matches_batch(payloads)]
+        payloads = _as_payloads(payloads)
+        found = np.zeros(len(payloads), dtype=bool)
+        found[list(self.matches_batch(payloads))] = True
+        return found
 
 
 class SignatureMatcher:
@@ -355,16 +475,17 @@ class SignatureMatcher:
         """Serialized image per programmed length."""
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
-    def scan_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
-        """Candidate windows of every programmed length, per payload, group by group."""
-        results = []
-        for group in _payload_groups(payloads):
-            block = _PayloadBlock(group)
+    def scan_batch(self, payloads: Payloads | Sequence[bytes]) -> Windows:
+        """Candidate windows of every programmed length, group by group."""
+        payloads = _as_payloads(payloads)
+        rows = []
+        for first, stop in _payload_groups(payloads):
+            block = _PayloadBlock(payloads, first, stop)
             survivors = self._first_probe_survivors(block)
-            results += block.collect(
-                (length, self._narrow(block, length, *survivors[length]))
-                for length in self.lengths)
-        return results
+            rows += [block.locate(self._narrow(block, length, *survivors[length]),
+                                  length)
+                     for length in self.lengths]
+        return Windows.sorted_rows(len(payloads), rows)
 
     def _first_probe_survivors(self, block: _PayloadBlock):
         """Per length: (start, g1) of the windows whose first probe bit is set.
@@ -406,5 +527,6 @@ class SignatureMatcher:
         """Keep candidates whose bytes equal a pattern; attach each id."""
         return self.exact.confirm(payload, candidates)
 
-    def exact_matches_batch(self, payloads: list[bytes]) -> list[list[CandidateMatch]]:
+    def exact_matches_batch(self, payloads: Payloads | Sequence[bytes]
+                            ) -> dict[int, list[CandidateMatch]]:
         return self.exact.matches_batch(payloads)

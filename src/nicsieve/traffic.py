@@ -214,4 +214,4 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
         frames.append(RawFrame(data=data,
                                ts_sec=_TS_BASE + usec // 1_000_000,
                                ts_usec=usec % 1_000_000))
-    return Trace(frames=frames), Manifest(entries=entries)
+    return Trace.from_frames(frames), Manifest(entries=entries)

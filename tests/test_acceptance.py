@@ -168,7 +168,7 @@ def test_criterion_5_bit_exact_persistence():
     frames = [RawFrame(data=rng.randbytes(rng.randint(0, 200)),
                        ts_sec=rng.getrandbits(31), ts_usec=rng.randint(0, 999999),
                        orig_len=rng.randint(0, 300)) for _ in range(500)]
-    trace = Trace(frames=frames)
+    trace = Trace.from_frames(frames)
     back = read_pcap(write_pcap(trace))
     pcap_ok = len(back) == len(trace) and all(
         (a.data, a.ts_sec, a.ts_usec, a.orig_len)

@@ -1,8 +1,10 @@
+import struct
+
 import pytest
 
 from nicsieve.bloom import BloomFilter
 from nicsieve.cli import main
-from nicsieve.codec import NSEC, RawFrame, Trace, read_pcap, write_pcap
+from nicsieve.codec import NSEC, USEC, RawFrame, Trace, read_pcap, write_pcap
 from nicsieve.traffic import Manifest
 
 RULES = b"""# demo rules
@@ -199,7 +201,7 @@ def test_scan_keeps_nanosecond_timestamps(tmp_path, rules_file,
     frames = [RawFrame(f.data, f.ts_sec, f.ts_usec * 1000 + i % 1000, f.orig_len)
               for i, f in enumerate(read_pcap(trace_path.read_bytes()))]
     ns_trace = tmp_path / "ns.pcap"
-    ns_trace.write_bytes(write_pcap(Trace(frames, ts_resolution=NSEC)))
+    ns_trace.write_bytes(write_pcap(Trace.from_frames(frames, ts_resolution=NSEC)))
     fwd, decisions = tmp_path / "fwd.pcap", tmp_path / "decisions.csv"
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", ns_trace, "--out", fwd, "--report", tmp_path / "r.csv",
@@ -212,7 +214,46 @@ def test_scan_keeps_nanosecond_timestamps(tmp_path, rules_file,
     assert fwd.read_bytes()[:4] == (0xA1B23C4D).to_bytes(4, "little")
     forwarded = read_pcap(fwd.read_bytes())
     assert forwarded.ts_resolution == NSEC
-    assert forwarded.frames == expected
+    assert list(forwarded.frames) == expected
+
+
+@pytest.mark.parametrize("endian, resolution, extra_len", [
+    (">", USEC, 0), ("<", NSEC, 0), ("<", USEC, 100), (">", NSEC, 7)],
+    ids=["big-endian", "nanosecond", "orig-len", "big-endian-ns"])
+def test_scan_forwards_capture_variants_as_little_endian(
+        tmp_path, rules_file, built_and_generated, endian, resolution,
+        extra_len):
+    # the input capture is written by hand in the variant; the forwarded
+    # capture is a little-endian file at the input's resolution holding
+    # exactly the forwarded records, their orig_len and timestamps kept
+    filters, trace_path, _ = built_and_generated
+    frames = list(read_pcap(trace_path.read_bytes()))
+    magic = 0xA1B23C4D if resolution == NSEC else 0xA1B2C3D4
+    scale = resolution // USEC
+    records = [(f.ts_sec, f.ts_usec * scale + i % scale, f.data,
+                len(f.data) + extra_len + i % 3 * extra_len)
+               for i, f in enumerate(frames)]
+
+    def capture(order, rows):
+        parts = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
+        for ts_sec, ts_frac, data, orig_len in rows:
+            parts.append(struct.pack(order + "IIII", ts_sec, ts_frac,
+                                     len(data), orig_len))
+            parts.append(data)
+        return b"".join(parts)
+
+    source = tmp_path / "variant.pcap"
+    source.write_bytes(capture(endian, records))
+    fwd, decisions = tmp_path / "fwd.pcap", tmp_path / "decisions.csv"
+    assert run("scan", filters / "index.txt", "--rules", rules_file,
+               "--in", source, "--out", fwd, "--report", tmp_path / "r.csv",
+               "--decision-log", decisions) == 0
+
+    verdicts = [line.split(",")[1]
+                for line in decisions.read_text().splitlines()[1:]]
+    forwarded = [r for r, v in zip(records, verdicts) if v == "FORWARD"]
+    assert len(forwarded) >= 100  # every attack at least
+    assert fwd.read_bytes() == capture("<", forwarded)
 
 
 def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated):

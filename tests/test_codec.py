@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from nicsieve.codec import (
     NSEC,
+    PROTO_TCP,
+    PROTO_UDP,
     USEC,
     PcapError,
     RawFrame,
     Trace,
     parse_packet,
+    parse_payloads,
     read_pcap,
     write_pcap,
 )
@@ -35,6 +38,35 @@ def tcp_header(sport, dport, offset_words=5, options=b""):
 
 def udp_header(sport, dport, length=8):
     return struct.pack("!HHHH", sport, dport, length, 0)
+
+
+def tagged_eth_header(tpids, ethertype):
+    """Ethernet header with one 4-byte VLAN tag (id 5) per tag protocol id."""
+    tags = b"".join(struct.pack("!HH", tpid, 5) for tpid in tpids)
+    return b"\x02" * 6 + b"\x04" * 6 + tags + struct.pack("!H", ethertype)
+
+
+def batch_bounds(datas):
+    """``parse_payloads`` per frame: (start, end) within the frame, or None."""
+    trace = Trace.from_frames([RawFrame(data=d) for d in datas])
+    start, end, unparseable = parse_payloads(trace)
+    out = []
+    for i, offset in enumerate(trace.data_offset.tolist()):
+        if unparseable[i]:
+            assert start[i] == end[i]
+            out.append(None)
+        else:
+            out.append((int(start[i]) - offset, int(end[i]) - offset))
+    return out
+
+
+def scalar_bounds(data):
+    """``parse_packet``'s payload as (start, end) within the frame, or None."""
+    payload = parse_packet(RawFrame(data=data))
+    if payload is None:
+        return None
+    assert data[len(data) - len(payload):] == payload
+    return len(data) - len(payload), len(data)
 
 
 # --- parse_packet -----------------------------------------------------------
@@ -100,6 +132,36 @@ def test_parse_non_tcp_udp_payload_after_ip():
 ])
 def test_parse_malformed_frames_not_parseable(data):
     assert parse_packet(RawFrame(data=data)) is None
+    assert batch_bounds([data]) == [None]
+
+
+@pytest.mark.parametrize("tpids", [(0x8100,), (0x88A8,), (0x88A8, 0x8100)],
+                         ids=["802.1Q", "802.1ad", "double"])
+def test_parse_steps_over_vlan_tags(tpids):
+    tcp = (tagged_eth_header(tpids, 0x0800) + ipv4_header(6)
+           + tcp_header(4321, 80) + b"GET")
+    udp = (tagged_eth_header(tpids, 0x0800) + ipv4_header(17)
+           + udp_header(53, 5353) + b"query")
+    fragment = (tagged_eth_header(tpids, 0x0800)
+                + ipv4_header(6, flags_offset=0x2000) + tcp_header(1, 2) + b"GET")
+    arp = tagged_eth_header(tpids, 0x0806) + b"arp body"
+    assert parse_packet(RawFrame(data=tcp)) == b"GET"
+    assert parse_packet(RawFrame(data=udp)) == b"query"
+    assert parse_packet(RawFrame(data=fragment)) is None
+    assert parse_packet(RawFrame(data=arp)) == b"arp body"
+    # cut inside the last tag: not parseable, so the card fails open
+    head = len(tagged_eth_header(tpids, 0x0800))
+    for cut in range(head - 4, head):
+        assert parse_packet(RawFrame(data=tcp[:cut])) is None
+    datas = [tcp, udp, fragment, arp] + [tcp[:cut] for cut in range(head - 4, head)]
+    assert batch_bounds(datas) == [scalar_bounds(d) for d in datas]
+
+
+def test_parse_third_vlan_tag_is_payload():
+    # two tags are stepped over; a third one's bytes are the payload
+    frame = tagged_eth_header((0x88A8, 0x8100, 0x8100), 0x0800) + b"body"
+    assert parse_packet(RawFrame(data=frame)) == frame[18 + 4:]
+    assert batch_bounds([frame]) == [(22, len(frame))]
 
 
 @given(st.binary(min_size=0, max_size=120))
@@ -113,13 +175,65 @@ def test_parse_is_total_and_payload_in_bounds(data):
 def test_parse_fuzz_bulk():
     # volume fuzz: parsing must never raise, payload must be a frame suffix
     rng = random.Random(99)
-    for _ in range(100_000):
-        size = rng.randint(0, 80)
-        data = rng.randbytes(size)
+    datas = [rng.randbytes(rng.randint(0, 80)) for _ in range(100_000)]
+    for data in datas:
         payload = parse_packet(RawFrame(data=data))
         if payload is not None:
             assert len(payload) <= len(data) - 14
             assert data[len(data) - len(payload):] == payload
+    assert batch_bounds(datas) == [scalar_bounds(d) for d in datas]
+
+
+@st.composite
+def mutated_frames(draw):
+    """A frame built header by header, with every field that steers the
+    parse drawn, then cut at or next to a header boundary (or anywhere)."""
+    # weighted towards frames that parse as far as TCP or UDP
+    tpids = draw(st.lists(st.sampled_from([0x8100, 0x88A8]), max_size=3))
+    ethertype = draw(st.sampled_from([0x0800] * 3 + [0x0806, 0x8100]))
+    eth = tagged_eth_header(tpids, ethertype)
+    ihl = draw(st.sampled_from([5, 5, 6]) | st.integers(0, 15))
+    version = draw(st.sampled_from([4, 4, 4, 6]))
+    flags = draw(st.sampled_from([0, 0, 0x4000, 0x2000]))
+    fragment_offset = draw(st.sampled_from([0, 0, 0, 1, 185, 0x1FFF]))
+    protocol = draw(st.sampled_from([PROTO_TCP, PROTO_TCP, PROTO_UDP, 47]))
+    ip = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, 0, 0,
+                     flags | fragment_offset, 64, protocol, 0,
+                     b"\x0a\x00\x00\x01", b"\xc0\xa8\x00\x02")
+    ip += draw(st.binary(min_size=max(0, ihl * 4 - 20),
+                         max_size=max(0, ihl * 4 - 20)))
+    data_offset = draw(st.integers(0, 15))
+    if protocol == PROTO_TCP:
+        l4 = tcp_header(1, 2, offset_words=data_offset,
+                        options=bytes(max(0, data_offset * 4 - 20)))
+    elif protocol == PROTO_UDP:
+        l4 = udp_header(53, 5353)
+    else:
+        l4 = b""
+    frame = eth + ip + l4 + draw(st.binary(max_size=24))
+    edges = [0, 12, 14, len(eth) - 2, len(eth), len(eth) + 20,
+             len(eth) + len(ip), len(eth) + len(ip) + 8,
+             len(eth) + len(ip) + 13, len(eth) + len(ip) + 20,
+             len(eth) + len(ip) + len(l4), len(frame)]
+    edges += [4 * i + 14 for i in range(1, len(tpids) + 1)]
+    cuts = sorted({e + d for e in edges for d in (-1, 0, 1)
+                   if 0 <= e + d <= len(frame)})
+    cut = draw(st.sampled_from(cuts) | st.integers(0, len(frame)))
+    return frame[:cut]
+
+
+# the batch parse against the scalar one as the oracle: equal payload
+# bounds, or both not parseable; frames share a buffer, so a lane that
+# read past its own frame would see its neighbour's bytes
+@pytest.mark.parametrize("frames", [
+    st.lists(st.binary(max_size=120), max_size=8),
+    st.lists(mutated_frames(), min_size=1, max_size=8)],
+    ids=["random-bytes", "mutated-headers"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_batch_parse_equals_scalar_parse(frames, data):
+    datas = data.draw(frames)
+    assert batch_bounds(datas) == [scalar_bounds(d) for d in datas]
 
 
 # --- capture files ----------------------------------------------------------
@@ -130,7 +244,7 @@ def sample_trace():
                        ts_sec=1_600_000_000 + i, ts_usec=i * 250,
                        orig_len=90 + i)
               for i in range(25)]
-    return Trace(frames=frames)
+    return Trace.from_frames(frames)
 
 
 def test_pcap_roundtrip_exact():
@@ -145,7 +259,7 @@ def test_pcap_roundtrip_exact():
 
 
 def test_pcap_global_header_layout():
-    data = write_pcap(Trace(frames=[]))
+    data = write_pcap(Trace.from_frames([]))
     magic, major, minor, zone, sigfigs, snaplen, network = \
         struct.unpack("<IHHiIII", data)
     assert (magic, major, minor, zone, sigfigs, snaplen, network) == \
@@ -190,7 +304,8 @@ def test_pcap_reads_nanosecond_captures(endian):
     assert struct.unpack_from("<I", rewritten)[0] == 0xA1B23C4D
     if endian == "<":
         assert rewritten == data
-    assert read_pcap(rewritten) == back
+    again = read_pcap(rewritten)
+    assert (list(again), again.ts_resolution) == (list(back), back.ts_resolution)
     assert read_pcap(write_pcap(trace)).ts_resolution == USEC
 
 
@@ -208,7 +323,7 @@ def test_pcap_unsupported_link_type():
 
 
 def test_pcap_truncated_record():
-    good = write_pcap(Trace(frames=[RawFrame(data=b"\xaa" * 100)]))
+    good = write_pcap(Trace.from_frames([RawFrame(data=b"\xaa" * 100)]))
     with pytest.raises(PcapError, match="truncated"):
         read_pcap(good[:-60])  # 100 declared, 40 remain
     with pytest.raises(PcapError, match="truncated"):
@@ -218,7 +333,7 @@ def test_pcap_truncated_record():
 @given(st.lists(st.binary(min_size=0, max_size=60), max_size=20))
 @settings(max_examples=50)
 def test_pcap_roundtrip_property(datas):
-    trace = Trace(frames=[RawFrame(data=d, ts_sec=i, ts_usec=i * 7)
+    trace = Trace.from_frames([RawFrame(data=d, ts_sec=i, ts_usec=i * 7)
                           for i, d in enumerate(datas)])
     back = read_pcap(write_pcap(trace))
     assert [f.data for f in back] == datas

@@ -50,7 +50,7 @@ def oracle_decision(matcher, frame):
 
 
 def decide_one(matcher, frame):
-    report = compare_baseline(matcher, Trace(frames=[frame]))
+    report = compare_baseline(matcher, Trace.from_frames([frame]))
     assert len(report.records) == report.stats.total == 1
     assert len(report.forwarded) == report.stats.forwarded
     return report.records[0]
@@ -105,6 +105,24 @@ def test_ipv4_fragment_forwarded_unscanned():
     assert rec.verified == []
 
 
+def test_vlan_tagged_frames_are_scanned_from_their_tcp_payload():
+    # tagged TCP frames are decided on the TCP payload, not on the tags and
+    # the IP and TCP headers; a tagged fragment is not parseable
+    matcher = simple_matcher((b"cmd.exe",))
+    plain = frame_with_payload(b"run cmd.exe now").data
+    for tags in (b"\x81\x00\x00\x05", b"\x88\xa8\x00\x05\x81\x00\x00\x07"):
+        data = plain[:12] + tags + plain[12:]
+        rec = decide_one(matcher, RawFrame(data=data))
+        assert rec.reason is Reason.MATCH_CANDIDATE
+        assert rec.payload_len == len(b"run cmd.exe now")
+        assert [(v.offset, v.length) for v in rec.verified] == [(4, 7)]
+        fragment = data[:len(tags) + 20] + b"\x20\x00" + data[len(tags) + 22:]
+        rec = decide_one(matcher, RawFrame(data=fragment))
+        assert rec.verdict is Verdict.FORWARD
+        assert rec.reason is Reason.NON_PARSEABLE
+        assert rec.verified == []
+
+
 # --- the card over a trace --------------------------------------------------------------
 
 def mixed_trace(matcher):
@@ -115,7 +133,7 @@ def mixed_trace(matcher):
         frame_with_payload(b"EVIL at the start"),
         frame_with_payload(b"clean again, really clean"),
     ]
-    return Trace(frames=frames)
+    return Trace.from_frames(frames)
 
 
 def test_run_trace_counters_and_forwarded_trace():
@@ -157,7 +175,7 @@ def test_run_trace_matches_per_packet_processing():
                 sig = rng.choice(sset.signatures)
                 payload[1 : 1 + len(sig.pattern)] = sig.pattern
             frames.append(frame_with_payload(bytes(payload)))
-    trace = Trace(frames=frames)
+    trace = Trace.from_frames(frames)
 
     report = compare_baseline(matcher, trace)
     stats, log = report.stats, report.records
@@ -177,14 +195,14 @@ def test_empty_signature_equivalent_trace_only_forwards_non_parseable():
     matcher = simple_matcher(patterns=(b"\x00never-there\x00",))
     frames = [frame_with_payload(b"plain text payload") for _ in range(10)]
     frames.append(RawFrame(data=b"xx"))
-    stats = compare_baseline(matcher, Trace(frames=frames)).stats
+    stats = compare_baseline(matcher, Trace.from_frames(frames)).stats
     assert stats.forwarded == stats.non_parseable_forwards == 1
 
 
 def test_saturated_trace_forwards_everything():
     matcher = simple_matcher()
     frames = [frame_with_payload(b"EVIL" * 3) for _ in range(8)]
-    stats = compare_baseline(matcher, Trace(frames=frames)).stats
+    stats = compare_baseline(matcher, Trace.from_frames(frames)).stats
     assert stats.forwarded == stats.total == 8
     assert stats.dropped == 0
 
@@ -209,7 +227,7 @@ def test_compare_baseline_equivalence_and_reduction():
     # forwarded trace is an order-preserving subsequence of the input
     assert report.stats.forwarded == len(report.forwarded.frames)
     it = iter(trace.frames)
-    assert all(any(f is g for g in it) for f in report.forwarded.frames)
+    assert all(any(f == g for g in it) for f in report.forwarded.frames)
 
 
 def test_compare_baseline_no_attacks():
@@ -221,7 +239,7 @@ def test_compare_baseline_no_attacks():
     trace, _ = generate_trace(spec)
     report = compare_baseline(matcher, trace)
     assert report.equivalent
-    assert all(d == () for d in report.baseline_detections)
+    assert report.baseline_detections == {}
     assert report.stats.true_matches == 0
     # only false positives can be forwarded; reduction stays near 1
     assert report.reduction >= 0.95
@@ -261,7 +279,7 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
 
 def test_compare_baseline_empty_trace():
     matcher = simple_matcher()
-    report = compare_baseline(matcher, Trace(frames=[]))
+    report = compare_baseline(matcher, Trace.from_frames([]))
     assert report.equivalent
     assert report.reduction == 0.0
     assert report.stats.total == 0

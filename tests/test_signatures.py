@@ -1,21 +1,25 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicsieve import signatures
+from nicsieve.codec import RawFrame, Trace, parse_payloads
 from nicsieve.bloom import BloomParams, fpr_theoretical
 from nicsieve.signatures import (
     CandidateMatch,
     ExactScanner,
+    Payloads,
     RuleParseError,
     Signature,
     SignatureMatcher,
     SignatureSet,
     load_rules,
 )
+from nicsieve.traffic import build_tcp_frame
 
 from conftest import (
     naive_exact_matches,
@@ -37,6 +41,16 @@ def as_windows(candidates):
 
 def scan_one(matcher, payload):
     return matcher.scan_batch([payload])[0]
+
+
+def exact_one(matcher, payload):
+    return matcher.exact_matches_batch([payload]).get(0, [])
+
+
+def per_payload(found, size):
+    """The exact route's sparse matches as one list per payload."""
+    assert all(found.values()) and list(found) == sorted(found)
+    return [found.get(i, []) for i in range(size)]
 
 
 # --- rule loading -----------------------------------------------------------
@@ -146,7 +160,7 @@ def test_images_reload_gives_identical_scans():
     assert reloaded.params == matcher.params
     corpus = [rng.randbytes(rng.randint(0, 200)) for _ in range(100)]
     corpus += [b"zz" + sset.signatures[0].pattern + b"zz"]
-    assert reloaded.scan_batch(corpus) == matcher.scan_batch(corpus)
+    assert list(reloaded.scan_batch(corpus)) == list(matcher.scan_batch(corpus))
     assert [as_windows(c) for c in reloaded.scan_batch(corpus)] == \
         [reference_candidates(reloaded.filters, p) for p in corpus]
 
@@ -193,7 +207,7 @@ def test_scan_payload_shorter_than_min_length():
     rules = SignatureSet([Signature("g", b"GET"), Signature("l", b"0123456789ab")])
     matcher = SignatureMatcher.program(rules, PARAMS)
     assert CandidateMatch(offset=2, length=3) in scan_one(matcher, b"xxGETxx")
-    assert as_tuples(matcher.exact_matches_batch([b"xxGETxx"])[0]) == \
+    assert as_tuples(exact_one(matcher, b"xxGETxx")) == \
         [(2, 3, "g")]
 
 
@@ -249,7 +263,7 @@ def test_verify_expands_duplicate_patterns_to_all_ids():
     payload = b"--attack--"
     verified = matcher.verify(payload, scan_one(matcher, payload))
     assert as_tuples(verified) == [(2, 6, "a"), (2, 6, "a2")]
-    assert as_tuples(matcher.exact_matches_batch([payload])[0]) == \
+    assert as_tuples(exact_one(matcher, payload)) == \
         [(2, 6, "a"), (2, 6, "a2")]
 
 
@@ -268,7 +282,7 @@ def test_scan_verify_equals_naive_oracle_on_random_pairs():
         payload = bytes(payload)
         expected = naive_exact_matches(sset.signatures, payload)
         assert as_tuples(matcher.verify(payload, scan_one(matcher, payload))) == expected
-        assert as_tuples(matcher.exact_matches_batch([payload])[0]) == expected
+        assert as_tuples(exact_one(matcher, payload)) == expected
 
 
 def test_exact_batch_equals_oracle():
@@ -282,7 +296,7 @@ def test_exact_batch_equals_oracle():
             sig = rng.choice(sset.signatures)
             p[3 : 3 + len(sig.pattern)] = sig.pattern
         payloads.append(bytes(p))
-    batch = scanner.matches_batch(payloads)
+    batch = per_payload(scanner.matches_batch(payloads), len(payloads))
     for payload, got in zip(payloads, batch):
         assert as_tuples(got) == naive_exact_matches(sset.signatures, payload)
 
@@ -311,13 +325,13 @@ def test_scan_batch_windows_never_cross_payloads():
     sset = SignatureSet([Signature("s", b"ABCDEF")])
     matcher = SignatureMatcher.program(sset, PARAMS)
     results = matcher.scan_batch([b"xxABC", b"DEFyy"])
-    assert results == [[], []]
+    assert list(results) == [[], []]
     # both routes, with empty payloads first, in the middle and last
     payloads = [b"", b"xxABC", b"", b"DEFyy", b"ABCDEF", b""]
     expected = [[]] * 4 + [[CandidateMatch(0, 6)], []]
-    assert matcher.scan_batch(payloads) == expected
-    assert matcher.exact_matches_batch(payloads) == (
-        [[]] * 4 + [[CandidateMatch(0, 6, "s")], []])
+    assert list(matcher.scan_batch(payloads)) == expected
+    assert matcher.exact_matches_batch(payloads) == {
+        4: [CandidateMatch(0, 6, "s")]}
 
 
 def test_programmed_matcher_supports_concurrent_scans():
@@ -328,7 +342,7 @@ def test_programmed_matcher_supports_concurrent_scans():
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(200) for _ in range(40)]
     payloads += [b"pad" + s.pattern for s in sset.signatures[:5]]
-    expected = matcher.scan_batch(payloads)
+    expected = list(matcher.scan_batch(payloads))
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
             results = list(pool.map(lambda p: scan_one(matcher, p), payloads))
@@ -357,7 +371,8 @@ def test_scan_completeness_property(data):
     assert as_tuples(verified) == naive_exact_matches(sset.signatures, payload)
 
 
-# tiny groups and slices, so a few short payloads cross many of their edges
+# tiny groups and slices, so a few short payloads cross many of their
+# edges; a group also ends after EDGE_SLICE_WINDOWS payloads
 EDGE_GROUP_BYTES, EDGE_SLICE_WINDOWS = 64, 16
 EDGE_RULES = random_signature_set(random.Random(40), 240, lengths=[3, 9, 20])
 EDGE_MATCHERS = {name: SignatureMatcher.program(EDGE_RULES, params)
@@ -374,7 +389,7 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
                          st.binary(max_size=20), st.sampled_from(sigs),
                          st.binary(max_size=20))
     payloads = data.draw(st.lists(
-        st.one_of(st.just(b""), st.binary(max_size=40), embedded), max_size=8))
+        st.one_of(st.just(b""), st.binary(max_size=40), embedded), max_size=24))
     # the first payload opens the first group, so a pattern placed
     # ``cut`` bytes before SLICE_WINDOWS straddles the first slice edge
     sig = data.draw(st.sampled_from(sigs))
@@ -393,7 +408,7 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
         mp.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
         mp.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
         scanned = matcher.scan_batch(payloads)
-        exact = matcher.exact_matches_batch(payloads)
+        exact = per_payload(matcher.exact_matches_batch(payloads), len(payloads))
     assert [as_windows(c) for c in scanned] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
     assert [as_tuples(m) for m in exact] == \
@@ -410,6 +425,35 @@ def test_scan_memory_does_not_grow_with_the_batch():
     while total < 8 << 20:
         payloads.append(rng.randbytes(rng.randint(200, 1400)))
         total += len(payloads[-1])
+    payloads = Payloads.of(payloads)  # the batch's own buffer is not the scan's
+    for scan in (matcher.scan_batch, matcher.exact_matches_batch):
+        tracemalloc.start()
+        try:
+            scan(payloads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"{scan.__name__} peaked at {peak >> 20} MiB"
+
+
+def test_scan_memory_does_not_grow_with_gaps_between_payloads():
+    # payloads as a capture holds them: header bytes between them, empty
+    # payloads (bare ACKs) and large unparseable frames, which add source
+    # bytes but no payload bytes
+    rng = random.Random(42)
+    sset = random_signature_set(rng, 60, lengths=[7, 12, 15])
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    addrs = (b"\x02" * 6, b"\x04" * 6, b"\x0a\0\0\x01", b"\x0a\0\0\x02", 1, 2)
+    ack = RawFrame(build_tcp_frame(*addrs, b""))
+    data = RawFrame(build_tcp_frame(*addrs, rng.randbytes(600)))
+    jumbo = bytearray(build_tcp_frame(*addrs, bytes(60 * 1024)))
+    jumbo[20] |= 0x20  # more fragments: an IPv4 fragment is not parseable
+    jumbo = RawFrame(bytes(jumbo))
+    frames = ([ack] * 150 + [jumbo, data]) * 400
+    trace = Trace.from_frames(frames)
+    start, end, unparseable = parse_payloads(trace)
+    assert unparseable.sum() == 400 and (end > start).sum() == 400
+    payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)
     for scan in (matcher.scan_batch, matcher.exact_matches_batch):
         tracemalloc.start()
         try:

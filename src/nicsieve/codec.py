@@ -7,24 +7,27 @@ offsets and reads the record headers into the columns with numpy, so a
 frame costs no Python object until someone asks for one (``frames``).
 
 ``parse_payloads`` locates the payload of every frame at once with numpy
-over the header bytes; ``parse_packet`` is the same definition for one
-frame. Both read Ethernet II, stepping over up to two 802.1Q / 802.1ad
-VLAN tags to the inner ethertype, then IPv4 (options honored via IHL)
-and TCP (options via the data offset) or UDP. The payload is the bytes
-after the last header that could be walked. Parsing is total -- anything
-truncated or malformed, a frame cut inside a VLAN tag included, is not
-parseable instead of raising, because the filtering pipeline must still
-carry such frames. IPv4 fragments are not parseable too: the card
-decides each frame on its own and does not reassemble, and a non-first
-fragment's body would otherwise be read as a transport header.
+over the header bytes; it is the one header walk, and ``parse_packet``
+runs it over a one-frame trace. It reads Ethernet II, stepping over up
+to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then IPv4
+(options honored via IHL) and TCP (options via the data offset) or UDP.
+The payload is the bytes after the last header that could be walked.
+Parsing is total -- anything truncated or malformed, a frame cut inside
+a VLAN tag included, is not parseable instead of raising, because the
+filtering pipeline must still carry such frames. IPv4 fragments are not
+parseable too: the card decides each frame on its own and does not
+reassemble, and a non-first fragment's body would otherwise be read as a
+transport header. The tests check the walk against an independent
+scalar parse, ``reference_parse`` in ``tests/conftest.py``.
 
 ``read_pcap``/``write_pcap`` speak the classic capture format (version
 2.4, link type 1) in either byte order, so traces interchange with
 standard capture tooling. Magic 0xA1B2C3D4 marks microsecond timestamps
 and 0xA1B23C4D nanosecond ones; a trace keeps the resolution it was read
-in and is written back in it. ``write_pcap`` always writes little-endian:
-it copies the selected records from the buffer as they are and encodes
-their record headers anew only when the buffer's are big-endian.
+in and is written back in it. A trace's record headers are always
+little-endian: ``read_pcap`` rewrites a big-endian capture's as it reads
+them, so ``write_pcap`` copies the selected records from the buffer as
+they are.
 """
 
 from __future__ import annotations
@@ -89,11 +92,10 @@ class Trace(Sequence):
     """An ordered sequence of Ethernet frames: one buffer plus columns.
 
     Record i's data is ``buf[data_offset[i] : data_offset[i] + caplen[i]]``
-    and its 16-byte record header, in the byte order ``endian`` (``"<"``
-    or ``">"``), lies just before it. The other columns hold that header's
-    fields: ``orig_len``, ``ts_sec`` and ``ts_frac``, the sub-second part
-    in ``ts_resolution`` ticks per second (``USEC`` or ``NSEC``). Indexing
-    makes the frame's ``RawFrame``.
+    and its 16-byte little-endian record header lies just before it. The
+    other columns hold that header's fields: ``orig_len``, ``ts_sec`` and
+    ``ts_frac``, the sub-second part in ``ts_resolution`` ticks per second
+    (``USEC`` or ``NSEC``). Indexing makes the frame's ``RawFrame``.
     """
 
     buf: bytes = field(repr=False)
@@ -103,7 +105,6 @@ class Trace(Sequence):
     ts_sec: np.ndarray
     ts_frac: np.ndarray
     ts_resolution: int = USEC
-    endian: str = "<"
 
     @classmethod
     def from_frames(cls, frames: Iterable[RawFrame],
@@ -144,63 +145,23 @@ class Trace(Sequence):
 
 
 def parse_packet(frame: RawFrame) -> bytes | None:
-    """Return the frame's payload; ``None`` means not parseable.
-
-    Payload placement: after the TCP/UDP header when one decodes, after
-    the IPv4 header for other IP protocols, and directly after the
-    link header (VLAN tags included) for other ethertypes. An IPv4
-    fragment (MF set or a non-zero fragment offset) is not parseable;
-    DF alone is fine.
-    """
-    data = frame.data
-    if len(data) < _ETH_LEN:
-        return None
-    head = _ETH_LEN
-    ethertype = data[12] << 8 | data[13]
-    for _ in range(MAX_VLAN_TAGS):
-        if ethertype not in VLAN_TPIDS:
-            break
-        head += _VLAN_TAG
-        if len(data) < head:
-            return None
-        ethertype = data[head - 2] << 8 | data[head - 1]
-    if ethertype != ETHERTYPE_IPV4:
-        return data[head:]
-
-    if len(data) < head + _IPV4_MIN:
-        return None
-    version_ihl = data[head]
-    if version_ihl >> 4 != 4:
-        return None
-    ihl = (version_ihl & 0x0F) * 4
-    if ihl < _IPV4_MIN or len(data) < head + ihl:
-        return None
-    if (data[head + 6] << 8 | data[head + 7]) & _IPV4_FRAGMENT_BITS:
-        return None
-    protocol = data[head + 9]
-    l4_off = head + ihl
-
-    if protocol == PROTO_TCP:
-        if len(data) < l4_off + _TCP_MIN:
-            return None
-        data_offset = (data[l4_off + 12] >> 4) * 4
-        if data_offset < _TCP_MIN or len(data) < l4_off + data_offset:
-            return None
-        return data[l4_off + data_offset:]
-    if protocol == PROTO_UDP:
-        if len(data) < l4_off + _UDP_LEN:
-            return None
-        return data[l4_off + _UDP_LEN:]
-    return data[l4_off:]
+    """The frame's payload, or ``None`` if not parseable (``parse_payloads``)."""
+    trace = Trace.from_frames([frame])
+    start, end, unparseable = parse_payloads(trace)
+    return None if unparseable[0] else trace.buf[start[0] : end[0]]
 
 
 def parse_payloads(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``parse_packet`` over every frame: (start, end, unparseable).
+    """Locate the payload of every frame: (start, end, unparseable).
 
     ``start`` and ``end`` bound each payload in ``trace.buf``; a frame
     that is not parseable gets ``start == end``, an empty payload. The
-    frames are parsed ``_PARSE_FRAMES`` at a time, so the temporaries
-    stay small however long the trace.
+    payload follows the TCP/UDP header when one decodes, the IPv4 header
+    for other IP protocols, and the link header (VLAN tags included) for
+    other ethertypes. An IPv4 fragment (MF set or a non-zero fragment
+    offset) is not parseable; DF alone is fine. The frames are parsed
+    ``_PARSE_FRAMES`` at a time, so the temporaries stay small however
+    long the trace.
     """
     u8 = np.frombuffer(trace.buf, dtype=np.uint8)
     end = trace.data_offset + trace.caplen
@@ -288,14 +249,21 @@ def read_pcap(data: bytes) -> Trace:
             f"truncated record: {declared} bytes declared, "
             f"{end - offsets[-1] - _RECORD_HEADER} remain")
 
+    # header byte j is byte j ^ 3 of a big-endian file; a big-endian
+    # capture's record headers are rewritten little-endian in a copy
+    flip = 3 if endian == ">" else 0
     rec = np.frombuffer(offsets, dtype=np.int64)
     u8 = np.frombuffer(data, dtype=np.uint8)
+    buf = bytearray(data) if flip else data
+    out = np.frombuffer(buf, dtype=np.uint8)
     raw = np.empty((rec.size, _RECORD_HEADER), dtype=np.uint8)
     for j in range(_RECORD_HEADER):
-        raw[:, j] = u8[rec + j]
-    header = raw.view(endian + "u4").astype(np.uint32)
-    return Trace(bytes(data), rec + _RECORD_HEADER, header[:, 2], header[:, 3],
-                 header[:, 0], header[:, 1], _MAGIC_RESOLUTION[magic], endian)
+        raw[:, j] = u8[rec + (j ^ flip)]
+        if flip:
+            out[rec + j] = raw[:, j]
+    header = raw.view("<u4")
+    return Trace(bytes(buf), rec + _RECORD_HEADER, header[:, 2], header[:, 3],
+                 header[:, 0], header[:, 1], _MAGIC_RESOLUTION[magic])
 
 
 def _file_header(ts_resolution: int) -> bytes:
@@ -306,8 +274,6 @@ def _file_header(ts_resolution: int) -> bytes:
 
 def write_pcap(trace: Trace) -> bytes:
     """Encode a trace as a little-endian classic capture file."""
-    if trace.endian != "<":  # record headers are encoded anew, little-endian
-        return write_pcap(Trace.from_frames(trace, trace.ts_resolution))
     header = _file_header(trace.ts_resolution)
     if not len(trace):
         return header

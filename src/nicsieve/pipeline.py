@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-# parse_packet is the scalar parse, re-exported beside the batch one
+# parse_packet stays bound here: bench/tracer.py wraps it by this name
 from .codec import Trace, parse_packet, parse_payloads  # noqa: F401
 from .signatures import CandidateMatch, Payloads, SignatureMatcher
 

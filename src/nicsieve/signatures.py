@@ -14,25 +14,27 @@ Two scanning routes exist and must agree: the Bloom route
 probably correct; the exact route (``ExactScanner.matches_batch``) finds
 the true match set with a polynomial hash unrelated to the filter's
 mixer, confirming every hit byte-for-byte. Both take the batch as
-``Payloads``, bounds into one buffer (a capture's, as it was read), cut
-it into groups of whole payloads (``GROUP_BYTES`` payload bytes and
-``SLICE_WINDOWS`` payloads at most, or one longer payload), gather each
-group's payload bytes into a ``_PayloadBlock``, and hash and probe its
+``Payloads``, bounds into one buffer (a capture's, as it was read), and
+walk it through one window sieve, ``_sieve``. The sieve cuts the batch
+into groups of whole payloads (``GROUP_BYTES`` payload bytes and
+``SLICE_WINDOWS`` payloads at most, or one longer payload), gathers each
+group's payload bytes into a ``_PayloadBlock``, and hashes and tests its
 windows with numpy in slices of ``SLICE_WINDOWS`` window starts, so the
-working arrays stay cache-sized and do not grow with the trace. Only the
-windows that pass the first test of a slice outlive it; those inside one
-payload are finished per group. The Bloom route returns them as
+working arrays stay cache-sized and do not grow with the trace. Each
+byte column is hashed once for all lengths: a window's hash state after
+j bytes is the same for every length of at least j bytes, so one running
+state over a slice's window starts is advanced through the lengths in
+ascending order. A route gives the sieve that fold (a ``WindowFold`` for
+the filters' mixer, a Horner prefix for the exact route) and its first
+test (the round-0 probe, or the exact route's prefilter table). Only the
+windows that pass it inside one payload outlive the group's walk. The
+Bloom route narrows them through the other probes and returns them as
 ``Windows``: arrays of (payload, offset, length), sorted, with no Python
 object per payload; ``CandidateMatch`` objects are made only for the
-payloads that someone asks about. The exact route confirms its windows
-group by group and returns the matches of the payloads that have any, by
-payload index. Both hash each byte column once for
-all lengths: a window's hash state after j bytes is the same for every
-length of at least j bytes, so one running state over a slice's window
-starts is advanced through the lengths in ascending order (a
-``WindowFold`` for the filters' mixer, a Horner prefix for the exact
-route). The tests check both routes against the independent
-per-payload oracles in ``tests/conftest.py``.
+payloads that someone asks about. The exact route confirms them group by
+group and returns the matches of the payloads that have any, by payload
+index. The tests check both routes against the independent per-payload
+oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -111,7 +113,12 @@ def load_rules(text: bytes | str) -> SignatureSet:
     offending line number. Lines end only at ``\n``, ``\r\n`` or ``\r``.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = text[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            bad, line = text[exc.start], head.count(b"\n") + 1
+            raise RuleParseError(line, f"byte 0x{bad:02X} is not valid UTF-8") from None
     signatures: list[Signature] = []
     seen_ids: set[str] = set()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -263,25 +270,6 @@ class Windows:
         return out
 
 
-def _payload_groups(payloads: Payloads):
-    """(first, stop) of consecutive payloads to scan as one group.
-
-    A group holds at most ``GROUP_BYTES`` payload bytes and at most
-    ``SLICE_WINDOWS`` payloads, so neither its bytes nor its per-payload
-    arrays grow with the capture, however many empty payloads it has; a
-    payload longer than ``GROUP_BYTES`` forms a group of its own.
-    Windows never cross payloads, so the groups can be scanned one after
-    another with no overlap.
-    """
-    start = 0
-    while start < len(payloads):
-        ahead = slice(start, start + SLICE_WINDOWS)
-        sizes = np.cumsum(payloads.ends[ahead] - payloads.starts[ahead])
-        stop = start + max(int(sizes.searchsorted(GROUP_BYTES, side="right")), 1)
-        yield start, stop
-        start = stop
-
-
 class _PayloadBlock:
     """Payloads ``first`` to ``stop`` gathered end to end for window scans.
 
@@ -306,25 +294,52 @@ class _PayloadBlock:
                                              prepend=1)
         self.buf = payloads.buf[np.cumsum(at, out=at)]
 
-    def slices(self, longest: int):
-        """(offset, view) per run of ``SLICE_WINDOWS`` window starts.
-
-        A view reaches ``longest - 1`` bytes past its last start, so it
-        holds every window that starts in the run; the caller keeps only
-        those. An empty buffer still gives one (empty) slice.
-        """
-        for a in range(0, max(self.buf.size, 1), SLICE_WINDOWS):
-            yield a, self.buf[a : a + SLICE_WINDOWS + longest - 1]
-
-    def same_payload(self, pos: np.ndarray, length: int) -> np.ndarray:
-        """True where the window at ``pos`` does not cross a payload boundary."""
-        return pos + length <= self.ends[self.ends.searchsorted(pos, side="right")]
-
     def locate(self, pos: np.ndarray, length: int):
         """(payload, offset, length) rows of the windows at block positions ``pos``."""
         owners = self.ends.searchsorted(pos, side="right")
         return (owners + self.first, pos - self.starts[owners],
                 np.full(pos.size, length, dtype=np.int64))
+
+
+def _sieve(payloads: Payloads, lengths: list[int], prefixes, test):
+    """Yield (block, found) per group of payloads: the windows that pass ``test``.
+
+    The batch is cut into groups of consecutive whole payloads, at most
+    ``GROUP_BYTES`` payload bytes and ``SLICE_WINDOWS`` payloads each (a
+    longer payload is a group of its own), so neither a group's bytes
+    nor its per-payload arrays grow with the capture. A group's payload
+    bytes are gathered into a ``_PayloadBlock`` and walked in runs of
+    ``SLICE_WINDOWS`` window starts. ``prefixes(view, lengths)`` yields
+    (length, digests) in the order of the ascending ``lengths``, one
+    digest per window start of ``view``; ``test(length, digests)`` masks
+    a run's digests. ``found`` maps each length to (start, digest) of
+    the windows that pass and lie inside one payload, by block position.
+    Windows never cross payloads, so the groups need no overlap.
+    """
+    first = 0
+    while first < len(payloads):
+        ahead = slice(first, first + SLICE_WINDOWS)
+        sizes = np.cumsum(payloads.ends[ahead] - payloads.starts[ahead])
+        stop = first + max(int(sizes.searchsorted(GROUP_BYTES, side="right")), 1)
+        block = _PayloadBlock(payloads, first, stop)
+        kept: dict[int, list] = {length: [] for length in lengths}
+        # a view reaches ``lengths[-1] - 1`` bytes past its run, so it holds
+        # every window that starts in the run; an empty block gives one
+        # empty view
+        for a in range(0, max(block.buf.size, 1), SLICE_WINDOWS):
+            view = block.buf[a : a + SLICE_WINDOWS + lengths[-1] - 1]
+            for length, digests in prefixes(view, lengths):
+                digests = digests[:SLICE_WINDOWS]
+                pos = np.nonzero(test(length, digests))[0]
+                kept[length].append((pos + a, digests[pos]))
+        found = {}
+        for length, parts in kept.items():
+            pos, digests = (np.concatenate(arrays) for arrays in zip(*parts))
+            owner_end = block.ends[block.ends.searchsorted(pos, side="right")]
+            inside = pos + length <= owner_end
+            found[length] = pos[inside], digests[inside]
+        yield block, found
+        first = stop
 
 
 class ExactScanner:
@@ -359,23 +374,18 @@ class ExactScanner:
         """
         payloads = _as_payloads(payloads)
         mask = np.uint32((1 << self._TABLE_BITS) - 1)
-        lengths = sorted(self._tables_by_length)
+        tables = self._tables_by_length
+
+        def marked(length, window_hashes):
+            return tables[length].take(window_hashes & mask)
+
         matches: dict[int, list[CandidateMatch]] = {}
-        for first, stop in _payload_groups(payloads):
-            block = _PayloadBlock(payloads, first, stop)
-            hits: dict[int, list[np.ndarray]] = {length: [] for length in lengths}
-            for a, view in block.slices(lengths[-1]):
-                for length, window_hashes in _poly32_prefixes(view, lengths):
-                    table = self._tables_by_length[length]
-                    hit = table.take(window_hashes[:SLICE_WINDOWS] & mask)
-                    hits[length].append(np.nonzero(hit)[0] + a)
-            rows = []
-            for length, parts in hits.items():
-                pos = np.concatenate(parts)
-                rows.append(block.locate(pos[block.same_payload(pos, length)],
-                                         length))
-            found = Windows.sorted_rows(stop, rows)
-            for i, windows in found.by_payload().items():
+        for block, found in _sieve(payloads, sorted(tables), _poly32_prefixes,
+                                   marked):
+            rows = [block.locate(pos, length)
+                    for length, (pos, _) in found.items()]
+            for i, windows in Windows.sorted_rows(len(payloads),
+                                                  rows).by_payload().items():
                 confirmed = self.confirm(payloads[i], windows)
                 if confirmed:
                     matches[i] = confirmed
@@ -476,51 +486,35 @@ class SignatureMatcher:
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
     def scan_batch(self, payloads: Payloads | Sequence[bytes]) -> Windows:
-        """Candidate windows of every programmed length, group by group."""
+        """Candidate windows of every programmed length, group by group.
+
+        The sieve tests every window's first probe, which needs no
+        stride. The second digest is gathered only for the windows that
+        pass it inside one payload, which with well-sized filters are a
+        small fraction, and they are narrowed through the other probes.
+        """
         payloads = _as_payloads(payloads)
-        rows = []
-        for first, stop in _payload_groups(payloads):
-            block = _PayloadBlock(payloads, first, stop)
-            survivors = self._first_probe_survivors(block)
-            rows += [block.locate(self._narrow(block, length, *survivors[length]),
-                                  length)
-                     for length in self.lengths]
-        return Windows.sorted_rows(len(payloads), rows)
-
-    def _first_probe_survivors(self, block: _PayloadBlock):
-        """Per length: (start, g1) of the windows whose first probe bit is set.
-
-        Round 0 tests every window, so it runs slice by slice: each
-        slice's fold state, digests and probe temporaries are dropped
-        once its survivors are kept. The first probe needs no stride.
-        """
-        seed = self.params.seed_a
+        seed, k = self.params.seed_a, self.params.k
         zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
-        kept: dict[int, list] = {length: [] for length in self.lengths}
-        for a, view in block.slices(self.lengths[-1]):
+
+        def prefixes(view, lengths):
             fold = WindowFold(seed, view)
-            for length in self.lengths:
-                filt = self.filters[length]
-                g1 = mix64_windows(seed, view, length, fold=fold)[:SLICE_WINDOWS]
-                pos = np.nonzero(filt.test_bits(filt.probe_indices(g1, zero, 0)))[0]
-                kept[length].append((pos + a, g1[pos]))
-        return {length: [np.concatenate(arrays) for arrays in zip(*parts)]
-                for length, parts in kept.items()}
+            for length in lengths:
+                yield length, mix64_windows(seed, view, length, fold=fold)
 
-    def _narrow(self, block: _PayloadBlock, length: int, pos: np.ndarray,
-                g1: np.ndarray) -> np.ndarray:
-        """The first-probe survivors at ``pos`` whose other probes hit too.
+        def first_probe(length, g1):
+            filt = self.filters[length]
+            return filt.test_bits(filt.probe_indices(g1, zero, 0))
 
-        Only windows inside one payload are kept. The second digest is
-        gathered for those survivors only; with well-sized filters that
-        is a small fraction of the windows.
-        """
-        inside = block.same_payload(pos, length)
-        pos, g1 = pos[inside], g1[inside]
-        if pos.size == 0 or self.params.k == 1:
-            return pos
-        stride = mix64_at(self.params.seed_b, block.buf, length, pos) | np.uint64(1)
-        return pos[self.filters[length].narrow(g1, stride, 1)]
+        rows = []
+        for block, found in _sieve(payloads, self.lengths, prefixes, first_probe):
+            for length, (pos, g1) in found.items():
+                if pos.size and k > 1:
+                    stride = mix64_at(self.params.seed_b, block.buf, length,
+                                      pos) | np.uint64(1)
+                    pos = pos[self.filters[length].narrow(g1, stride, 1)]
+                rows.append(block.locate(pos, length))
+        return Windows.sorted_rows(len(payloads), rows)
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

@@ -69,6 +69,54 @@ def reference_candidates(filters, payload: bytes) -> list[tuple[int, int]]:
     return out
 
 
+def reference_parse(data: bytes) -> bytes | None:
+    """Scalar header walk: the frame's payload, or ``None`` if not parseable.
+
+    Ethernet II, up to two 802.1Q / 802.1ad tags, IPv4 (IHL options, and
+    fragments not parseable) and TCP (data offset) or UDP, one field at a
+    time; the oracle of the batch parse.
+    """
+    if len(data) < 14:
+        return None
+    head = 14
+    ethertype = data[12] << 8 | data[13]
+    for _ in range(2):
+        if ethertype not in (0x8100, 0x88A8):
+            break
+        head += 4
+        if len(data) < head:
+            return None
+        ethertype = data[head - 2] << 8 | data[head - 1]
+    if ethertype != 0x0800:
+        return data[head:]
+
+    if len(data) < head + 20:
+        return None
+    version_ihl = data[head]
+    if version_ihl >> 4 != 4:
+        return None
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20 or len(data) < head + ihl:
+        return None
+    if (data[head + 6] << 8 | data[head + 7]) & 0x3FFF:  # MF or an offset
+        return None
+    protocol = data[head + 9]
+    l4_off = head + ihl
+
+    if protocol == 6:  # TCP
+        if len(data) < l4_off + 20:
+            return None
+        data_offset = (data[l4_off + 12] >> 4) * 4
+        if data_offset < 20 or len(data) < l4_off + data_offset:
+            return None
+        return data[l4_off + data_offset:]
+    if protocol == 17:  # UDP
+        if len(data) < l4_off + 8:
+            return None
+        return data[l4_off + 8:]
+    return data[l4_off:]
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

@@ -10,12 +10,12 @@ import time
 
 from nicsieve.analytics import fpr_sweep
 from nicsieve.bloom import BloomFilter, BloomParams, fpr_theoretical, optimal_k
-from nicsieve.codec import RawFrame, Trace, parse_packet, read_pcap, write_pcap
+from nicsieve.codec import RawFrame, Trace, read_pcap, write_pcap
 from nicsieve.pipeline import compare_baseline
 from nicsieve.signatures import SignatureMatcher
 from nicsieve.traffic import TrafficSpec, generate_trace
 
-from conftest import naive_exact_matches, random_signature_set
+from conftest import naive_exact_matches, random_signature_set, reference_parse
 
 
 def report(number: int, ok: bool, elapsed: float, bound: float, detail: str):
@@ -100,7 +100,7 @@ def test_criterion_3_host_load_reduction():
     for i, frame in enumerate(trace):
         if i in attack_set:
             continue
-        plen = len(parse_packet(frame))
+        plen = len(reference_parse(frame.data))
         p = sum(max(0, plen - length + 1) * fpr
                 for length, fpr in per_length_fpr.items())
         p_clean.append(min(1.0, p))

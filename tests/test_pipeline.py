@@ -22,6 +22,7 @@ from conftest import (
     naive_exact_matches,
     random_signature_set,
     reference_candidates,
+    reference_parse,
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=55, seed_b=56)
@@ -291,7 +292,6 @@ def test_clean_traffic_forward_rate_within_union_bound():
     import math
 
     from nicsieve.bloom import fpr_theoretical
-    from nicsieve.codec import parse_packet
 
     rng = random.Random(64)
     sset = random_signature_set(rng, 800, lengths=[6, 8, 10, 12])
@@ -303,7 +303,7 @@ def test_clean_traffic_forward_rate_within_union_bound():
 
     per_packet = []
     for frame in trace:
-        plen = len(parse_packet(frame))
+        plen = len(reference_parse(frame.data))
         p = sum(max(0, plen - length + 1)
                 * fpr_theoretical(PARAMS.m, PARAMS.k,
                                   matcher.filters[length].count_programmed).fpr

@@ -29,6 +29,8 @@ from conftest import (
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=77, seed_b=78)
 DENSE = BloomParams(m=1024, k=4, seed_a=77, seed_b=78)
+# one probe: the first round decides, so the scan gathers no stride
+SINGLE_PROBE = BloomParams(m=1024, k=1, seed_a=77, seed_b=78)
 
 
 def as_tuples(matches):
@@ -122,6 +124,14 @@ def test_load_rules_errors_carry_line_numbers():
 
     with pytest.raises(RuleParseError, match="line 1"):
         load_rules(b" ,ascii,xx\n")  # empty id
+
+    # a byte that is not UTF-8 names its line, whichever line ends precede it
+    with pytest.raises(RuleParseError, match="line 2") as err:
+        load_rules(b"a,ascii,x\nb,ascii,caf\xe9\n")
+    assert "UTF-8" in str(err.value)
+    for eol in (b"\r\n", b"\r"):
+        with pytest.raises(RuleParseError, match="line 3"):
+            load_rules(b"a,ascii,xx" + eol + b"# ok" + eol + b"b,ascii,\xff\xfe")
 
 
 def test_signature_set_rejects_duplicate_ids():
@@ -305,8 +315,8 @@ def test_exact_batch_equals_oracle():
 # bits set is common, so a scan that skips a probe round shows up; odd-m
 # reduces probes modulo m, not with the power-of-two mask
 @pytest.mark.parametrize("params", [
-    PARAMS, DENSE, BloomParams(m=1001, k=3, seed_a=77, seed_b=78)],
-    ids=["sparse", "dense", "odd-m"])
+    PARAMS, DENSE, BloomParams(m=1001, k=3, seed_a=77, seed_b=78), SINGLE_PROBE],
+    ids=["sparse", "dense", "odd-m", "k1"])
 def test_scan_batch_equals_reference_candidates(params):
     rng = random.Random(38)
     sset = random_signature_set(rng, 200)
@@ -376,10 +386,11 @@ def test_scan_completeness_property(data):
 EDGE_GROUP_BYTES, EDGE_SLICE_WINDOWS = 64, 16
 EDGE_RULES = random_signature_set(random.Random(40), 240, lengths=[3, 9, 20])
 EDGE_MATCHERS = {name: SignatureMatcher.program(EDGE_RULES, params)
-                 for name, params in (("sparse", PARAMS), ("dense", DENSE))}
+                 for name, params in (("sparse", PARAMS), ("dense", DENSE),
+                                      ("k1", SINGLE_PROBE))}
 
 
-@pytest.mark.parametrize("name", ["sparse", "dense"])
+@pytest.mark.parametrize("name", list(EDGE_MATCHERS))
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):

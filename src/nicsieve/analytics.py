@@ -4,6 +4,12 @@
 against the closed form across a (k, n) grid -- fresh filter per cell,
 random distinct members, non-member queries only. ``emit_csv`` renders
 any homogeneous list of row dataclasses.
+
+Members and queries are drawn as 64-bit integers and written out as
+little-endian uint8 rows (see ``bloom``), so the sweep builds no Python
+object per query and its CSV does not depend on the host's byte order.
+Each cell queries in blocks of ``QUERY_BLOCK`` rows, so its memory does
+not grow with ``trials``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloom import BloomFilter, BloomParams, fpr_theoretical
+
+# Queries drawn, hashed and checked at a time in one sweep cell.
+QUERY_BLOCK = 1 << 16
+# One query row: a drawn token as 8 little-endian bytes, then a zero byte.
+_QUERY = np.dtype([("token", "<u8"), ("zero", "u1")])
 
 
 @dataclass
@@ -50,13 +61,11 @@ def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
         params = BloomParams(m=m, k=k)
         for n in n_list:
             filt = BloomFilter(params)
-            members = _distinct_tokens(rng, n, 8)
-            if members:
-                filt.add_many(members)
-            queries = [t.tobytes() + b"\x00"
-                       for t in rng.integers(0, 1 << 63, size=trials,
-                                             dtype=np.uint64)]
-            hits = sum(filt.check_many(queries))
+            filt.add_many(_distinct_tokens(rng, n, 8))
+            hits = 0
+            for start in range(0, trials, QUERY_BLOCK):
+                queries = _query_rows(rng, min(QUERY_BLOCK, trials - start))
+                hits += int(np.count_nonzero(filt.check_many(queries)))
             theory = fpr_theoretical(m, k, n).fpr
             rows.append(FprSweepRow(
                 m=m, k=k, n=n, fpr_theory=theory,
@@ -65,14 +74,31 @@ def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
     return rows
 
 
+def _query_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` fresh 9-byte queries: a drawn token, then a zero byte."""
+    rows = np.zeros(count, dtype=_QUERY)
+    rows["token"] = rng.integers(0, 1 << 63, size=count, dtype=np.uint64)
+    return rows.view(np.uint8).reshape(count, _QUERY.itemsize)
+
+
 def _distinct_tokens(rng: np.random.Generator, count: int,
-                     width: int) -> list[bytes]:
-    tokens: set[bytes] = set()
-    while len(tokens) < count:
-        draw = rng.integers(0, 1 << 63, size=count - len(tokens),
+                     width: int) -> np.ndarray:
+    """``count`` distinct ``width``-byte rows, in ``sorted(bytes)`` order.
+
+    Each round draws as many tokens as are still missing and keeps the
+    first ``width`` of each token's 8 little-endian bytes, until
+    ``count`` distinct rows remain.
+    """
+    tokens = np.zeros((0, width), dtype=np.uint8)
+    while tokens.shape[0] < count:
+        draw = rng.integers(0, 1 << 63, size=count - tokens.shape[0],
                             dtype=np.uint64)
-        tokens.update(t.tobytes()[:width] for t in draw)
-    return sorted(tokens)
+        drawn = draw.astype("<u8").view(np.uint8).reshape(draw.size, 8)
+        tokens = np.concatenate([tokens, drawn[:, :width]])
+        # a void row compares as its bytes, so unique sorts like bytes
+        tokens = np.unique(tokens.view(f"V{width}").ravel())
+        tokens = tokens.view(np.uint8).reshape(-1, width)
+    return tokens
 
 
 def emit_csv(rows: list, row_type: type | None = None) -> bytes:

@@ -28,6 +28,11 @@ both, and the queries and the scan share one probe loop,
 ``BloomFilter.narrow``. The test suite checks them against the
 independent reference hash in ``tests/conftest.py``.
 
+The batch calls take a same-length group as one 2-D uint8 array, one
+row per element, so a caller with many elements (the FPR sweep) never
+builds a Python object per element. A list of ``bytes`` is joined into
+such row arrays once, one per element length, and takes the same path.
+
 The fold state after j bytes does not depend on how long the window
 will be, so a ``WindowFold`` carries one running fold of every window
 start across ascending lengths: each payload byte column is folded once
@@ -152,6 +157,32 @@ def _finalize(state: np.ndarray) -> np.ndarray:
     return state
 
 
+def _row_groups(elements: list[bytes] | np.ndarray) -> list[np.ndarray]:
+    """``elements`` as C-contiguous row arrays, one per element length.
+
+    A row array is a 2-D uint8 array with one element per row; it is
+    returned as the only group. A list of ``bytes`` is grouped by length
+    in first-seen order, each group joined into one row array, so an
+    empty list gives no groups. Raises ``ValueError`` for an empty
+    element, a 0-width array, or an array that is not 2-D uint8.
+    """
+    if isinstance(elements, np.ndarray):
+        if elements.ndim != 2 or elements.dtype != np.uint8:
+            raise ValueError("a row array must be 2-D uint8, got "
+                             f"{elements.ndim}-D {elements.dtype}")
+        if elements.shape[1] == 0:
+            raise ValueError("element must be non-empty")
+        return [np.ascontiguousarray(elements)]
+    by_length: dict[int, list[bytes]] = {}
+    for element in elements:
+        if len(element) == 0:
+            raise ValueError("element must be non-empty")
+        by_length.setdefault(len(element), []).append(element)
+    return [np.frombuffer(b"".join(group), dtype=np.uint8)
+            .reshape(len(group), length)
+            for length, group in by_length.items()]
+
+
 class BloomFilter:
     """An m-bit vector programmed with byte-string elements.
 
@@ -168,33 +199,30 @@ class BloomFilter:
         self.count_programmed = count_programmed
         self._table = np.zeros(8 * ((params.m + 7) // 8), dtype=bool)
 
-    def _digests(self, group: list[bytes],
-                 length: int) -> tuple[np.ndarray, np.ndarray]:
-        """g1 and the odd stride of each element of an equal-length group."""
-        buf = np.frombuffer(b"".join(group), dtype=np.uint8)
-        starts = np.arange(len(group), dtype=np.int64) * length
-        g1 = mix64_at(self.params.seed_a, buf, length, starts)
-        stride = mix64_at(self.params.seed_b, buf, length, starts) | np.uint64(1)
+    def _digests(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g1 and the odd stride of each row of a row array."""
+        width = rows.shape[1]
+        buf = rows.reshape(-1)
+        starts = np.arange(rows.shape[0], dtype=np.int64) * width
+        g1 = mix64_at(self.params.seed_a, buf, width, starts)
+        stride = mix64_at(self.params.seed_b, buf, width, starts) | np.uint64(1)
         return g1, stride
 
-    def add_many(self, elements: list[bytes]) -> None:
+    def add_many(self, elements: list[bytes] | np.ndarray) -> None:
         """Set the k bits of every element, one batch per element length.
 
-        Duplicates are indistinguishable from first insertions, so
-        ``count_programmed`` grows by ``len(elements)``, not by the
-        number of distinct elements.
+        ``elements`` is a list of non-empty ``bytes`` or a row array: a
+        2-D uint8 array, one element per row. Duplicates are
+        indistinguishable from first insertions, so ``count_programmed``
+        grows by the number of elements, not by the number of distinct
+        elements.
         """
-        by_length: dict[int, list[bytes]] = {}
-        for element in elements:
-            if len(element) == 0:
-                raise ValueError("element must be non-empty")
-            by_length.setdefault(len(element), []).append(element)
-        for length, group in by_length.items():
-            g1, stride = self._digests(group, length)
+        for rows in _row_groups(elements):
+            g1, stride = self._digests(rows)
             for i in range(self.params.k):
                 idx = self.probe_indices(g1, stride, i)
                 self._table[idx.view(np.int64)] = True
-            self.count_programmed += len(group)
+            self.count_programmed += rows.shape[0]
 
     def probe_indices(self, g1: np.ndarray, stride: np.ndarray,
                       i: int) -> np.ndarray:
@@ -224,19 +252,22 @@ class BloomFilter:
             alive = alive[self.test_bits(idx)]
         return alive
 
-    def check_many(self, elements: list[bytes]) -> list[bool]:
-        """Membership of each element of an equal-length list. Never mutates."""
-        if not elements:
-            return []
-        length = len(elements[0])
-        if any(len(e) != length for e in elements):
+    def check_many(self, elements: list[bytes] | np.ndarray) -> np.ndarray:
+        """Membership of each element, as a bool array. Never mutates.
+
+        ``elements`` is a row array (a 2-D uint8 array, one element per
+        row, at least one column) or a list of equal-length non-empty
+        ``bytes``.
+        """
+        groups = _row_groups(elements)
+        if len(groups) > 1:
             raise ValueError("check_many requires equal-length elements")
-        if length == 0:
-            raise ValueError("element must be non-empty")
-        g1, stride = self._digests(elements, length)
-        member = np.zeros(len(elements), dtype=bool)
+        if not groups:
+            return np.zeros(0, dtype=bool)
+        g1, stride = self._digests(groups[0])
+        member = np.zeros(g1.size, dtype=bool)
         member[self.narrow(g1, stride, 0)] = True
-        return member.tolist()
+        return member
 
     def popcount(self) -> int:
         """Number of set bits in the vector."""

@@ -49,6 +49,14 @@ def reference_probes(seed_a: int, seed_b: int, element: bytes, m: int,
             for i in range(k)]
 
 
+def reference_check(filt, element: bytes) -> bool:
+    """Oracle membership: all ``reference_probes`` bits set in the vector."""
+    p = filt.params
+    vector = filt.vector_bytes()
+    return all(vector[i // 8] >> (i % 8) & 1
+               for i in reference_probes(p.seed_a, p.seed_b, element, p.m, p.k))
+
+
 def reference_candidates(filters, payload: bytes) -> list[tuple[int, int]]:
     """Bloom-route oracle: (offset, length) windows with all k bits set.
 

@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from nicsieve import analytics
 from nicsieve.analytics import FprSweepRow, emit_csv, fpr_sweep
 from nicsieve.bloom import fpr_theoretical, optimal_k
 
@@ -51,6 +55,72 @@ def test_sweep_spot_value_within_four_stderr():
     row = fpr_sweep(16384, [4], [2000], trials=100_000, seed=6)[0]
     assert row.fpr_theory == pytest.approx(0.02227, abs=1e-4)
     assert abs(row.fpr_empirical - row.fpr_theory) <= 4 * row.std_err
+
+
+# sha256 of the sweep CSVs of the bench grids at m 16384, seed 1, 5000
+# trials, as written when the sweep built one ``bytes`` object per query
+PINNED_SWEEPS = [
+    pytest.param(
+        [2, 4, 6, 8], [100, 500, 1000, 2000],
+        "de4dd04ed4d24f2f7c1bdfde87d1f24a48adf78b31b3173da231d712d47a18c5",
+        id="small-frames"),
+    pytest.param(
+        [4], [200],
+        "d2cdfcb5435631553216780122032f9305ee9ea2884aff52ba7c5d14bb266834",
+        id="many-len-hostile"),
+]
+
+
+@pytest.mark.parametrize("block", [analytics.QUERY_BLOCK, 777],
+                         ids=["block", "short-blocks"])
+@pytest.mark.parametrize("k_list, n_list, digest", PINNED_SWEEPS)
+def test_sweep_csv_matches_pinned_digest(monkeypatch, block, k_list, n_list,
+                                         digest):
+    # the row-array sweep reproduces the per-query sweep byte for byte,
+    # also when a cell's queries are drawn in many short blocks
+    monkeypatch.setattr(analytics, "QUERY_BLOCK", block)
+    rows = fpr_sweep(16384, k_list, n_list, trials=5000, seed=1)
+    assert hashlib.sha256(emit_csv(rows)).hexdigest() == digest
+
+
+def _reference_tokens(seed, count, width):
+    """The member draw rounds, with each token as explicit Python bytes."""
+    rng = np.random.default_rng(seed)
+    tokens = set()
+    while len(tokens) < count:
+        draw = rng.integers(0, 1 << 63, size=count - len(tokens),
+                            dtype=np.uint64)
+        tokens.update(int(x).to_bytes(8, "little")[:width] for x in draw)
+    return sorted(tokens)
+
+
+@pytest.mark.parametrize("count, width", [(0, 8), (1, 8), (300, 8),
+                                          (200, 1), (5000, 2)])
+def test_tokens_are_little_endian_draws(count, width):
+    # width 1 and 2 collide, so they take several draw rounds
+    tokens = analytics._distinct_tokens(np.random.default_rng(11), count,
+                                        width)
+    assert tokens.dtype == np.uint8 and tokens.shape == (count, width)
+    assert [row.tobytes() for row in tokens] == \
+        _reference_tokens(11, count, width)
+
+    queries = analytics._query_rows(np.random.default_rng(12), 500)
+    draw = np.random.default_rng(12).integers(0, 1 << 63, size=500,
+                                              dtype=np.uint64)
+    assert queries.dtype == np.uint8 and queries.shape == (500, 9)
+    assert [row.tobytes() for row in queries] == \
+        [int(x).to_bytes(8, "little") + b"\x00" for x in draw]
+
+
+def test_sweep_memory_does_not_grow_with_trials():
+    # a million queries in one cell: blocks of rows, not one array of all
+    tracemalloc.start()
+    try:
+        fpr_sweep(16384, [4], [200], trials=1_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sweep_validation():

@@ -17,7 +17,7 @@ from nicsieve.bloom import (
     optimal_k,
 )
 
-from conftest import reference_mix64, reference_probes
+from conftest import reference_check, reference_mix64, reference_probes
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=101, seed_b=202)
 # m neither a power of two nor a multiple of 8: probes reduce modulo m and
@@ -33,14 +33,6 @@ def reference_vector(params, elements):
                                   params.m, params.k):
             vector[i // 8] |= 1 << (i % 8)
     return bytes(vector)
-
-
-def reference_check(filt, element):
-    """Oracle membership: all ``reference_probes`` bits set in the vector."""
-    p = filt.params
-    vector = filt.vector_bytes()
-    return all(vector[i // 8] >> (i % 8) & 1
-               for i in reference_probes(p.seed_a, p.seed_b, element, p.m, p.k))
 
 
 # --- parameters -------------------------------------------------------------
@@ -63,7 +55,7 @@ def test_new_filter_all_zero():
     filt = BloomFilter(BloomParams(m=16384, k=4, seed_a=1, seed_b=2))
     assert filt.popcount() == 0
     assert filt.count_programmed == 0
-    assert filt.check_many([b"anything"]) == [False]
+    assert filt.check_many([b"anything"]).tolist() == [False]
 
 
 # --- hash indices -----------------------------------------------------------
@@ -154,7 +146,7 @@ def test_check_many_input_checks():
     # the empty element is in test_hash_indices_rejects_empty_element
     filt = BloomFilter(PARAMS)
     filt.add_many([b"ab", b"abc"])
-    assert filt.check_many([]) == []
+    assert filt.check_many([]).tolist() == []
     with pytest.raises(ValueError, match="equal-length"):
         filt.check_many([b"ab", b"abc"])
 
@@ -174,7 +166,64 @@ def test_check_many_equals_scalar_checks():
     filt = BloomFilter(PARAMS)
     filt.add_many([rng.randbytes(8) for _ in range(300)])
     probes = [rng.randbytes(8) for _ in range(2000)]
-    assert filt.check_many(probes) == [reference_check(filt, p) for p in probes]
+    assert filt.check_many(probes).tolist() == \
+        [reference_check(filt, p) for p in probes]
+
+
+@given(st.one_of(st.sampled_from([8, 64, 1024, 16384]), st.integers(8, 5000)),
+       st.integers(1, 8), st.integers(1, 64), st.integers(0, 40),
+       st.integers(0, 2**32), st.data())
+@settings(max_examples=80, deadline=None)
+def test_check_many_rows_equal_bytes_and_oracle(m, k, width, count, seed,
+                                                data):
+    # a row array answers as the same rows given as bytes, and as the
+    # oracle; members are a random subset of the rows plus other elements
+    rng = random.Random(seed)
+    filt = BloomFilter(BloomParams(m=m, k=k, seed_a=rng.getrandbits(64),
+                                   seed_b=rng.getrandbits(64) | 1))
+    rows = np.frombuffer(rng.randbytes(count * width), dtype=np.uint8)
+    rows = rows.reshape(count, width)
+    elements = [row.tobytes() for row in rows]
+    members = [e for e in elements if data.draw(st.booleans())]
+    filt.add_many(members + [rng.randbytes(width) for _ in range(10)])
+    member = filt.check_many(rows)
+    assert member.dtype == bool and member.shape == (count,)
+    assert member.tolist() == filt.check_many(elements).tolist() == \
+        [reference_check(filt, e) for e in elements]
+    assert member[[elements.index(e) for e in members]].all()
+
+
+def test_row_arrays_are_checked():
+    filt = BloomFilter(PARAMS)
+    for bad in (np.zeros((3, 0), dtype=np.uint8),
+                np.zeros((0, 0), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="non-empty"):
+            filt.check_many(bad)
+        with pytest.raises(ValueError, match="non-empty"):
+            filt.add_many(bad)
+    for bad in (np.zeros(9, dtype=np.uint8), np.zeros((2, 3, 4), np.uint8),
+                np.zeros((4, 9), dtype=np.int64),
+                np.zeros((4, 9), dtype=np.int8)):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            filt.check_many(bad)
+        with pytest.raises(ValueError, match="2-D uint8"):
+            filt.add_many(bad)
+    assert filt.popcount() == 0 and filt.count_programmed == 0
+
+
+def test_add_many_rows_equal_bytes():
+    # a row array programs the bits its rows program as bytes, also when
+    # the array is a strided view
+    rng = np.random.default_rng(3)
+    wide = rng.integers(0, 256, size=(300, 20), dtype=np.uint8)
+    rows = wide[:, 3:15]
+    for params in (PARAMS, ODD_M):
+        filt = BloomFilter(params)
+        filt.add_many(rows)
+        expected = [row.tobytes() for row in rows]
+        assert filt.vector_bytes() == reference_vector(params, expected)
+        assert filt.count_programmed == len(expected)
+        assert filt.check_many(rows).all()
 
 
 @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=60))

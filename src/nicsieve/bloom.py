@@ -21,12 +21,13 @@ The base mixer is fixed bit-for-bit (FNV-style byte fold plus a
 murmur-style finalizer) so that filters programmed with the same seeds
 are reproducible everywhere.
 
-The numpy fold kernels ``mix64_windows`` and ``mix64_at`` are the only
-implementation of the hash: ``add_many`` and ``check_many`` fold each
-same-length group with ``mix64_at``, the payload scan folds windows with
-both, and the queries and the scan share one probe loop,
-``BloomFilter.narrow``. The test suite checks them against the
-independent reference hash in ``tests/conftest.py``.
+One fold loop, ``_fold``, is the only implementation of the hash's byte
+fold: ``mix64_windows`` folds every window start of a buffer,
+``mix64_at`` the windows at given positions, and ``add_many`` and
+``check_many`` the columns of a same-length group's rows. The payload
+scan folds windows with the first two, and the queries and the scan
+share one probe loop, ``BloomFilter.narrow``. The test suite checks
+them against the independent reference hash in ``tests/conftest.py``.
 
 The batch calls take a same-length group as one 2-D uint8 array, one
 row per element, so a caller with many elements (the FPR sweep) never
@@ -128,10 +129,8 @@ def mix64_windows(seed: int, buf: np.ndarray, length: int,
         raise ValueError(f"fold already covers {fold.folded} bytes, "
                          f"cannot finalize length {length}")
     n = max(0, buf.size - length + 1)
-    state = fold.state[:n]
-    for j in range(fold.folded, length):
-        state ^= buf[j : j + n]  # widened per column, never the whole buffer
-        state *= np.uint64(_FOLD_PRIME)
+    state = _fold(fold.state[:n], (buf[j : j + n]
+                                   for j in range(fold.folded, length)))
     fold.state, fold.folded = state, length
     return _finalize(state.copy())
 
@@ -141,13 +140,22 @@ def mix64_at(seed: int, buf: np.ndarray, length: int,
     """The ``mix64_windows`` digests of the windows starting at ``positions``.
 
     Gather-based variant of ``mix64_windows``, for a few windows out of
-    a large buffer or for equal-length elements joined end to end.
+    a large buffer.
     """
     state = np.full(positions.size, seed & MASK64, dtype=np.uint64)
-    for j in range(length):
-        state ^= buf[positions + j]
+    return _finalize(_fold(state, (buf[positions + j] for j in range(length))))
+
+
+def _fold(state: np.ndarray, columns) -> np.ndarray:
+    """Fold uint8 ``columns`` into ``state`` in turn, in place: the FNV step.
+
+    Each column holds the next byte of every window; it is widened one
+    column at a time, never the whole buffer.
+    """
+    for column in columns:
+        state ^= column
         state *= np.uint64(_FOLD_PRIME)
-    return _finalize(state)
+    return state
 
 
 def _finalize(state: np.ndarray) -> np.ndarray:
@@ -201,12 +209,10 @@ class BloomFilter:
 
     def _digests(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g1 and the odd stride of each row of a row array."""
-        width = rows.shape[1]
-        buf = rows.reshape(-1)
-        starts = np.arange(rows.shape[0], dtype=np.int64) * width
-        g1 = mix64_at(self.params.seed_a, buf, width, starts)
-        stride = mix64_at(self.params.seed_b, buf, width, starts) | np.uint64(1)
-        return g1, stride
+        g1, g2 = (_finalize(_fold(np.full(rows.shape[0], seed, dtype=np.uint64),
+                                  rows.T))
+                  for seed in (self.params.seed_a, self.params.seed_b))
+        return g1, g2 | np.uint64(1)
 
     def add_many(self, elements: list[bytes] | np.ndarray) -> None:
         """Set the k bits of every element, one batch per element length.

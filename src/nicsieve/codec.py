@@ -1,14 +1,16 @@
 """Payload location and classic capture-file I/O, over columnar traces.
 
-A ``Trace`` is one capture buffer plus numpy columns: per record, the
-offset of its data in the buffer, its captured and original lengths and
-its timestamp. ``read_pcap`` walks the records keeping only their
-offsets and reads the record headers into the columns with numpy, so a
-frame costs no Python object until someone asks for one (``frames``).
+A ``Trace`` is one capture buffer plus two numpy columns: per record, the
+offset of its data in the buffer and its captured length. The buffer is
+the only store of the record headers: ``read_pcap`` walks the records
+keeping only their offsets, from which their captured lengths follow,
+and a frame's timestamp and original length are read from its header
+when someone asks for the frame (``frames``), so a frame costs no Python
+object until then.
 
 ``parse_payloads`` locates the payload of every frame at once with numpy
 over the header bytes; it is the one header walk, and ``parse_packet``
-runs it over a one-frame trace. It reads Ethernet II, stepping over up
+runs it over one frame's bytes. It reads Ethernet II, stepping over up
 to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then IPv4
 (options honored via IHL) and TCP (options via the data offset) or UDP.
 The payload is the bytes after the last header that could be walked.
@@ -25,9 +27,10 @@ scalar parse, ``reference_parse`` in ``tests/conftest.py``.
 standard capture tooling. Magic 0xA1B2C3D4 marks microsecond timestamps
 and 0xA1B23C4D nanosecond ones; a trace keeps the resolution it was read
 in and is written back in it. A trace's record headers are always
-little-endian: ``read_pcap`` rewrites a big-endian capture's as it reads
-them, so ``write_pcap`` copies the selected records from the buffer as
-they are.
+little-endian: ``read_pcap`` uses a little-endian capture as it is, and
+copies a big-endian one once, rewriting its record headers in the copy,
+so ``write_pcap`` copies the selected records from the buffer as they
+are.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ NSEC = 1_000_000_000
 _MAGIC_RESOLUTION = {PCAP_MAGIC: USEC, PCAP_MAGIC_NSEC: NSEC}
 _PCAP_SNAPLEN = 65535
 _FILE_HEADER = 24
-_RECORD_HEADER = 16  # ts_sec, ts_frac, caplen, orig_len: four uint32
+_RECORD = struct.Struct("<IIII")  # ts_sec, ts_frac, caplen, orig_len
+_RECORD_HEADER = _RECORD.size
 
 _ETH_LEN = 14  # dst MAC, src MAC, ethertype
 _VLAN_TAG = 4  # tag protocol id + tag control; the next ethertype follows
@@ -92,35 +96,29 @@ class Trace(Sequence):
     """An ordered sequence of Ethernet frames: one buffer plus columns.
 
     Record i's data is ``buf[data_offset[i] : data_offset[i] + caplen[i]]``
-    and its 16-byte little-endian record header lies just before it. The
-    other columns hold that header's fields: ``orig_len``, ``ts_sec`` and
-    ``ts_frac``, the sub-second part in ``ts_resolution`` ticks per second
+    and its 16-byte little-endian record header lies just before it; the
+    header's sub-second part is in ``ts_resolution`` ticks per second
     (``USEC`` or ``NSEC``). Indexing makes the frame's ``RawFrame``.
     """
 
-    buf: bytes = field(repr=False)
+    buf: bytes | bytearray = field(repr=False)
     data_offset: np.ndarray  # int64
-    caplen: np.ndarray  # uint32, like the other header columns
-    orig_len: np.ndarray
-    ts_sec: np.ndarray
-    ts_frac: np.ndarray
+    caplen: np.ndarray  # uint32
     ts_resolution: int = USEC
 
     @classmethod
     def from_frames(cls, frames: Iterable[RawFrame],
                     ts_resolution: int = USEC) -> Trace:
         """Lay frames out as a little-endian capture file in one buffer."""
-        pack = struct.Struct("<IIII").pack
         parts = [_file_header(ts_resolution)]
         for f in frames:
-            parts.append(pack(f.ts_sec, f.ts_usec, len(f.data), f.orig_len))
+            parts.append(_RECORD.pack(f.ts_sec, f.ts_usec, len(f.data),
+                                      f.orig_len))
             parts.append(f.data)
-        header = np.frombuffer(b"".join(parts[1::2]), dtype="<u4").reshape(-1, 4)
-        caplen = header[:, 2]
+        caplen = np.array([len(d) for d in parts[2::2]], dtype=np.uint32)
         data_offset = (np.cumsum(caplen + _RECORD_HEADER, dtype=np.int64)
                        - caplen + _FILE_HEADER)
-        return cls(b"".join(parts), data_offset, caplen, header[:, 3],
-                   header[:, 0], header[:, 1], ts_resolution)
+        return cls(b"".join(parts), data_offset, caplen, ts_resolution)
 
     def __len__(self) -> int:
         return self.data_offset.size
@@ -128,9 +126,10 @@ class Trace(Sequence):
     def __getitem__(self, i: int) -> RawFrame:
         i = range(len(self))[i]
         start = int(self.data_offset[i])
-        return RawFrame(self.buf[start : start + int(self.caplen[i])],
-                        int(self.ts_sec[i]), int(self.ts_frac[i]),
-                        int(self.orig_len[i]))
+        ts_sec, ts_frac, caplen, orig_len = _RECORD.unpack_from(
+            self.buf, start - _RECORD_HEADER)
+        return RawFrame(bytes(self.buf[start : start + caplen]), ts_sec,
+                        ts_frac, orig_len)
 
     @property
     def frames(self) -> Trace:
@@ -140,15 +139,18 @@ class Trace(Sequence):
     def select(self, mask: np.ndarray) -> Trace:
         """The records where ``mask`` is set, in order, sharing the buffer."""
         return replace(self, data_offset=self.data_offset[mask],
-                       caplen=self.caplen[mask], orig_len=self.orig_len[mask],
-                       ts_sec=self.ts_sec[mask], ts_frac=self.ts_frac[mask])
+                       caplen=self.caplen[mask])
 
 
 def parse_packet(frame: RawFrame) -> bytes | None:
     """The frame's payload, or ``None`` if not parseable (``parse_payloads``)."""
-    trace = Trace.from_frames([frame])
-    start, end, unparseable = parse_payloads(trace)
-    return None if unparseable[0] else trace.buf[start[0] : end[0]]
+    data = frame.data
+    if len(data) < _ETH_LEN:  # the walk reads inside a non-empty buffer only
+        return None
+    start, parsed = _payload_starts(np.frombuffer(data, dtype=np.uint8),
+                                    np.zeros(1, dtype=np.int64),
+                                    np.array([len(data)]))
+    return data[int(start[0]):] if parsed[0] else None
 
 
 def parse_payloads(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,7 +235,8 @@ def read_pcap(data: bytes) -> Trace:
     if network != LINKTYPE_ETHERNET:
         raise PcapError(f"unsupported link type {network}")
 
-    # the walk keeps each record's offset; numpy reads the headers after
+    # the walk keeps each record's offset; the records lie back to back,
+    # so each one's captured length is the gap to the next, less its header
     caplen_at = struct.Struct(endian + "I").unpack_from
     offsets = array("q")
     keep = offsets.append
@@ -248,22 +251,18 @@ def read_pcap(data: bytes) -> Trace:
         raise PcapError(
             f"truncated record: {declared} bytes declared, "
             f"{end - offsets[-1] - _RECORD_HEADER} remain")
-
-    # header byte j is byte j ^ 3 of a big-endian file; a big-endian
-    # capture's record headers are rewritten little-endian in a copy
-    flip = 3 if endian == ">" else 0
     rec = np.frombuffer(offsets, dtype=np.int64)
-    u8 = np.frombuffer(data, dtype=np.uint8)
-    buf = bytearray(data) if flip else data
-    out = np.frombuffer(buf, dtype=np.uint8)
-    raw = np.empty((rec.size, _RECORD_HEADER), dtype=np.uint8)
-    for j in range(_RECORD_HEADER):
-        raw[:, j] = u8[rec + (j ^ flip)]
-        if flip:
-            out[rec + j] = raw[:, j]
-    header = raw.view("<u4")
-    return Trace(bytes(buf), rec + _RECORD_HEADER, header[:, 2], header[:, 3],
-                 header[:, 0], header[:, 1], _MAGIC_RESOLUTION[magic])
+    caplen = (np.diff(rec, append=end) - _RECORD_HEADER).astype(np.uint32)
+
+    # header byte j is byte j ^ 3 of a big-endian file: such a capture is
+    # copied once and its record headers rewritten little-endian in place
+    buf = data
+    if endian == ">":
+        buf = bytearray(data)
+        src, out = (np.frombuffer(b, dtype=np.uint8) for b in (data, buf))
+        for j in range(_RECORD_HEADER):
+            out[rec + j] = src[rec + (j ^ 3)]
+    return Trace(buf, rec + _RECORD_HEADER, caplen, _MAGIC_RESOLUTION[magic])
 
 
 def _file_header(ts_resolution: int) -> bytes:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -418,7 +419,9 @@ class SignatureMatcher:
     """Programmed per-length filters plus the exact table for verification.
 
     Programming happens once in ``program``; afterwards the matcher is
-    immutable and safe for concurrent scanning.
+    immutable and safe for concurrent scanning. The exact tables are
+    built on first use (``exact``), so programming and saving filters
+    never pays for them.
     """
 
     def __init__(self, params: BloomParams, signature_set: SignatureSet,
@@ -427,7 +430,11 @@ class SignatureMatcher:
         self.signature_set = signature_set
         self.filters = filters
         self.lengths = sorted(filters)
-        self.exact = ExactScanner(signature_set)
+
+    @cached_property
+    def exact(self) -> ExactScanner:
+        """The exact route over the same rules: verification and baselines."""
+        return ExactScanner(self.signature_set)
 
     @classmethod
     def program(cls, signature_set: SignatureSet,

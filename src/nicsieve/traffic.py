@@ -96,12 +96,16 @@ class Manifest:
 
 
 def _ones_complement_sum(data: bytes) -> int:
+    """The 16-bit ones' complement sum of ``data`` as big-endian words.
+
+    2**16 is 1 mod 0xFFFF, so the words' sum is, mod 0xFFFF, the number
+    the (even-length) bytes spell; end-around carries never fold a
+    nonzero sum to 0, so that residue reads 0xFFFF.
+    """
     if len(data) % 2:
         data += b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    value = int.from_bytes(data, "big")
+    return value % 0xFFFF or (0xFFFF if value else 0)
 
 
 def _ipv4_checksum(header: bytes) -> int:

@@ -125,6 +125,16 @@ def reference_parse(data: bytes) -> bytes | None:
     return data[l4_off:]
 
 
+def reference_ones_complement_sum(data: bytes) -> int:
+    """Word-by-word 16-bit ones' complement sum with end-around carry."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(data[i] << 8 | data[i + 1] for i in range(0, len(data), 2))
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -268,23 +269,46 @@ def test_pcap_global_header_layout():
         (0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
 
 
-def test_pcap_reads_swapped_byte_order():
-    trace = sample_trace()
-    little = write_pcap(trace)
-
-    # rewrite the same capture big-endian by hand
+def big_endian(trace):
+    """The trace's microsecond capture written big-endian by hand."""
     parts = [struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
     for f in trace:
         parts.append(struct.pack(">IIII", f.ts_sec, f.ts_usec,
                                  len(f.data), f.orig_len))
         parts.append(f.data)
-    big = b"".join(parts)
+    return b"".join(parts)
+
+
+def test_pcap_reads_swapped_byte_order():
+    trace = sample_trace()
+    little = write_pcap(trace)
+    big = big_endian(trace)
     assert big != little
 
     back = read_pcap(big)
     assert [f.data for f in back] == [f.data for f in trace]
     assert [f.ts_usec for f in back] == [f.ts_usec for f in trace]
     # written back little-endian, the same file as the little-endian capture
+    assert write_pcap(back) == little
+
+
+def test_pcap_read_keeps_one_copy():
+    # a little-endian capture is the trace's buffer as it is; a big-endian
+    # one is copied once, its record headers rewritten in the copy
+    rng = random.Random(11)
+    trace = Trace.from_frames([RawFrame(rng.randbytes(rng.randint(84, 174)),
+                                        ts_sec=i, ts_usec=i % USEC)
+                               for i in range(20_000)])
+    little = write_pcap(trace)
+    assert read_pcap(little).buf is little
+    big = big_endian(trace)
+    tracemalloc.start()
+    try:
+        back = read_pcap(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(big), f"peaked at {peak / len(big):.2f}x the file"
     assert write_pcap(back) == little
 
 

@@ -149,6 +149,17 @@ def test_program_groups_by_length():
     assert matcher.filters[4].count_programmed == 1
 
 
+def test_program_leaves_exact_tables_unbuilt():
+    # building filters never reads the exact route; its tables wait for use
+    rules = SignatureSet([Signature("g", b"GET"), Signature("e", b"EVIL")])
+    matcher = SignatureMatcher.program(rules, PARAMS)
+    matcher.filter_images()
+    assert "exact" not in vars(matcher)
+    assert matcher.exact_matches_batch([b"a GET"]) == {
+        0: [CandidateMatch(2, 3, "g")]}
+    assert "exact" in vars(matcher)
+
+
 def test_program_rejects_empty_set():
     with pytest.raises(ValueError, match="empty"):
         SignatureMatcher.program(SignatureSet(signatures=[]), PARAMS)

@@ -1,6 +1,9 @@
 import random
+from hashlib import sha256
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nicsieve.codec import parse_packet, write_pcap
 from nicsieve.signatures import Signature, SignatureSet
@@ -8,11 +11,16 @@ from nicsieve.traffic import (
     Manifest,
     ManifestEntry,
     TrafficSpec,
+    _ones_complement_sum,
     build_tcp_frame,
     generate_trace,
 )
 
-from conftest import naive_exact_matches, random_signature_set
+from conftest import (
+    naive_exact_matches,
+    random_signature_set,
+    reference_ones_complement_sum,
+)
 
 
 def small_rules():
@@ -144,21 +152,36 @@ def test_build_tcp_frame_checksums():
     frame = build_tcp_frame(b"\x01" * 6, b"\x02" * 6, b"\x0a\x00\x00\x01",
                             b"\xc0\xa8\x00\x02", 1234, 80, b"hello")
     # ones-complement sum over the IPv4 header must be 0xFFFF
-    words = [int.from_bytes(frame[14 + i : 14 + i + 2], "big")
-             for i in range(0, 20, 2)]
-    total = sum(words)
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    assert total == 0xFFFF
+    assert reference_ones_complement_sum(frame[14:34]) == 0xFFFF
     # same for TCP with its pseudo-header
     seg = frame[34:]
     pseudo = frame[26:34] + b"\x00\x06" + len(seg).to_bytes(2, "big")
-    data = pseudo + seg + (b"\x00" if len(seg) % 2 else b"")
-    total = sum(int.from_bytes(data[i : i + 2], "big")
-                for i in range(0, len(data), 2))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    assert total == 0xFFFF
+    assert reference_ones_complement_sum(pseudo + seg) == 0xFFFF
+
+
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from([b"\x00\x00", b"\xff\xff", b"\x00", b"\xff",
+                              b"\x80\x01"]), max_size=12).map(b"".join)))
+@example(b"")
+@example(b"\x00" * 7)
+@example(b"\xff\xff" * 3)
+@example(b"\xff")
+@example(b"\x00\x01\xff\xfe")  # words summing to 0xFFFF exactly
+def test_ones_complement_sum_equals_end_around_carry(data):
+    assert _ones_complement_sum(data) == reference_ones_complement_sum(data)
+
+
+def test_generated_capture_bytes_are_pinned():
+    # one small spec's capture and manifest, byte for byte: a change to the
+    # draws, the frame builder, the checksum or the capture layout shows here
+    spec = TrafficSpec(packet_count=200, attack_fraction=0.1, seed=3,
+                       payload_len_range=(0, 300), signatures=small_rules())
+    trace, manifest = generate_trace(spec)
+    assert sha256(write_pcap(trace)).hexdigest() == (
+        "2c86088e6f343d892324918c4336b0f9a4947b1675ceda2c533aa36ba2597cdd")
+    assert sha256(manifest.to_csv()).hexdigest() == (
+        "f01acdf97e4d647b46a6b4504b20a8b6ba28a29614fb50ff9d9291b045d8a655")
 
 
 # --- manifest file ----------------------------------------------------------

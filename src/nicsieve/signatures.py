@@ -12,29 +12,31 @@ a window is compared with the patterns and given its signature ids.
 Two scanning routes exist and must agree: the Bloom route
 (``SignatureMatcher.scan_batch``) finds candidates, complete but only
 probably correct; the exact route (``ExactScanner.matches_batch``) finds
-the true match set with a polynomial hash unrelated to the filter's
-mixer, confirming every hit byte-for-byte. Both take the batch as
+the true match set with tables and a polynomial hash unrelated to the
+filters, confirming every hit byte-for-byte. Both take the batch as
 ``Payloads``, bounds into one buffer (a capture's, as it was read), and
 walk it through one window sieve, ``_sieve``. The sieve cuts the batch
 into groups of whole payloads (``GROUP_BYTES`` payload bytes and
 ``SLICE_WINDOWS`` payloads at most, or one longer payload), gathers each
-group's payload bytes into a ``_PayloadBlock``, and hashes and tests its
-windows with numpy in slices of ``SLICE_WINDOWS`` window starts, so the
+group's payload bytes into a ``_PayloadBlock``, and hands each run of
+``SLICE_WINDOWS`` window starts to the route's first test, so the
 working arrays stay cache-sized and do not grow with the trace. Each
 byte column is hashed once for all lengths: a window's hash state after
 j bytes is the same for every length of at least j bytes, so one running
-state over a slice's window starts is advanced through the lengths in
-ascending order. A route gives the sieve that fold (a ``WindowFold`` for
-the filters' mixer, a Horner prefix for the exact route) and its first
-test (the round-0 probe, or the exact route's prefilter table). Only the
-windows that pass it inside one payload outlive the group's walk. The
-Bloom route narrows them through the other probes and returns them as
-``Windows``: arrays of (payload, offset, length), sorted, with no Python
-object per payload; ``CandidateMatch`` objects are made only for the
-payloads that someone asks about. The exact route confirms them group by
-group and returns the matches of the payloads that have any, by payload
-index. The tests check both routes against the independent per-payload
-oracles in ``tests/conftest.py``.
+state is advanced through the lengths in ascending order. The Bloom
+route folds every window start with a ``WindowFold`` and tests the
+round-0 probe. The exact route first tests every start's two bytes
+against a table of the patterns' first two bytes, gathers the bytes of
+only the starts that pass into a Horner fold, and tests each window's
+hash and length against one table shared by all lengths. Only the
+windows that pass a route's first test inside one payload outlive the
+group's walk. The Bloom route narrows them through the other probes and
+returns them as ``Windows``: arrays of (payload, offset, length), sorted,
+with no Python object per payload; ``CandidateMatch`` objects are made
+only for the payloads that someone asks about. The exact route confirms
+them group by group and returns the matches of the payloads that have
+any, by payload index. The tests check both routes against the
+independent per-payload oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
 
 _EXACT_MULT = 0x4C957F2D  # odd LCG multiplier, Horner hashing mod 2**32
+_LENGTH_MULT = 0x9E3779B1  # odd: a window's length moves its hash's slot
 
 # Scan working-set bounds: payload bytes per group, and window starts per
 # slice (also the most payloads a group holds), so that a slice's uint64
@@ -159,25 +162,39 @@ class CandidateMatch:
     signature_id: str | None = None
 
 
-def _poly32_prefixes(buf: np.ndarray, lengths: list[int]):
-    """Yield (length, Horner hash mod 2**32 of every ``length``-byte window).
+def _pairs(buf: np.ndarray) -> np.ndarray:
+    """The 2-byte key ``buf[i] | buf[i + 1] << 8`` of every start i but the last.
 
-    ``lengths`` ascend; each is reached by folding only the byte columns
-    the previous one did not. A length longer than ``buf`` yields an
-    empty array. Arithmetic mod 2**32 is enough: a prefilter table reads
-    only the low ``ExactScanner._TABLE_BITS`` bits. The yielded array is
-    overwritten by the next step, so use it before advancing.
+    A uint16 view that steps one byte at a time over the contiguous
+    ``buf``, so forming the keys copies nothing.
     """
-    state = np.zeros(buf.size, dtype=np.uint32)
+    return np.ndarray(max(buf.size - 1, 0), dtype="<u2", buffer=buf,
+                      strides=(1,))
+
+
+def _poly32_at(buf: np.ndarray, pos: np.ndarray, lengths: list[int]):
+    """Yield (length, at, hashes): Horner hashes mod 2**32 of windows at ``pos``.
+
+    ``pos`` and ``lengths`` ascend. For each length, ``at`` is the
+    prefix of ``pos`` whose ``length``-byte windows fit in ``buf``, and
+    ``hashes`` their hashes. The bytes are gathered from ``buf`` one
+    column at a time, and each length folds only the columns the
+    previous one did not. Arithmetic mod 2**32 is enough: a table reads
+    only the low ``ExactScanner._TABLE_BITS`` bits. The yielded arrays
+    are overwritten by the next step, so use them before advancing.
+    """
+    state = np.zeros(pos.size, dtype=np.uint32)
+    column = pos.copy()  # each window's next byte
     folded = 0
     for length in lengths:
-        n = max(0, buf.size - length + 1)
-        state = state[:n]
-        for j in range(folded, length):
+        n = int(pos.searchsorted(buf.size - length, side="right"))
+        state, column = state[:n], column[:n]
+        for _ in range(folded, length):
             state *= np.uint32(_EXACT_MULT)
-            state += buf[j : j + n]
+            state += buf.take(column)
+            column += 1
         folded = length
-        yield length, state
+        yield length, pos[:n], state
 
 
 @dataclass(eq=False)
@@ -302,7 +319,7 @@ class _PayloadBlock:
                 np.full(pos.size, length, dtype=np.int64))
 
 
-def _sieve(payloads: Payloads, lengths: list[int], prefixes, test):
+def _sieve(payloads: Payloads, lengths: list[int], test):
     """Yield (block, found) per group of payloads: the windows that pass ``test``.
 
     The batch is cut into groups of consecutive whole payloads, at most
@@ -310,12 +327,13 @@ def _sieve(payloads: Payloads, lengths: list[int], prefixes, test):
     longer payload is a group of its own), so neither a group's bytes
     nor its per-payload arrays grow with the capture. A group's payload
     bytes are gathered into a ``_PayloadBlock`` and walked in runs of
-    ``SLICE_WINDOWS`` window starts. ``prefixes(view, lengths)`` yields
-    (length, digests) in the order of the ascending ``lengths``, one
-    digest per window start of ``view``; ``test(length, digests)`` masks
-    a run's digests. ``found`` maps each length to (start, digest) of
-    the windows that pass and lie inside one payload, by block position.
-    Windows never cross payloads, so the groups need no overlap.
+    ``SLICE_WINDOWS`` window starts. ``test(view, run)`` yields
+    (length, starts, digests) for each of the ascending ``lengths`` in
+    turn: the windows that start in the first ``run`` bytes of ``view``
+    and pass the route's first test, and a digest of each. ``found``
+    maps each length to (start, digest) of the windows that pass and
+    lie inside one payload, by block position. Windows never cross
+    payloads, so the groups need no overlap.
     """
     first = 0
     while first < len(payloads):
@@ -329,10 +347,8 @@ def _sieve(payloads: Payloads, lengths: list[int], prefixes, test):
         # empty view
         for a in range(0, max(block.buf.size, 1), SLICE_WINDOWS):
             view = block.buf[a : a + SLICE_WINDOWS + lengths[-1] - 1]
-            for length, digests in prefixes(view, lengths):
-                digests = digests[:SLICE_WINDOWS]
-                pos = np.nonzero(test(length, digests))[0]
-                kept[length].append((pos + a, digests[pos]))
+            for length, pos, digests in test(view, SLICE_WINDOWS):
+                kept[length].append((pos + a, digests))
         found = {}
         for length, parts in kept.items():
             pos, digests = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -344,10 +360,18 @@ def _sieve(payloads: Payloads, lengths: list[int], prefixes, test):
 
 
 class ExactScanner:
-    """The ground-truth route: exact multi-pattern matching, no filters."""
+    """The ground-truth route: exact multi-pattern matching, no filters.
 
-    # hash-prefilter table size; windows whose hashed slot is unmarked
-    # cannot match, marked ones are confirmed byte-for-byte
+    Two tables stand before the byte comparison. A window start passes
+    the first only if its two bytes begin some pattern (every pattern
+    has two, as ``PATTERN_MIN_LEN`` is 2); only those starts are hashed,
+    and a window passes the second only if its Horner hash and length
+    mark a slot that some pattern of that length marked. A window that
+    passes both is confirmed byte-for-byte, so neither table can add or
+    lose a match.
+    """
+
+    # shared hash-table size, in slots, over all lengths
     _TABLE_BITS = 20
 
     def __init__(self, signature_set: SignatureSet) -> None:
@@ -356,33 +380,43 @@ class ExactScanner:
         for sig in signature_set.signatures:
             ids = self.exact_index.get(sig.pattern, ())
             self.exact_index[sig.pattern] = ids + (sig.id,)
-        self._tables_by_length: dict[int, np.ndarray] = {}
-        for length, group in signature_set.by_length().items():
-            table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
+        groups = signature_set.by_length()
+        self.lengths = sorted(groups)
+        self._prefixes = np.zeros(1 << 16, dtype=bool)
+        self._table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
+        for length, group in groups.items():
             joined = np.frombuffer(b"".join(s.pattern for s in group),
                                    dtype=np.uint8)
-            _, window_hashes = next(_poly32_prefixes(joined, [length]))
-            slots = window_hashes[::length]
-            table[slots & np.uint32((1 << self._TABLE_BITS) - 1)] = True
-            self._tables_by_length[length] = table
+            starts = np.arange(0, joined.size, length)
+            self._prefixes[_pairs(joined)[starts]] = True
+            _, _, hashes = next(_poly32_at(joined, starts, [length]))
+            self._table[self._slots(length, hashes)] = True
+
+    def _slots(self, length: int, hashes: np.ndarray) -> np.ndarray:
+        """The shared-table slot of each ``length``-byte window's hash."""
+        key = np.uint32(length * _LENGTH_MULT & 0xFFFFFFFF)
+        return (hashes + key) & np.uint32((1 << self._TABLE_BITS) - 1)
 
     def matches_batch(self, payloads: Payloads | Sequence[bytes]
                       ) -> dict[int, list[CandidateMatch]]:
-        """Vectorized exact matching: hash windows, confirm hits by bytes.
+        """Vectorized exact matching: sieve windows, confirm hits by bytes.
 
+        Each run's 2-byte keys are tested in one gather; only the starts
+        that pass are hashed, through the lengths in ascending order.
         Returns the matches of each payload that has any, by payload
         index in ascending order.
         """
         payloads = _as_payloads(payloads)
-        mask = np.uint32((1 << self._TABLE_BITS) - 1)
-        tables = self._tables_by_length
+        prefixes, table = self._prefixes, self._table
 
-        def marked(length, window_hashes):
-            return tables[length].take(window_hashes & mask)
+        def marked(view, run):
+            pos = np.flatnonzero(prefixes.take(_pairs(view[: run + 1])))
+            for length, at, hashes in _poly32_at(view, pos, self.lengths):
+                hit = table.take(self._slots(length, hashes))
+                yield length, at[hit], hashes[hit]
 
         matches: dict[int, list[CandidateMatch]] = {}
-        for block, found in _sieve(payloads, sorted(tables), _poly32_prefixes,
-                                   marked):
+        for block, found in _sieve(payloads, self.lengths, marked):
             rows = [block.locate(pos, length)
                     for length, (pos, _) in found.items()]
             for i, windows in Windows.sorted_rows(len(payloads),
@@ -416,12 +450,12 @@ class ExactScanner:
 
 
 class SignatureMatcher:
-    """Programmed per-length filters plus the exact table for verification.
+    """Programmed per-length filters plus the exact route for verification.
 
     Programming happens once in ``program``; afterwards the matcher is
-    immutable and safe for concurrent scanning. The exact tables are
-    built on first use (``exact``), so programming and saving filters
-    never pays for them.
+    immutable and safe for concurrent scanning. The exact route's two
+    tables (about 1.1 MiB whatever the rule set) are built on first use
+    (``exact``), so programming and saving filters never pays for them.
     """
 
     def __init__(self, params: BloomParams, signature_set: SignatureSet,
@@ -504,17 +538,17 @@ class SignatureMatcher:
         seed, k = self.params.seed_a, self.params.k
         zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
 
-        def prefixes(view, lengths):
+        def first_probe(view, run):
             fold = WindowFold(seed, view)
-            for length in lengths:
-                yield length, mix64_windows(seed, view, length, fold=fold)
-
-        def first_probe(length, g1):
-            filt = self.filters[length]
-            return filt.test_bits(filt.probe_indices(g1, zero, 0))
+            for length in self.lengths:
+                g1 = mix64_windows(seed, view, length, fold=fold)[:run]
+                filt = self.filters[length]
+                pos = np.flatnonzero(
+                    filt.test_bits(filt.probe_indices(g1, zero, 0)))
+                yield length, pos, g1[pos]
 
         rows = []
-        for block, found in _sieve(payloads, self.lengths, prefixes, first_probe):
+        for block, found in _sieve(payloads, self.lengths, first_probe):
             for length, (pos, g1) in found.items():
                 if pos.size and k > 1:
                     stride = mix64_at(self.params.seed_b, block.buf, length,

@@ -1,9 +1,13 @@
 import random
+from dataclasses import asdict
+from hashlib import sha256
 
 import pytest
 
+from nicsieve.analytics import emit_csv
 from nicsieve.bloom import BloomParams
-from nicsieve.codec import RawFrame, Trace, parse_packet
+from nicsieve.cli import ScanReportRow
+from nicsieve.codec import RawFrame, Trace, parse_packet, write_pcap
 from nicsieve.pipeline import (
     Reason,
     Verdict,
@@ -313,6 +317,30 @@ def test_clean_traffic_forward_rate_within_union_bound():
              + 4.0 * math.sqrt(sum(p * (1 - p) for p in per_packet)))
     assert stats.forwarded <= math.ceil(bound)
     assert stats.true_matches == 0
+
+
+def test_compare_baseline_outputs_are_pinned():
+    # one fixed trace with 10 pattern lengths (2-byte patterns among them):
+    # the forwarded capture, the report and the decision log, byte for
+    # byte, so a change to either route that moves one decision, candidate
+    # count or match shows here
+    rules = random_signature_set(random.Random(70), 400,
+                                 lengths=list(range(2, 22, 2)))
+    matcher = SignatureMatcher.program(
+        rules, BloomParams(m=4096, k=3, seed_a=55, seed_b=56))
+    spec = TrafficSpec(packet_count=600, attack_fraction=0.2, seed=71,
+                       payload_len_range=(0, 400), signatures=rules)
+    trace, _ = generate_trace(spec)
+    report = compare_baseline(matcher, trace)
+    assert report.equivalent and report.stats.true_matches == 120
+    row = ScanReportRow(**asdict(report.stats), reduction=report.reduction,
+                        equivalent=report.equivalent)
+    outputs = (write_pcap(report.forwarded), emit_csv([row]),
+               decision_log_csv(report.records))
+    assert [sha256(out).hexdigest() for out in outputs] == [
+        "ce85a3dc7250beeb9261bc591be450676cd1cbc9e24f2300c7a70eba7da3e15f",
+        "bebfba5a979b34f1e7eb750091ace07206427540c76d7b04e58aae1c95db1811",
+        "15e311c54d9979ee9fcb91daf39cd2432ba49d611da96e293db468b871d4df52"]
 
 
 # --- decision log -----------------------------------------------------------

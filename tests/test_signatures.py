@@ -396,7 +396,22 @@ def test_scan_completeness_property(data):
 # edges; a group also ends after EDGE_SLICE_WINDOWS payloads
 EDGE_GROUP_BYTES, EDGE_SLICE_WINDOWS = 64, 16
 EDGE_RULES = random_signature_set(random.Random(40), 240, lengths=[3, 9, 20])
-EDGE_MATCHERS = {name: SignatureMatcher.program(EDGE_RULES, params)
+
+
+def shared_prefix_rules(rng, stems):
+    """2-byte patterns, each also the first two bytes of longer patterns."""
+    patterns = []
+    for _ in range(stems):
+        stem = rng.randbytes(2)
+        patterns += [stem] + [stem + rng.randbytes(n - 2) for n in (3, 5, 9, 20)]
+    return SignatureSet([Signature(f"p{i}", pattern) for i, pattern
+                         in enumerate(dict.fromkeys(patterns))])
+
+
+EDGE_PREFIX_RULES = shared_prefix_rules(random.Random(43), 12)
+EDGE_MATCHERS = {prefix + name: SignatureMatcher.program(rules, params)
+                 for prefix, rules in (("", EDGE_RULES),
+                                       ("prefixes-", EDGE_PREFIX_RULES))
                  for name, params in (("sparse", PARAMS), ("dense", DENSE),
                                       ("k1", SINGLE_PROBE))}
 
@@ -406,7 +421,7 @@ EDGE_MATCHERS = {name: SignatureMatcher.program(EDGE_RULES, params)
 @settings(max_examples=20, deadline=None)
 def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
     matcher = EDGE_MATCHERS[name]
-    sigs = EDGE_RULES.signatures
+    sigs = matcher.signature_set.signatures
     embedded = st.builds(lambda pre, sig, post: pre + sig.pattern + post,
                          st.binary(max_size=20), st.sampled_from(sigs),
                          st.binary(max_size=20))
@@ -437,6 +452,70 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
         [naive_exact_matches(sigs, p) for p in payloads]
     assert (EDGE_SLICE_WINDOWS - cut, len(sig.pattern), sig.id) in \
         as_tuples(exact[0])
+
+
+def test_two_byte_pattern_at_payload_group_and_slice_ends(monkeypatch):
+    monkeypatch.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
+    monkeypatch.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
+    sset = SignatureSet([Signature("ab", b"AB"), Signature("long", b"ABCDE")])
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    payloads = [
+        b"-" * 8 + b"AB",  # block bytes 0..9: the payload's last two bytes
+        b"-" * 5 + b"AB" + b"-" * 23,  # 10..39: across the slice edge at 16
+        b"-" * 22 + b"AB",  # 40..63: the last two bytes of the 64-byte group
+        b"-" * 9 + b"A", b"B" + b"-" * 9,  # split over two payloads: no match
+    ]
+    assert [len(p) for p in payloads[:3]] == [10, 30, 24]
+    expected = {0: [(8, 2, "ab")], 1: [(5, 2, "ab")], 2: [(22, 2, "ab")]}
+    exact = matcher.exact_matches_batch(payloads)
+    assert {i: as_tuples(m) for i, m in exact.items()} == expected
+    scanned = matcher.scan_batch(payloads)
+    assert [as_windows(c) for c in scanned] == \
+        [reference_candidates(matcher.filters, p) for p in payloads]
+    verified = {i: as_tuples(matcher.verify(payloads[i], c))
+                for i, c in scanned.by_payload().items()}
+    assert {i: v for i, v in verified.items() if v} == expected
+
+
+def test_exact_tables_do_not_grow_with_the_lengths():
+    # 10 lengths x 200 patterns: one 1 MiB table per length took 10.2 MiB
+    rng = random.Random(73)
+    sset = SignatureSet([Signature(f"L{n}-{i}", rng.randbytes(n))
+                         for n in range(6, 16) for i in range(200)])
+    tracemalloc.start()
+    try:
+        ExactScanner(sset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, f"ExactScanner peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_exact_scan_confirms_no_more_windows_than_per_length_tables(monkeypatch):
+    # the windows the exact route hands to the byte comparison on a fixed
+    # batch with 10 lengths: 647 when each length had its own 1 MiB table
+    rng = random.Random(72)
+    sset = random_signature_set(rng, 2000, lengths=list(range(6, 16)))
+    payloads = []
+    for _ in range(400):
+        p = bytearray(rng.randbytes(rng.randint(0, 1500)))
+        if rng.random() < 0.25 and len(p) >= 20:
+            sig = rng.choice(sset.signatures)
+            off = rng.randint(0, len(p) - len(sig.pattern))
+            p[off : off + len(sig.pattern)] = sig.pattern
+        payloads.append(bytes(p))
+    scanner = ExactScanner(sset)
+    handed = []
+    confirm = ExactScanner.confirm
+
+    def counting(self, payload, candidates):
+        handed.append(len(candidates))
+        return confirm(self, payload, candidates)
+
+    monkeypatch.setattr(ExactScanner, "confirm", counting)
+    found = scanner.matches_batch(payloads)
+    assert sum(len(m) for m in found.values()) == 103
+    assert sum(handed) <= 647
 
 
 def test_scan_memory_does_not_grow_with_the_batch():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nicsieve.codec import parse_packet, write_pcap
+from nicsieve.codec import parse_payloads, write_pcap
 from nicsieve.signatures import Signature, SignatureSet
 from nicsieve.traffic import (
     Manifest,
@@ -21,6 +21,13 @@ from conftest import (
     random_signature_set,
     reference_ones_complement_sum,
 )
+
+
+def payloads_of(trace):
+    """Every frame's payload, from one batch parse of the trace."""
+    start, end, unparseable = parse_payloads(trace)
+    assert not unparseable.any()
+    return [bytes(trace.buf[a:b]) for a, b in zip(start.tolist(), end.tolist())]
 
 
 def small_rules():
@@ -87,11 +94,10 @@ def test_frames_are_well_formed_tcp():
     spec = TrafficSpec(packet_count=50, attack_fraction=0.1, seed=3,
                        payload_len_range=(20, 80), signatures=small_rules())
     trace, _ = generate_trace(spec)
-    for frame, entry in zip(trace, generate_trace(spec)[1].entries):
+    for frame, payload in zip(trace, payloads_of(trace)):
         data = frame.data
         assert data[12:14] == b"\x08\x00"  # IPv4
         assert data[23] == 6  # TCP
-        payload = parse_packet(frame)
         assert payload == data[54:]
         assert 20 <= len(payload) <= 80
 
@@ -102,10 +108,10 @@ def test_manifest_matches_independent_scanner():
     spec = TrafficSpec(packet_count=400, attack_fraction=0.08, seed=12,
                        payload_len_range=(24, 120), signatures=rules)
     trace, manifest = generate_trace(spec)
+    payloads = payloads_of(trace)
 
     flagged = set()
-    for i, frame in enumerate(trace):
-        payload = parse_packet(frame)
+    for i, payload in enumerate(payloads):
         if naive_exact_matches(rules.signatures, payload):
             flagged.add(i)
     assert flagged == set(manifest.attack_indices())
@@ -114,7 +120,7 @@ def test_manifest_matches_independent_scanner():
     by_id = {s.id: s.pattern for s in rules.signatures}
     for entry in manifest.entries:
         if entry.is_attack:
-            payload = parse_packet(trace.frames[entry.index])
+            payload = payloads[entry.index]
             pattern = by_id[entry.signature_id]
             assert payload[entry.embed_offset : entry.embed_offset
                            + len(pattern)] == pattern
@@ -127,8 +133,7 @@ def test_zero_fraction_background_is_clean():
                        payload_len_range=(40, 200), signatures=rules)
     trace, manifest = generate_trace(spec)
     assert manifest.attack_indices() == []
-    for frame in trace:
-        payload = parse_packet(frame)
+    for payload in payloads_of(trace):
         assert naive_exact_matches(rules.signatures, payload) == []
 
 

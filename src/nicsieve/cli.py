@@ -34,6 +34,7 @@ from .traffic import TrafficSpec, generate_trace
 DEFAULT_K_LIST = (2, 4, 6, 8)
 DEFAULT_N_LIST = (100, 250, 500, 1000, 2000, 4000)
 DEFAULT_PARAMS = BloomParams()
+DEFAULT_TRAFFIC = TrafficSpec(packet_count=0)
 
 
 @dataclass(kw_only=True)
@@ -81,12 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("--count", type=int, required=True, help="packets to generate")
-    gen.add_argument("--attack-fraction", type=float, default=0.0,
+    gen.add_argument("--attack-fraction", type=float,
+                     default=DEFAULT_TRAFFIC.attack_fraction,
                      help="fraction of packets carrying a signature")
     gen.add_argument("--rules", help="rule file (required when attacks requested)")
-    gen.add_argument("--payload-min", type=int, default=40)
-    gen.add_argument("--payload-max", type=int, default=1400)
-    gen.add_argument("--seed", type=int, default=0)
+    payload_min, payload_max = DEFAULT_TRAFFIC.payload_len_range
+    gen.add_argument("--payload-min", type=int, default=payload_min)
+    gen.add_argument("--payload-max", type=int, default=payload_max)
+    gen.add_argument("--seed", type=int, default=DEFAULT_TRAFFIC.seed)
     gen.add_argument("--out", required=True, help="output capture file")
     gen.add_argument("--manifest", required=True, help="output ground-truth CSV")
     gen.set_defaults(func=cmd_gen)

@@ -132,11 +132,8 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
     start, end, unparseable = parse_payloads(trace)
     payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)
     candidates = matcher.scan_batch(payloads)
-    filtered = {}
-    for i, windows in candidates.by_payload().items():
-        verified = matcher.verify(payloads[i], windows)
-        if verified:
-            filtered[i] = tuple(verified)
+    filtered = {i: tuple(verified) for i, verified in
+                candidates.confirmed(payloads, matcher.verify).items()}
     baseline = {i: tuple(matches) for i, matches in
                 matcher.exact_matches_batch(payloads).items()}
 

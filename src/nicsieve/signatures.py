@@ -18,8 +18,8 @@ filters, confirming every hit byte-for-byte. Both take the batch as
 walk it through one window sieve, ``_sieve``. The sieve cuts the batch
 into groups of whole payloads (``GROUP_BYTES`` payload bytes and
 ``SLICE_WINDOWS`` payloads at most, or one longer payload), gathers each
-group's payload bytes into a ``_PayloadBlock``, and hands each run of
-``SLICE_WINDOWS`` window starts to the route's first test, so the
+group's payload bytes end to end (``Payloads.gather``), and hands each
+run of ``SLICE_WINDOWS`` window starts to the route's first test, so the
 working arrays stay cache-sized and do not grow with the trace. Each
 byte column is hashed once for all lengths: a window's hash state after
 j bytes is the same for every length of at least j bytes, so one running
@@ -30,13 +30,17 @@ against a table of the patterns' first two bytes, gathers the bytes of
 only the starts that pass into a Horner fold, and tests each window's
 hash and length against one table shared by all lengths. Only the
 windows that pass a route's first test inside one payload outlive the
-group's walk. The Bloom route narrows them through the other probes and
-returns them as ``Windows``: arrays of (payload, offset, length), sorted,
-with no Python object per payload; ``CandidateMatch`` objects are made
-only for the payloads that someone asks about. The exact route confirms
-them group by group and returns the matches of the payloads that have
-any, by payload index. The tests check both routes against the
-independent per-payload oracles in ``tests/conftest.py``.
+group's walk; the Bloom route narrows them there through the other
+probes. Both routes leave the sieve the same way, as ``Windows``: arrays
+of (payload, offset, length) for the whole batch, sorted, with no Python
+object per payload. The Bloom route returns them as its candidates;
+``CandidateMatch`` objects are made only for the payloads that someone
+asks about. ``Windows.confirmed`` is the one loop that turns windows
+into matches: the exact route runs it with ``ExactScanner.confirm`` and
+returns the matches of the payloads that have any, by payload index,
+and the card's host runs it with ``SignatureMatcher.verify`` on the
+candidates. The tests check both routes against the independent
+per-payload oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -230,13 +234,26 @@ class Payloads:
         buf = self.buf
         return (buf[a:b] for a, b in zip(self.starts.tolist(), self.ends.tolist()))
 
+    def gather(self, first: int, stop: int) -> Payloads:
+        """Payloads ``first`` to ``stop`` joined end to end in a new buffer.
+
+        Only the payload bytes are gathered, never the gaps between them.
+        """
+        src = self.starts[first:stop]
+        lengths = self.ends[first:stop] - src
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # the source index steps by one per byte, and by one plus the gap
+        # at each payload's first byte; summing the steps in place needs
+        # no second index-sized array
+        nonempty = lengths > 0
+        at = np.ones(int(lengths.sum()), dtype=np.int64)
+        at[starts[nonempty]] += np.diff((src - starts)[nonempty], prepend=1)
+        return Payloads(self.buf[np.cumsum(at, out=at)], starts, ends)
+
 
 def _as_payloads(payloads: Payloads | Sequence[bytes]) -> Payloads:
     return payloads if isinstance(payloads, Payloads) else Payloads.of(payloads)
-
-
-def _int_column(parts) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
 @dataclass(eq=False)
@@ -245,7 +262,7 @@ class Windows:
 
     Row r is the window of ``length[r]`` bytes at ``offset[r]`` in
     payload ``payload[r]``. Rows are sorted by payload, offset and
-    length. Indexing or iterating gives the windows of each payload as
+    length. Iterating gives the windows of each payload as
     ``CandidateMatch`` objects, made on access.
     """
 
@@ -253,23 +270,6 @@ class Windows:
     payload: np.ndarray  # int64
     offset: np.ndarray
     length: np.ndarray
-
-    @classmethod
-    def sorted_rows(cls, size: int, rows) -> Windows:
-        """Windows from unsorted (payload, offset, length) array triples."""
-        columns = list(zip(*rows)) or [(), (), ()]
-        payload, offset, length = (_int_column(c) for c in columns)
-        order = np.lexsort((length, offset, payload))
-        return cls(size, payload[order], offset[order], length[order])
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> list[CandidateMatch]:
-        i = range(self.size)[i]
-        a, b = self.payload.searchsorted([i, i + 1])
-        return [CandidateMatch(o, n) for o, n in
-                zip(self.offset[a:b].tolist(), self.length[a:b].tolist())]
 
     def __iter__(self):
         found = self.by_payload()
@@ -287,76 +287,72 @@ class Windows:
             out.setdefault(p, []).append(CandidateMatch(o, n))
         return out
 
+    def confirmed(self, payloads: Payloads, confirm
+                  ) -> dict[int, list[CandidateMatch]]:
+        """``confirm(payload, windows)`` of each payload that has windows.
 
-class _PayloadBlock:
-    """Payloads ``first`` to ``stop`` gathered end to end for window scans.
-
-    ``starts[i]``/``ends[i]`` bound the group's payload i in ``buf``.
-    Position ``pos`` lies in payload ``ends.searchsorted(pos, side="right")``,
-    the first one to end after it, so an empty payload is never found.
-    """
-
-    def __init__(self, payloads: Payloads, first: int, stop: int) -> None:
-        src = payloads.starts[first:stop]
-        lengths = payloads.ends[first:stop] - src
-        self.first = first
-        self.ends = np.cumsum(lengths)
-        self.starts = self.ends - lengths
-        # gather the payload bytes only, never the gaps between them: the
-        # source index steps by one per byte, and by one plus the gap at
-        # each payload's first byte; summing the steps in place needs no
-        # second index-sized array
-        nonempty = lengths > 0
-        at = np.ones(int(self.ends[-1]), dtype=np.int64)
-        at[self.starts[nonempty]] += np.diff((src - self.starts)[nonempty],
-                                             prepend=1)
-        self.buf = payloads.buf[np.cumsum(at, out=at)]
-
-    def locate(self, pos: np.ndarray, length: int):
-        """(payload, offset, length) rows of the windows at block positions ``pos``."""
-        owners = self.ends.searchsorted(pos, side="right")
-        return (owners + self.first, pos - self.starts[owners],
-                np.full(pos.size, length, dtype=np.int64))
+        ``payloads`` is the batch the windows were found in. Returns the
+        confirmed matches of each payload that has any, by payload index
+        in ascending order.
+        """
+        matches: dict[int, list[CandidateMatch]] = {}
+        for i, windows in self.by_payload().items():
+            confirmed = confirm(payloads[i], windows)
+            if confirmed:
+                matches[i] = confirmed
+        return matches
 
 
-def _sieve(payloads: Payloads, lengths: list[int], test):
-    """Yield (block, found) per group of payloads: the windows that pass ``test``.
+def _sieve(payloads: Payloads, lengths: list[int], test,
+           narrow=None) -> Windows:
+    """The windows of ``payloads`` that pass ``test``, and ``narrow`` if given.
 
     The batch is cut into groups of consecutive whole payloads, at most
     ``GROUP_BYTES`` payload bytes and ``SLICE_WINDOWS`` payloads each (a
     longer payload is a group of its own), so neither a group's bytes
     nor its per-payload arrays grow with the capture. A group's payload
-    bytes are gathered into a ``_PayloadBlock`` and walked in runs of
+    bytes are gathered (``Payloads.gather``) and walked in runs of
     ``SLICE_WINDOWS`` window starts. ``test(view, run)`` yields
     (length, starts, digests) for each of the ascending ``lengths`` in
     turn: the windows that start in the first ``run`` bytes of ``view``
-    and pass the route's first test, and a digest of each. ``found``
-    maps each length to (start, digest) of the windows that pass and
-    lie inside one payload, by block position. Windows never cross
-    payloads, so the groups need no overlap.
+    and pass the route's first test, and a digest of each. Of those,
+    the windows that lie inside one payload are kept, and when there
+    are any, ``narrow(buf, length, starts, digests)`` may select among
+    them by the group's buffer positions. Windows never cross payloads,
+    so the groups need no overlap.
     """
+    empty = np.zeros(0, dtype=np.int64)
+    rows = [(empty, empty, empty)]  # (payload, offset, length) per group and length
     first = 0
     while first < len(payloads):
         ahead = slice(first, first + SLICE_WINDOWS)
         sizes = np.cumsum(payloads.ends[ahead] - payloads.starts[ahead])
         stop = first + max(int(sizes.searchsorted(GROUP_BYTES, side="right")), 1)
-        block = _PayloadBlock(payloads, first, stop)
+        group = payloads.gather(first, stop)
         kept: dict[int, list] = {length: [] for length in lengths}
         # a view reaches ``lengths[-1] - 1`` bytes past its run, so it holds
-        # every window that starts in the run; an empty block gives one
+        # every window that starts in the run; an empty group gives one
         # empty view
-        for a in range(0, max(block.buf.size, 1), SLICE_WINDOWS):
-            view = block.buf[a : a + SLICE_WINDOWS + lengths[-1] - 1]
+        for a in range(0, max(group.buf.size, 1), SLICE_WINDOWS):
+            view = group.buf[a : a + SLICE_WINDOWS + lengths[-1] - 1]
             for length, pos, digests in test(view, SLICE_WINDOWS):
                 kept[length].append((pos + a, digests))
-        found = {}
         for length, parts in kept.items():
             pos, digests = (np.concatenate(arrays) for arrays in zip(*parts))
-            owner_end = block.ends[block.ends.searchsorted(pos, side="right")]
-            inside = pos + length <= owner_end
-            found[length] = pos[inside], digests[inside]
-        yield block, found
+            # the first payload to end after a position holds it, so an
+            # empty payload never owns a window
+            owner = group.ends.searchsorted(pos, side="right")
+            inside = pos + length <= group.ends[owner]
+            pos, owner = pos[inside], owner[inside]
+            if narrow is not None and pos.size:
+                keep = narrow(group.buf, length, pos, digests[inside])
+                pos, owner = pos[keep], owner[keep]
+            rows.append((owner + first, pos - group.starts[owner],
+                         np.full(pos.size, length, dtype=np.int64)))
         first = stop
+    payload, offset, length = (np.concatenate(c) for c in zip(*rows))
+    order = np.lexsort((length, offset, payload))
+    return Windows(len(payloads), payload[order], offset[order], length[order])
 
 
 class ExactScanner:
@@ -415,16 +411,8 @@ class ExactScanner:
                 hit = table.take(self._slots(length, hashes))
                 yield length, at[hit], hashes[hit]
 
-        matches: dict[int, list[CandidateMatch]] = {}
-        for block, found in _sieve(payloads, self.lengths, marked):
-            rows = [block.locate(pos, length)
-                    for length, (pos, _) in found.items()]
-            for i, windows in Windows.sorted_rows(len(payloads),
-                                                  rows).by_payload().items():
-                confirmed = self.confirm(payloads[i], windows)
-                if confirmed:
-                    matches[i] = confirmed
-        return matches
+        windows = _sieve(payloads, self.lengths, marked)
+        return windows.confirmed(payloads, self.confirm)
 
     def confirm(self, payload: bytes,
                 candidates: list[CandidateMatch]) -> list[CandidateMatch]:
@@ -527,7 +515,7 @@ class SignatureMatcher:
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
     def scan_batch(self, payloads: Payloads | Sequence[bytes]) -> Windows:
-        """Candidate windows of every programmed length, group by group.
+        """Candidate windows of every programmed length.
 
         The sieve tests every window's first probe, which needs no
         stride. The second digest is gathered only for the windows that
@@ -547,15 +535,12 @@ class SignatureMatcher:
                     filt.test_bits(filt.probe_indices(g1, zero, 0)))
                 yield length, pos, g1[pos]
 
-        rows = []
-        for block, found in _sieve(payloads, self.lengths, first_probe):
-            for length, (pos, g1) in found.items():
-                if pos.size and k > 1:
-                    stride = mix64_at(self.params.seed_b, block.buf, length,
-                                      pos) | np.uint64(1)
-                    pos = pos[self.filters[length].narrow(g1, stride, 1)]
-                rows.append(block.locate(pos, length))
-        return Windows.sorted_rows(len(payloads), rows)
+        def other_probes(buf, length, pos, g1):
+            stride = mix64_at(self.params.seed_b, buf, length, pos) | np.uint64(1)
+            return self.filters[length].narrow(g1, stride, 1)
+
+        return _sieve(payloads, self.lengths, first_probe,
+                      other_probes if k > 1 else None)
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

@@ -36,7 +36,7 @@ class TrafficSpec:
 
     packet_count: int
     attack_fraction: float = 0.0
-    payload_len_range: tuple[int, int] = (40, 1400)
+    payload_len_range: tuple[int, int] = (40, MAX_PAYLOAD)
     seed: int = 0
     signatures: SignatureSet | None = None
 

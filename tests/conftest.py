@@ -9,8 +9,21 @@ implementation against something other than itself.
 from __future__ import annotations
 
 import random
+import warnings
 
 from nicsieve import Signature, SignatureSet
+
+# hypothesis's pytest plugin imports this module while it reports a
+# falsifying example; its dependencies raise a DeprecationWarning on
+# import, which the warning filters in pyproject.toml would turn into an
+# error inside pytest's report hook, hiding the example. Importing it
+# once here, with that warning ignored, leaves the filters as they are.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def naive_exact_matches(signatures, payload: bytes) -> list[tuple[int, int, str]]:

@@ -133,9 +133,9 @@ def test_criterion_4_scanner_oracle_equivalence():
                 off = rng.randint(0, len(payload) - len(sig.pattern))
                 payload[off : off + len(sig.pattern)] = sig.pattern
         payload = bytes(payload)
+        candidates = matcher.scan_batch([payload]).by_payload().get(0, [])
         got = [(v.offset, v.length, v.signature_id)
-               for v in matcher.verify(payload,
-                                       matcher.scan_batch([payload])[0])]
+               for v in matcher.verify(payload, candidates)]
         if got != naive_exact_matches(sset.signatures, payload):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,8 @@ import pytest
 from nicsieve.bloom import BloomFilter
 from nicsieve.cli import main
 from nicsieve.codec import NSEC, USEC, RawFrame, Trace, read_pcap, write_pcap
-from nicsieve.traffic import Manifest
+from nicsieve.signatures import load_rules
+from nicsieve.traffic import Manifest, TrafficSpec, generate_trace
 
 RULES = b"""# demo rules
 web1,ascii,GET /etc/passwd
@@ -111,6 +112,21 @@ def test_gen_deterministic(tmp_path, rules_file):
                "--manifest", tmp_path / "b.csv") == 0
     assert (tmp_path / "a.pcap").read_bytes() == (tmp_path / "b.pcap").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, spec", [
+    ((), TrafficSpec(packet_count=300, signatures=load_rules(RULES))),
+    (("--attack-fraction", 0.1, "--seed", 5),
+     TrafficSpec(packet_count=300, attack_fraction=0.1, seed=5,
+                 signatures=load_rules(RULES))),
+], ids=["no-flags", "no-payload-flags"])
+def test_gen_defaults_are_the_spec_defaults(tmp_path, rules_file, flags, spec):
+    assert run("gen", "--count", 300, "--rules", rules_file, *flags,
+               "--out", tmp_path / "t.pcap",
+               "--manifest", tmp_path / "m.csv") == 0
+    trace, manifest = generate_trace(spec)
+    assert (tmp_path / "t.pcap").read_bytes() == write_pcap(trace)
+    assert (tmp_path / "m.csv").read_bytes() == manifest.to_csv()
 
 
 def test_gen_invalid_spec_exit_1(tmp_path, rules_file):

@@ -42,7 +42,7 @@ def as_windows(candidates):
 
 
 def scan_one(matcher, payload):
-    return matcher.scan_batch([payload])[0]
+    return matcher.scan_batch([payload]).by_payload().get(0, [])
 
 
 def exact_one(matcher, payload):
@@ -516,6 +516,38 @@ def test_exact_scan_confirms_no_more_windows_than_per_length_tables(monkeypatch)
     found = scanner.matches_batch(payloads)
     assert sum(len(m) for m in found.values()) == 103
     assert sum(handed) <= 647
+
+
+def test_payloads_gather_joins_payloads_as_payloads_of():
+    # a capture's payloads: header bytes between them, empty payloads
+    # first, in the middle and last, and one longer than a scan group
+    rng = random.Random(44)
+    addrs = (b"\x02" * 6, b"\x04" * 6, b"\x0a\0\0\x01", b"\x0a\0\0\x02", 1, 2)
+    ack = RawFrame(build_tcp_frame(*addrs, b""))
+    # an unknown ethertype: the payload is all that follows the link header
+    long = RawFrame(b"\x02" * 12 + b"\x88\xb5"
+                    + rng.randbytes(signatures.GROUP_BYTES + 100))
+    def data(size):
+        return RawFrame(build_tcp_frame(*addrs, rng.randbytes(size)))
+
+    trace = Trace.from_frames([ack, ack, data(1), ack, long, ack, data(300),
+                               data(7), data(40), ack])
+    start, end, unparseable = parse_payloads(trace)
+    assert not unparseable.any()
+    payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)
+    assert (end - start).max() > signatures.GROUP_BYTES
+    n = len(payloads)
+    for first in range(n + 1):
+        for stop in range(first, n + 1):
+            group = payloads.gather(first, stop)
+            expected = Payloads.of([payloads[i] for i in range(first, stop)])
+            assert np.array_equal(group.buf, expected.buf)
+            assert np.array_equal(group.starts, expected.starts)
+            assert np.array_equal(group.ends, expected.ends)
+            pos = np.arange(group.buf.size)
+            owner = group.ends.searchsorted(pos, side="right")
+            assert (group.starts[owner] <= pos).all()
+            assert (pos < group.ends[owner]).all()
 
 
 def test_scan_memory_does_not_grow_with_the_batch():

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analytics import FprSweepRow, emit_csv, fpr_sweep
 from .bloom import BloomParams, fpr_theoretical
 from .codec import read_pcap, write_pcap
-from .pipeline import PipelineStats, compare_baseline, decision_log_csv
+from .pipeline import compare_baseline, decision_log_csv
 from .signatures import SignatureMatcher, load_rules
 from .traffic import TrafficSpec, generate_trace
 
@@ -35,12 +34,6 @@ DEFAULT_K_LIST = (2, 4, 6, 8)
 DEFAULT_N_LIST = (100, 250, 500, 1000, 2000, 4000)
 DEFAULT_PARAMS = BloomParams()
 DEFAULT_TRAFFIC = TrafficSpec(packet_count=0)
-
-
-@dataclass(kw_only=True)
-class ScanReportRow(PipelineStats):
-    reduction: float
-    equivalent: bool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +153,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _load_index(index_path: Path) -> dict[int, bytes]:
     images: dict[int, bytes] = {}
-    for lineno, line in enumerate(index_path.read_text().splitlines(), start=1):
+    text = index_path.read_text().removeprefix("\ufeff")  # a byte-order mark
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -190,9 +184,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     report = compare_baseline(matcher, trace)
     Path(args.out).write_bytes(write_pcap(report.forwarded))
     stats = report.stats
-    row = ScanReportRow(**asdict(stats), reduction=report.reduction,
-                        equivalent=report.equivalent)
-    Path(args.report).write_bytes(emit_csv([row]))
+    Path(args.report).write_bytes(emit_csv([stats]))
     if args.decision_log:
         Path(args.decision_log).write_bytes(decision_log_csv(report.records))
 
@@ -200,7 +192,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
           f"({100.0 * stats.forwarded / stats.total if stats.total else 0.0:.2f}%), "
           f"true matches {stats.true_matches}, "
           f"false-positive forwards {stats.false_positive_forwards}")
-    if not report.equivalent:
+    if not stats.equivalent:
         print("error: filtered and unfiltered detections differ", file=sys.stderr)
         return 3
     return 0

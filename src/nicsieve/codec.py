@@ -109,16 +109,17 @@ class Trace(Sequence):
     @classmethod
     def from_frames(cls, frames: Iterable[RawFrame],
                     ts_resolution: int = USEC) -> Trace:
-        """Lay frames out as a little-endian capture file in one buffer."""
-        parts = [_file_header(ts_resolution)]
+        """Append each frame's record, as it arrives, to one little-endian capture."""
+        buf = bytearray(_file_header(ts_resolution))
+        lengths = array("I")
         for f in frames:
-            parts.append(_RECORD.pack(f.ts_sec, f.ts_usec, len(f.data),
-                                      f.orig_len))
-            parts.append(f.data)
-        caplen = np.array([len(d) for d in parts[2::2]], dtype=np.uint32)
+            buf += _RECORD.pack(f.ts_sec, f.ts_usec, len(f.data), f.orig_len)
+            buf += f.data
+            lengths.append(len(f.data))
+        caplen = np.array(lengths, dtype=np.uint32)
         data_offset = (np.cumsum(caplen + _RECORD_HEADER, dtype=np.int64)
                        - caplen + _FILE_HEADER)
-        return cls(b"".join(parts), data_offset, caplen, ts_resolution)
+        return cls(buf, data_offset, caplen, ts_resolution)
 
     def __len__(self) -> int:
         return self.data_offset.size

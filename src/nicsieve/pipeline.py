@@ -59,6 +59,8 @@ class PipelineStats:
     non_parseable_forwards: int = 0
     bytes_total: int = 0
     bytes_forwarded: int = 0
+    reduction: float = 0.0  # 1 - forwarded/total
+    equivalent: bool = False  # filtered detections equal unfiltered ones
 
 
 @dataclass
@@ -111,9 +113,7 @@ class BaselineReport:
 
     baseline_detections: dict[int, tuple[CandidateMatch, ...]]
     filtered_detections: dict[int, tuple[CandidateMatch, ...]]
-    equivalent: bool
     stats: PipelineStats
-    reduction: float  # 1 - forwarded/total
     forwarded: Trace
     records: Decisions  # one per frame, in file order
 
@@ -149,12 +149,12 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
         false_positive_forwards=matched - len(filtered),
         non_parseable_forwards=int(np.count_nonzero(unparseable)),
         bytes_total=int(trace.caplen.sum(dtype=np.int64)),
-        bytes_forwarded=int(trace.caplen[forward].sum(dtype=np.int64)))
+        bytes_forwarded=int(trace.caplen[forward].sum(dtype=np.int64)),
+        reduction=1.0 - forwarded / total if total else 0.0,
+        equivalent=baseline == filtered)
     return BaselineReport(
         baseline_detections=baseline, filtered_detections=filtered,
-        equivalent=baseline == filtered, stats=stats,
-        reduction=1.0 - forwarded / total if total else 0.0,
-        forwarded=trace.select(forward),
+        stats=stats, forwarded=trace.select(forward),
         records=Decisions(reason, counts, end - start, filtered))
 
 

@@ -8,6 +8,9 @@ sampled until no pattern occurs in them by chance, so the manifest --
 which packet is an attack, which signature, at what offset -- is exact
 ground truth for measuring detection and false-positive behavior.
 
+Every payload is drawn into one buffer, where attacks are spliced in and
+dirty background payloads redrawn, and each frame is appended to the
+capture buffer as it is built, so no per-frame payload or frame is kept.
 Everything is driven by one seeded generator: the same spec and seed
 reproduce the trace bit for bit.
 """
@@ -18,16 +21,20 @@ import csv
 import io
 import random
 import struct
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .codec import RawFrame, Trace
-from .signatures import ExactScanner, SignatureSet
+from .signatures import ExactScanner, Payloads, SignatureSet
 
 MAX_PAYLOAD = 1400  # keeps frames inside a standard Ethernet MTU
 
 _TS_BASE = 1_600_000_000  # fixed epoch so generated captures are stable
 _TS_STEP_USEC = 100
+_HEADER_DRAWS = struct.Struct("<16sHHI")  # MACs and IP hosts, ports, seq
 
 
 @dataclass
@@ -54,7 +61,7 @@ class TrafficSpec:
             raise ValueError("attack packets requested but no signatures given")
 
 
-@dataclass
+@dataclass(slots=True)
 class ManifestEntry:
     index: int
     is_attack: bool
@@ -108,10 +115,6 @@ def _ones_complement_sum(data: bytes) -> int:
     return value % 0xFFFF or (0xFFFF if value else 0)
 
 
-def _ipv4_checksum(header: bytes) -> int:
-    return ~_ones_complement_sum(header) & 0xFFFF
-
-
 def build_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
                     dst_ip: bytes, src_port: int, dst_port: int,
                     payload: bytes, seq: int = 0) -> bytes:
@@ -121,7 +124,7 @@ def build_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
     total_len = 20 + 20 + len(payload)
     ip_no_cksum = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0,
                               64, 6, 0, src_ip, dst_ip)
-    cksum = _ipv4_checksum(ip_no_cksum)
+    cksum = ~_ones_complement_sum(ip_no_cksum) & 0xFFFF
     ip = ip_no_cksum[:10] + struct.pack("!H", cksum) + ip_no_cksum[12:]
 
     tcp_no_cksum = struct.pack("!HHIIBBHHH", src_port, dst_port, seq, 0,
@@ -149,73 +152,72 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
                 f"longest pattern ({longest} bytes) exceeds max payload ({hi})")
 
     # Pass 1: per-packet metadata, drawn in index order.
-    headers = []
+    headers = bytearray()
     entries = []
-    payload_lens = []
-    embeds: list[tuple[bytes, int] | None] = []
+    lengths = array("q")
     ports = (80, 443, 25, 53, 8080)
     for index in range(spec.packet_count):
-        raw = rng.randbytes(16)  # src/dst MAC + both IP host parts
-        headers.append((
-            raw[0:6], raw[6:12],
-            b"\x0a\x00" + raw[12:14],                  # src 10.0.x.x
-            b"\xc0\xa8" + raw[14:16],                  # dst 192.168.x.x
-            1024 + rng.getrandbits(16) % 64512,        # src port
-            ports[rng.getrandbits(8) % len(ports)],    # dst port
-            rng.getrandbits(32),                       # seq
-        ))
+        headers += _HEADER_DRAWS.pack(
+            rng.randbytes(16),                       # MACs, IP host parts
+            1024 + rng.getrandbits(16) % 64512,      # src port
+            ports[rng.getrandbits(8) % len(ports)],  # dst port
+            rng.getrandbits(32))                     # seq
         if index in attack_set:
             sig = signatures[rng.randrange(len(signatures))]
             length = rng.randint(max(lo, len(sig.pattern)), hi)
             offset = rng.randint(0, length - len(sig.pattern))
-            embeds.append((sig.pattern, offset))
             entries.append(ManifestEntry(index=index, is_attack=True,
                                          signature_id=sig.id,
                                          embed_offset=offset))
         else:
             length = rng.randint(lo, hi)
-            embeds.append(None)
             entries.append(ManifestEntry(index=index, is_attack=False))
-        payload_lens.append(length)
+        lengths.append(length)
 
-    # Pass 2: payload bytes; attacks get their pattern spliced in.
-    payloads: list[bytes] = []
-    for index in range(spec.packet_count):
-        body = rng.randbytes(payload_lens[index])
-        embed = embeds[index]
-        if embed is not None:
-            pattern, offset = embed
-            body = body[:offset] + pattern + body[offset + len(pattern):]
-        payloads.append(body)
+    # Pass 2: payload bytes, drawn into one buffer; attacks spliced in place.
+    buf = bytearray(sum(lengths))
+    patterns = {s.id: s.pattern for s in signatures}
+    at = 0
+    for entry, length in zip(entries, lengths):
+        buf[at : at + length] = rng.randbytes(length)
+        if entry.is_attack:
+            pattern = patterns[entry.signature_id]
+            splice = at + entry.embed_offset
+            buf[splice : splice + len(pattern)] = pattern
+        at += length
 
-    # Pass 3: resample background payloads that contain a pattern by chance.
+    # Pass 3: redraw in place background payloads holding a pattern by chance.
     if signatures:
         scanner = ExactScanner(spec.signatures)
-        background = [i for i in range(spec.packet_count) if i not in attack_set]
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        background = np.flatnonzero([not e.is_attack for e in entries])
         rounds = 0
-        while background:
-            dirty = [i for i, hit in zip(
-                background,
-                scanner.contains_any_batch([payloads[i] for i in background]))
-                if hit]
-            for i in dirty:
-                payloads[i] = rng.randbytes(payload_lens[i])
-            background = dirty
+        while background.size:
+            background = background[scanner.contains_any_batch(Payloads(
+                np.frombuffer(buf, dtype=np.uint8), starts[background],
+                ends[background]))]
+            for a, b in zip(starts[background].tolist(),
+                            ends[background].tolist()):
+                buf[a:b] = rng.randbytes(b - a)
             rounds += 1
-            if rounds > 100 and background:
+            if rounds > 100 and background.size:
                 # dense short patterns can make pattern-free payloads
                 # vanishingly rare; give up loudly rather than spin
                 raise ValueError(
                     "cannot draw pattern-free background payloads; the rule "
                     "set matches random bytes too often")
 
-    frames = []
-    for index in range(spec.packet_count):
-        src_mac, dst_mac, src_ip, dst_ip, sport, dport, seq = headers[index]
-        data = build_tcp_frame(src_mac, dst_mac, src_ip, dst_ip, sport, dport,
-                               payloads[index], seq=seq)
-        usec = _TS_STEP_USEC * index
-        frames.append(RawFrame(data=data,
-                               ts_sec=_TS_BASE + usec // 1_000_000,
-                               ts_usec=usec % 1_000_000))
-    return Trace.from_frames(frames), Manifest(entries=entries)
+    def frames():
+        at = 0
+        for index, ((raw, sport, dport, seq), length) in enumerate(
+                zip(_HEADER_DRAWS.iter_unpack(headers), lengths)):
+            data = build_tcp_frame(raw[0:6], raw[6:12],
+                                   b"\x0a\x00" + raw[12:14],  # 10.0.x.x
+                                   b"\xc0\xa8" + raw[14:16],  # 192.168.x.x
+                                   sport, dport, buf[at : at + length], seq=seq)
+            at += length
+            usec = _TS_STEP_USEC * index
+            yield RawFrame(data, _TS_BASE + usec // 1_000_000, usec % 1_000_000)
+
+    return Trace.from_frames(frames()), Manifest(entries=entries)

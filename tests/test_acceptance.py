@@ -44,7 +44,7 @@ def test_criterion_1_zero_false_negatives():
             payload_len_range=(30, 120), seed=rng.getrandbits(32),
             signatures=sset))
         outcome = compare_baseline(matcher, trace)
-        if not outcome.equivalent:
+        if not outcome.stats.equivalent:
             failures.append(trial)
     elapsed = time.perf_counter() - t0
 

@@ -204,6 +204,18 @@ def test_scan_index_tolerates_spaces_after_comma(tmp_path, rules_file,
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_scan_index_tolerates_a_byte_order_mark(tmp_path, rules_file,
+                                               built_and_generated):
+    filters, trace, _ = built_and_generated
+    index = filters / "index.txt"
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "a.pcap", "--report", tmp_path / "a.csv") == 0
+    index.write_bytes(b"\xef\xbb\xbf" + index.read_bytes())
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "b.pcap", "--report", tmp_path / "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_scan_missing_trace_exit_2(tmp_path, rules_file, built_and_generated):
     filters, _, _ = built_and_generated
     assert run("scan", filters / "index.txt", "--rules", rules_file,

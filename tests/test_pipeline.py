@@ -1,12 +1,10 @@
 import random
-from dataclasses import asdict
 from hashlib import sha256
 
 import pytest
 
 from nicsieve.analytics import emit_csv
 from nicsieve.bloom import BloomParams
-from nicsieve.cli import ScanReportRow
 from nicsieve.codec import RawFrame, Trace, parse_packet, write_pcap
 from nicsieve.pipeline import (
     Reason,
@@ -223,11 +221,11 @@ def test_compare_baseline_equivalence_and_reduction():
     trace, manifest = generate_trace(spec)
     report = compare_baseline(matcher, trace)
 
-    assert report.equivalent
+    assert report.stats.equivalent
     assert report.baseline_detections == report.filtered_detections
     assert report.stats.true_matches == len(manifest.attack_indices())
     # reduction recomputed from raw counters
-    assert report.reduction == pytest.approx(
+    assert report.stats.reduction == pytest.approx(
         1.0 - report.stats.forwarded / report.stats.total)
     # forwarded trace is an order-preserving subsequence of the input
     assert report.stats.forwarded == len(report.forwarded.frames)
@@ -243,11 +241,11 @@ def test_compare_baseline_no_attacks():
                        payload_len_range=(30, 120), signatures=sset)
     trace, _ = generate_trace(spec)
     report = compare_baseline(matcher, trace)
-    assert report.equivalent
+    assert report.stats.equivalent
     assert report.baseline_detections == {}
     assert report.stats.true_matches == 0
     # only false positives can be forwarded; reduction stays near 1
-    assert report.reduction >= 0.95
+    assert report.stats.reduction >= 0.95
 
 
 def test_compare_baseline_two_calls_return_their_own_records():
@@ -259,7 +257,7 @@ def test_compare_baseline_two_calls_return_their_own_records():
     trace, _ = generate_trace(spec)
     first = compare_baseline(matcher, trace)
     second = compare_baseline(matcher, trace)
-    assert first.equivalent and second.equivalent
+    assert first.stats.equivalent and second.stats.equivalent
     assert second.filtered_detections == first.filtered_detections
     assert len(first.records) == len(second.records) == len(trace)
 
@@ -271,7 +269,7 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
                        payload_len_range=(30, 120), signatures=sset)
     trace, manifest = generate_trace(spec)
     report = compare_baseline(matcher, trace)
-    assert report.equivalent
+    assert report.stats.equivalent
     evil = [e for e in manifest.entries if e.signature_id in ("a", "b")]
     assert evil
     for entry in evil:
@@ -285,8 +283,8 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
 def test_compare_baseline_empty_trace():
     matcher = simple_matcher()
     report = compare_baseline(matcher, Trace.from_frames([]))
-    assert report.equivalent
-    assert report.reduction == 0.0
+    assert report.stats.equivalent
+    assert report.stats.reduction == 0.0
     assert report.stats.total == 0
 
 
@@ -332,10 +330,8 @@ def test_compare_baseline_outputs_are_pinned():
                        payload_len_range=(0, 400), signatures=rules)
     trace, _ = generate_trace(spec)
     report = compare_baseline(matcher, trace)
-    assert report.equivalent and report.stats.true_matches == 120
-    row = ScanReportRow(**asdict(report.stats), reduction=report.reduction,
-                        equivalent=report.equivalent)
-    outputs = (write_pcap(report.forwarded), emit_csv([row]),
+    assert report.stats.equivalent and report.stats.true_matches == 120
+    outputs = (write_pcap(report.forwarded), emit_csv([report.stats]),
                decision_log_csv(report.records))
     assert [sha256(out).hexdigest() for out in outputs] == [
         "ce85a3dc7250beeb9261bc591be450676cd1cbc9e24f2300c7a70eba7da3e15f",

@@ -134,6 +134,18 @@ def test_load_rules_errors_carry_line_numbers():
             load_rules(b"a,ascii,xx" + eol + b"# ok" + eol + b"b,ascii,\xff\xfe")
 
 
+def test_load_rules_skips_a_byte_order_mark():
+    bom = b"\xef\xbb\xbf"
+    for text in (bom + b"# my rules\nweb1,ascii,GET /x\n",
+                 bom + b"web1,ascii,GET /x\n"):
+        for rules in (load_rules(text), load_rules(text.decode("utf-8"))):
+            assert [(s.id, s.pattern) for s in rules.signatures] == [
+                ("web1", b"GET /x")]
+    # a later byte that is not UTF-8 is still named, on its own line
+    with pytest.raises(RuleParseError, match="line 2: byte 0xE9 "):
+        load_rules(bom + b"a,ascii,x\nb,ascii,caf\xe9\n")
+
+
 def test_signature_set_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         SignatureSet(signatures=[Signature("a", b"xx"), Signature("a", b"yy")])
@@ -304,6 +316,12 @@ def test_scan_verify_equals_naive_oracle_on_random_pairs():
         expected = naive_exact_matches(sset.signatures, payload)
         assert as_tuples(matcher.verify(payload, scan_one(matcher, payload))) == expected
         assert as_tuples(exact_one(matcher, payload)) == expected
+
+
+def test_exact_route_with_no_rules_finds_nothing():
+    scanner = ExactScanner(SignatureSet([]))
+    assert scanner.matches_batch([b"abc", b""]) == {}
+    assert scanner.contains_any_batch([b"abc", b""]).tolist() == [False, False]
 
 
 def test_exact_batch_equals_oracle():

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from hashlib import sha256
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicsieve.codec import parse_payloads, write_pcap
@@ -135,6 +136,63 @@ def test_zero_fraction_background_is_clean():
     assert manifest.attack_indices() == []
     for payload in payloads_of(trace):
         assert naive_exact_matches(rules.signatures, payload) == []
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_attacks_spliced_and_background_redrawn_in_place(data):
+    # every payload is drawn into one buffer, attacks spliced in there and
+    # dirty background payloads redrawn in place: each attack's pattern
+    # sits at its manifest offset, no background payload holds a pattern,
+    # and the capture is the same on every run
+    rules = random_signature_set(random.Random(data.draw(st.integers(0, 2**32))),
+                                 data.draw(st.integers(1, 20)))
+    longest = max(len(s.pattern) for s in rules.signatures)
+    attack_fraction = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    hi = data.draw(st.integers(longest if attack_fraction else 0, longest + 80))
+    lo = data.draw(st.integers(0, hi))
+    spec = TrafficSpec(packet_count=data.draw(st.integers(0, 60)),
+                       attack_fraction=attack_fraction,
+                       payload_len_range=(lo, hi),
+                       seed=data.draw(st.integers(0, 2**32)), signatures=rules)
+    trace, manifest = generate_trace(spec)
+
+    by_id = {s.id: s.pattern for s in rules.signatures}
+    payloads = payloads_of(trace)
+    assert len(payloads) == len(manifest.entries) == spec.packet_count
+    for entry, payload in zip(manifest.entries, payloads):
+        assert lo <= len(payload) <= hi
+        if entry.is_attack:
+            pattern = by_id[entry.signature_id]
+            assert payload[entry.embed_offset :
+                           entry.embed_offset + len(pattern)] == pattern
+        else:
+            assert naive_exact_matches(rules.signatures, payload) == []
+    assert write_pcap(generate_trace(spec)[0]) == write_pcap(trace)
+
+
+@pytest.mark.parametrize(
+    "lengths, patterns, payload_len_range, attack_fraction, frames, bound",
+    [([6, 9, 14], 300, (30, 120), 0.02, 10_000, 6.0),
+     (list(range(6, 16)), 2000, (200, 1400), 0.25, 3_000, 3.0)],
+    ids=["small-frames", "large-payloads"])
+def test_generation_memory_is_a_small_multiple_of_the_capture(
+        lengths, patterns, payload_len_range, attack_fraction, frames, bound):
+    # one payload buffer and one capture buffer, with no per-frame payload,
+    # frame or record object held until the end: the traced peak stays a
+    # small multiple of the capture, 4.5x and 2.7x here, where a payload
+    # list, a frame list and a joined record list took 9.6x and 4.5x
+    rules = random_signature_set(random.Random(5), patterns, lengths=lengths)
+    spec = TrafficSpec(packet_count=frames, attack_fraction=attack_fraction,
+                       payload_len_range=payload_len_range, seed=2,
+                       signatures=rules)
+    tracemalloc.start()
+    try:
+        trace, _ = generate_trace(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(write_pcap(trace))
 
 
 def test_generation_without_rules():

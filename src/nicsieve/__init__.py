@@ -44,7 +44,7 @@ from .signatures import (
     Windows,
     load_rules,
 )
-from .traffic import Manifest, ManifestEntry, TrafficSpec, generate_trace
+from .traffic import Manifest, TrafficSpec, generate_trace
 from .analytics import FprSweepRow, emit_csv, fpr_sweep
 
 __version__ = "0.1.0"
@@ -58,6 +58,6 @@ __all__ = [
     "Reason", "Verdict", "compare_baseline", "decision_log_csv",
     "CandidateMatch", "ExactScanner", "Payloads", "RuleParseError",
     "Signature", "SignatureMatcher", "SignatureSet", "Windows", "load_rules",
-    "Manifest", "ManifestEntry", "TrafficSpec", "generate_trace",
+    "Manifest", "TrafficSpec", "generate_trace",
     "FprSweepRow", "emit_csv", "fpr_sweep",
 ]

@@ -3,7 +3,8 @@
 ``fpr_sweep`` measures the filter's empirical false-positive fraction
 against the closed form across a (k, n) grid -- fresh filter per cell,
 random distinct members, non-member queries only. ``emit_csv`` renders
-any homogeneous list of row dataclasses.
+any homogeneous list of row dataclasses; ``columns_csv`` renders a
+per-frame table (the manifest, the decision log) from its columns.
 
 Members and queries are drawn as 64-bit integers and written out as
 little-endian uint8 rows (see ``bloom``), so the sweep builds no Python
@@ -25,6 +26,8 @@ from .bloom import BloomFilter, BloomParams, fpr_theoretical
 
 # Queries drawn, hashed and checked at a time in one sweep cell.
 QUERY_BLOCK = 1 << 16
+# Rows rendered at a time by ``columns_csv``.
+CSV_BLOCK = 1024
 # One query row: a drawn token as 8 little-endian bytes, then a zero byte.
 _QUERY = np.dtype([("token", "<u8"), ("zero", "u1")])
 
@@ -129,3 +132,32 @@ def _format_field(value) -> str:
     if isinstance(value, float):
         return f"{value:.8g}"
     return str(value)
+
+
+def columns_csv(header: str, *columns) -> bytes:
+    """Render a table held as columns as CSV, ``CSV_BLOCK`` rows at a time.
+
+    Row i is its index i, then a field from each column. A column is an
+    integer array, whose negative entries (-1: none) are written as
+    empty fields, or a pair ``(codes, labels)``, written as
+    ``labels[code]``; a label may span several fields.
+    """
+    size = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+    row = ",".join(["%s"] * (len(columns) + 1)) + "\n"
+    parts = [f"{header}\n".encode("utf-8")]
+    for a in range(0, size, CSV_BLOCK):
+        b = min(a + CSV_BLOCK, size)
+        fields = [range(a, b)] + [_block_fields(c, a, b) for c in columns]
+        parts.append("".join([row % r for r in zip(*fields)]).encode("utf-8"))
+    return b"".join(parts)
+
+
+def _block_fields(column, a: int, b: int) -> list:
+    if isinstance(column, tuple):
+        codes, labels = column
+        return [labels[c] for c in codes[a:b].tolist()]
+    block = column[a:b]
+    fields = block.tolist()
+    for i in np.flatnonzero(block < 0).tolist():
+        fields[i] = ""
+    return fields

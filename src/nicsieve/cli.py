@@ -144,7 +144,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
                        payload_len_range=(args.payload_min, args.payload_max),
                        seed=args.seed, signatures=ruleset)
     trace, manifest = generate_trace(spec)
-    Path(args.out).write_bytes(write_pcap(trace))
+    # a generated trace's buffer is the whole little-endian capture file
+    Path(args.out).write_bytes(trace.buf)
     Path(args.manifest).write_bytes(manifest.to_csv())
     print(f"wrote {len(trace)} packets ({len(manifest.attack_indices())} attacks) "
           f"to {args.out}")

@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .analytics import columns_csv
 # parse_packet stays bound here: bench/tracer.py wraps it by this name
 from .codec import Trace, parse_packet, parse_payloads  # noqa: F401
 from .signatures import CandidateMatch, Payloads, SignatureMatcher
@@ -44,7 +45,6 @@ class Reason(Enum):
 
 REASONS = tuple(Reason)  # a reason code is its index here
 _MATCH, _NON_PARSEABLE, _CLEAN = range(len(REASONS))
-_LOG_ROWS = 16 * 1024  # decision-log rows rendered per block
 
 
 @dataclass
@@ -159,18 +159,12 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
 
 
 def decision_log_csv(decisions: Decisions) -> bytes:
-    """Render the decisions as CSV (one row per packet), a block of rows at a time."""
+    """Render the decisions as CSV, one row per packet (``columns_csv``)."""
     labels = [f"{(Verdict.DROP if r is Reason.CLEAN else Verdict.FORWARD).value},"
               f"{r.value}" for r in REASONS]
     verified = np.zeros(len(decisions), dtype=np.int64)
     verified[list(decisions.verified)] = [len(v) for v in
                                           decisions.verified.values()]
-    parts = [b"index,verdict,reason,candidates,verified,payload_len\n"]
-    for a in range(0, len(decisions), _LOG_ROWS):
-        b = a + _LOG_ROWS
-        rows = zip(range(a, min(b, len(decisions))), decisions.reason[a:b].tolist(),
-                   decisions.candidates[a:b].tolist(), verified[a:b].tolist(),
-                   decisions.payload_len[a:b].tolist())
-        parts.append("".join([f"{i},{labels[r]},{c},{v},{n}\n"
-                              for i, r, c, v, n in rows]).encode("utf-8"))
-    return b"".join(parts)
+    return columns_csv("index,verdict,reason,candidates,verified,payload_len",
+                       (decisions.reason, labels), decisions.candidates,
+                       verified, decisions.payload_len)

@@ -252,10 +252,6 @@ class Payloads:
         return Payloads(self.buf[np.cumsum(at, out=at)], starts, ends)
 
 
-def _as_payloads(payloads: Payloads | Sequence[bytes]) -> Payloads:
-    return payloads if isinstance(payloads, Payloads) else Payloads.of(payloads)
-
-
 @dataclass(eq=False)
 class Windows:
     """Windows found in a batch of ``size`` payloads, one row per window.
@@ -394,7 +390,7 @@ class ExactScanner:
         key = np.uint32(length * _LENGTH_MULT & 0xFFFFFFFF)
         return (hashes + key) & np.uint32((1 << self._TABLE_BITS) - 1)
 
-    def matches_batch(self, payloads: Payloads | Sequence[bytes]
+    def matches_batch(self, payloads: Payloads
                       ) -> dict[int, list[CandidateMatch]]:
         """Vectorized exact matching: sieve windows, confirm hits by bytes.
 
@@ -403,7 +399,6 @@ class ExactScanner:
         Returns the matches of each payload that has any, by payload
         index in ascending order.
         """
-        payloads = _as_payloads(payloads)
         prefixes, table = self._prefixes, self._table
 
         def marked(view, run):
@@ -431,9 +426,8 @@ class ExactScanner:
         confirmed.sort(key=lambda c: (c.offset, c.length, c.signature_id))
         return confirmed
 
-    def contains_any_batch(self, payloads: Payloads | Sequence[bytes]) -> np.ndarray:
+    def contains_any_batch(self, payloads: Payloads) -> np.ndarray:
         """Per payload: does any pattern occur anywhere in it?"""
-        payloads = _as_payloads(payloads)
         found = np.zeros(len(payloads), dtype=bool)
         found[list(self.matches_batch(payloads))] = True
         return found
@@ -516,7 +510,7 @@ class SignatureMatcher:
         """Serialized image per programmed length."""
         return {length: filt.to_image() for length, filt in self.filters.items()}
 
-    def scan_batch(self, payloads: Payloads | Sequence[bytes]) -> Windows:
+    def scan_batch(self, payloads: Payloads) -> Windows:
         """Candidate windows of every programmed length.
 
         The sieve tests every window's first probe, which needs no
@@ -524,7 +518,6 @@ class SignatureMatcher:
         pass it inside one payload, which with well-sized filters are a
         small fraction, and they are narrowed through the other probes.
         """
-        payloads = _as_payloads(payloads)
         seed, k = self.params.seed_a, self.params.k
         zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
 
@@ -549,6 +542,6 @@ class SignatureMatcher:
         """Keep candidates whose bytes equal a pattern; attach each id."""
         return self.exact.confirm(payload, candidates)
 
-    def exact_matches_batch(self, payloads: Payloads | Sequence[bytes]
+    def exact_matches_batch(self, payloads: Payloads
                             ) -> dict[int, list[CandidateMatch]]:
         return self.exact.matches_batch(payloads)

@@ -10,9 +10,11 @@ ground truth for measuring detection and false-positive behavior.
 
 Every payload is drawn into one buffer, where attacks are spliced in and
 dirty background payloads redrawn, and each frame is appended to the
-capture buffer as it is built, so no per-frame payload or frame is kept.
-Everything is driven by one seeded generator: the same spec and seed
-reproduce the trace bit for bit.
+capture buffer as it is built, so no per-frame payload or frame is kept;
+the manifest is two integer columns beside the payload lengths, so no
+per-frame ground-truth object is kept either. Everything is driven by
+one seeded generator: the same spec and seed reproduce the trace and its
+manifest bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import io
 import random
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .analytics import columns_csv
 from .codec import RawFrame, Trace
 from .signatures import ExactScanner, Payloads, SignatureSet
 
@@ -35,6 +38,7 @@ MAX_PAYLOAD = 1400  # keeps frames inside a standard Ethernet MTU
 _TS_BASE = 1_600_000_000  # fixed epoch so generated captures are stable
 _TS_STEP_USEC = 100
 _HEADER_DRAWS = struct.Struct("<16sHHI")  # MACs and IP hosts, ports, seq
+_MANIFEST_HEADER = ["index", "is_attack", "signature_id", "embed_offset"]
 
 
 @dataclass
@@ -61,45 +65,56 @@ class TrafficSpec:
             raise ValueError("attack packets requested but no signatures given")
 
 
-@dataclass(slots=True)
-class ManifestEntry:
-    index: int
-    is_attack: bool
-    signature_id: str | None = None
-    embed_offset: int | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class Manifest:
-    """Per-packet ground truth emitted alongside a generated trace."""
+    """Per-frame ground truth emitted alongside a generated trace, as columns.
 
-    entries: list[ManifestEntry] = field(default_factory=list)
+    Frame i carries signature ``ids[signature[i]]`` spliced in at payload
+    offset ``offset[i]``; both columns hold -1 for a background frame.
+    ``ids`` are the rule set's ids in rule order, or, for a manifest read
+    from a file, the ids in the order they first appear there.
+    """
 
-    def attack_indices(self) -> list[int]:
-        return [e.index for e in self.entries if e.is_attack]
+    ids: list[str]
+    signature: np.ndarray  # int64
+    offset: np.ndarray  # int64
+
+    def attack_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.signature >= 0)
 
     def to_csv(self) -> bytes:
-        out = io.StringIO(newline="")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["index", "is_attack", "signature_id", "embed_offset"])
-        for e in self.entries:
-            writer.writerow([e.index, int(e.is_attack), e.signature_id or "",
-                             "" if e.embed_offset is None else e.embed_offset])
-        return out.getvalue().encode("utf-8")
+        # each id's field is rendered once, quoted as csv.writer quotes it;
+        # a background frame's code, -1, picks the last label
+        labels = []
+        for sig_id in self.ids:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow([1, sig_id])
+            labels.append(out.getvalue()[:-1])
+        labels.append("0,")
+        return columns_csv(",".join(_MANIFEST_HEADER),
+                           (self.signature, labels), self.offset)
 
     @classmethod
     def from_csv(cls, data: bytes) -> Manifest:
+        """Read a manifest file, refusing any row ``to_csv`` would not write."""
         reader = csv.reader(io.StringIO(data.decode("utf-8")))
-        header = next(reader, None)
-        if header != ["index", "is_attack", "signature_id", "embed_offset"]:
+        if next(reader, None) != _MANIFEST_HEADER:
             raise ValueError("not a manifest file")
-        entries = []
+        codes: dict[str, int] = {}
+        signature, offset = array("q"), array("q")
         for row in reader:
-            entries.append(ManifestEntry(
-                index=int(row[0]), is_attack=bool(int(row[1])),
-                signature_id=row[2] or None,
-                embed_offset=int(row[3]) if row[3] else None))
-        return cls(entries=entries)
+            index, is_attack, sig_id, at = row if len(row) == 4 else [""] * 4
+            attack = is_attack == "1" and sig_id != "" and at.isdecimal()
+            if index != str(len(signature)) or not (
+                    attack or row[1:] == ["0", "", ""]):
+                raise ValueError(
+                    f"manifest line {reader.line_num}: expected "
+                    f"'{len(signature)},0,,' or '{len(signature)},1,id,offset', "
+                    f"got {row!r}")
+            signature.append(codes.setdefault(sig_id, len(codes)) if attack else -1)
+            offset.append(int(at) if attack else -1)
+        return cls(list(codes), np.frombuffer(signature, dtype=np.int64),
+                   np.frombuffer(offset, dtype=np.int64))
 
 
 def _ones_complement_sum(data: bytes) -> int:
@@ -153,8 +168,7 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
 
     # Pass 1: per-packet metadata, drawn in index order.
     headers = bytearray()
-    entries = []
-    lengths = array("q")
+    lengths, signature, offset = array("q"), array("q"), array("q")
     ports = (80, 443, 25, 53, 8080)
     for index in range(spec.packet_count):
         headers += _HEADER_DRAWS.pack(
@@ -162,36 +176,37 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
             1024 + rng.getrandbits(16) % 64512,      # src port
             ports[rng.getrandbits(8) % len(ports)],  # dst port
             rng.getrandbits(32))                     # seq
+        code = splice = -1  # background: no signature, no splice offset
         if index in attack_set:
-            sig = signatures[rng.randrange(len(signatures))]
-            length = rng.randint(max(lo, len(sig.pattern)), hi)
-            offset = rng.randint(0, length - len(sig.pattern))
-            entries.append(ManifestEntry(index=index, is_attack=True,
-                                         signature_id=sig.id,
-                                         embed_offset=offset))
+            code = rng.randrange(len(signatures))
+            size = len(signatures[code].pattern)
+            length = rng.randint(max(lo, size), hi)
+            splice = rng.randint(0, length - size)
         else:
             length = rng.randint(lo, hi)
-            entries.append(ManifestEntry(index=index, is_attack=False))
         lengths.append(length)
+        signature.append(code)
+        offset.append(splice)
 
     # Pass 2: payload bytes, drawn into one buffer; attacks spliced in place.
     buf = bytearray(sum(lengths))
-    patterns = {s.id: s.pattern for s in signatures}
     at = 0
-    for entry, length in zip(entries, lengths):
+    for code, splice, length in zip(signature, offset, lengths):
         buf[at : at + length] = rng.randbytes(length)
-        if entry.is_attack:
-            pattern = patterns[entry.signature_id]
-            splice = at + entry.embed_offset
-            buf[splice : splice + len(pattern)] = pattern
+        if code >= 0:
+            pattern = signatures[code].pattern
+            buf[at + splice : at + splice + len(pattern)] = pattern
         at += length
+    manifest = Manifest([s.id for s in signatures],
+                        np.frombuffer(signature, dtype=np.int64),
+                        np.frombuffer(offset, dtype=np.int64))
 
     # Pass 3: redraw in place background payloads holding a pattern by chance.
     if signatures:
         scanner = ExactScanner(spec.signatures)
         ends = np.cumsum(lengths)
         starts = ends - lengths
-        background = np.flatnonzero([not e.is_attack for e in entries])
+        background = np.flatnonzero(manifest.signature < 0)
         rounds = 0
         while background.size:
             background = background[scanner.contains_any_batch(Payloads(
@@ -220,4 +235,4 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
             usec = _TS_STEP_USEC * index
             yield RawFrame(data, _TS_BASE + usec // 1_000_000, usec % 1_000_000)
 
-    return Trace.from_frames(frames()), Manifest(entries=entries)
+    return Trace.from_frames(frames()), manifest

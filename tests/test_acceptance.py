@@ -12,7 +12,7 @@ from nicsieve.analytics import fpr_sweep
 from nicsieve.bloom import BloomFilter, BloomParams, fpr_theoretical, optimal_k
 from nicsieve.codec import RawFrame, Trace, read_pcap, write_pcap
 from nicsieve.pipeline import compare_baseline
-from nicsieve.signatures import SignatureMatcher
+from nicsieve.signatures import Payloads, SignatureMatcher
 from nicsieve.traffic import TrafficSpec, generate_trace
 
 from conftest import naive_exact_matches, random_signature_set, reference_parse
@@ -133,7 +133,8 @@ def test_criterion_4_scanner_oracle_equivalence():
                 off = rng.randint(0, len(payload) - len(sig.pattern))
                 payload[off : off + len(sig.pattern)] = sig.pattern
         payload = bytes(payload)
-        candidates = matcher.scan_batch([payload]).by_payload().get(0, [])
+        windows = matcher.scan_batch(Payloads.of([payload]))
+        candidates = windows.by_payload().get(0, [])
         got = [(v.offset, v.length, v.signature_id)
                for v in matcher.verify(payload, candidates)]
         if got != naive_exact_matches(sset.signatures, payload):

@@ -94,6 +94,13 @@ def test_gen_writes_trace_and_manifest(tmp_path, rules_file):
     assert len(trace) == 1000
     manifest = Manifest.from_csv(manifest_path.read_bytes())
     assert len(manifest.attack_indices()) == 50
+    # the generated trace's buffer is written as it is: the same file
+    # that encoding the trace writes
+    spec = TrafficSpec(packet_count=1000, attack_fraction=0.05, seed=7,
+                       signatures=load_rules(RULES))
+    generated, truth = generate_trace(spec)
+    assert trace_path.read_bytes() == write_pcap(generated)
+    assert manifest_path.read_bytes() == truth.to_csv()
 
 
 def test_gen_requires_rules_for_attacks(tmp_path):

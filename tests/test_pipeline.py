@@ -270,13 +270,15 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
     trace, manifest = generate_trace(spec)
     report = compare_baseline(matcher, trace)
     assert report.stats.equivalent
-    evil = [e for e in manifest.entries if e.signature_id in ("a", "b")]
+    codes = {manifest.ids.index("a"), manifest.ids.index("b")}
+    evil = [i for i, code in enumerate(manifest.signature.tolist())
+            if code in codes]
     assert evil
-    for entry in evil:
-        for detections in (report.baseline_detections[entry.index],
-                           report.filtered_detections[entry.index]):
+    for i in evil:
+        for detections in (report.baseline_detections[i],
+                           report.filtered_detections[i]):
             ids = {m.signature_id for m in detections
-                   if m.offset == entry.embed_offset and m.length == 5}
+                   if m.offset == manifest.offset[i] and m.length == 5}
             assert ids == {"a", "b"}
 
 

@@ -42,11 +42,11 @@ def as_windows(candidates):
 
 
 def scan_one(matcher, payload):
-    return matcher.scan_batch([payload]).by_payload().get(0, [])
+    return matcher.scan_batch(Payloads.of([payload])).by_payload().get(0, [])
 
 
 def exact_one(matcher, payload):
-    return matcher.exact_matches_batch([payload]).get(0, [])
+    return matcher.exact_matches_batch(Payloads.of([payload])).get(0, [])
 
 
 def per_payload(found, size):
@@ -167,7 +167,7 @@ def test_program_leaves_exact_tables_unbuilt():
     matcher = SignatureMatcher.program(rules, PARAMS)
     matcher.filter_images()
     assert "exact" not in vars(matcher)
-    assert matcher.exact_matches_batch([b"a GET"]) == {
+    assert matcher.exact_matches_batch(Payloads.of([b"a GET"])) == {
         0: [CandidateMatch(2, 3, "g")]}
     assert "exact" in vars(matcher)
 
@@ -193,8 +193,9 @@ def test_images_reload_gives_identical_scans():
     assert reloaded.params == matcher.params
     corpus = [rng.randbytes(rng.randint(0, 200)) for _ in range(100)]
     corpus += [b"zz" + sset.signatures[0].pattern + b"zz"]
-    assert list(reloaded.scan_batch(corpus)) == list(matcher.scan_batch(corpus))
-    assert [as_windows(c) for c in reloaded.scan_batch(corpus)] == \
+    batch = Payloads.of(corpus)
+    assert list(reloaded.scan_batch(batch)) == list(matcher.scan_batch(batch))
+    assert [as_windows(c) for c in reloaded.scan_batch(batch)] == \
         [reference_candidates(reloaded.filters, p) for p in corpus]
 
 
@@ -262,10 +263,11 @@ def test_scan_candidate_rate_tracks_theory():
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(503) for _ in range(300)]
     payloads = [p for p, hit in
-                zip(payloads, ExactScanner(sset).contains_any_batch(payloads))
+                zip(payloads,
+                    ExactScanner(sset).contains_any_batch(Payloads.of(payloads)))
                 if not hit]
     windows = sum(len(p) - 8 + 1 for p in payloads)
-    candidates = sum(len(c) for c in matcher.scan_batch(payloads))
+    candidates = sum(len(c) for c in matcher.scan_batch(Payloads.of(payloads)))
     theory = fpr_theoretical(PARAMS.m, PARAMS.k, n).fpr
     sigma = (theory * (1 - theory) / windows) ** 0.5
     assert abs(candidates / windows - theory) <= 4 * sigma
@@ -320,8 +322,9 @@ def test_scan_verify_equals_naive_oracle_on_random_pairs():
 
 def test_exact_route_with_no_rules_finds_nothing():
     scanner = ExactScanner(SignatureSet([]))
-    assert scanner.matches_batch([b"abc", b""]) == {}
-    assert scanner.contains_any_batch([b"abc", b""]).tolist() == [False, False]
+    batch = Payloads.of([b"abc", b""])
+    assert scanner.matches_batch(batch) == {}
+    assert scanner.contains_any_batch(batch).tolist() == [False, False]
 
 
 def test_exact_batch_equals_oracle():
@@ -335,7 +338,8 @@ def test_exact_batch_equals_oracle():
             sig = rng.choice(sset.signatures)
             p[3 : 3 + len(sig.pattern)] = sig.pattern
         payloads.append(bytes(p))
-    batch = per_payload(scanner.matches_batch(payloads), len(payloads))
+    batch = per_payload(scanner.matches_batch(Payloads.of(payloads)),
+                        len(payloads))
     for payload, got in zip(payloads, batch):
         assert as_tuples(got) == naive_exact_matches(sset.signatures, payload)
 
@@ -353,7 +357,7 @@ def test_scan_batch_equals_reference_candidates(params):
     payloads = [rng.randbytes(rng.randint(0, 180)) for _ in range(150)]
     sigs = sset.signatures
     payloads += [b"x" * 5 + s.pattern + b"y" * 3 for s in sigs[:10]]
-    batch = matcher.scan_batch(payloads)
+    batch = matcher.scan_batch(Payloads.of(payloads))
     assert all(c.signature_id is None for cands in batch for c in cands)
     assert [as_windows(c) for c in batch] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
@@ -363,13 +367,13 @@ def test_scan_batch_windows_never_cross_payloads():
     # pattern split across two adjacent payloads must not match
     sset = SignatureSet([Signature("s", b"ABCDEF")])
     matcher = SignatureMatcher.program(sset, PARAMS)
-    results = matcher.scan_batch([b"xxABC", b"DEFyy"])
+    results = matcher.scan_batch(Payloads.of([b"xxABC", b"DEFyy"]))
     assert list(results) == [[], []]
     # both routes, with empty payloads first, in the middle and last
     payloads = [b"", b"xxABC", b"", b"DEFyy", b"ABCDEF", b""]
     expected = [[]] * 4 + [[CandidateMatch(0, 6)], []]
-    assert list(matcher.scan_batch(payloads)) == expected
-    assert matcher.exact_matches_batch(payloads) == {
+    assert list(matcher.scan_batch(Payloads.of(payloads))) == expected
+    assert matcher.exact_matches_batch(Payloads.of(payloads)) == {
         4: [CandidateMatch(0, 6, "s")]}
 
 
@@ -381,7 +385,7 @@ def test_programmed_matcher_supports_concurrent_scans():
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(200) for _ in range(40)]
     payloads += [b"pad" + s.pattern for s in sset.signatures[:5]]
-    expected = list(matcher.scan_batch(payloads))
+    expected = list(matcher.scan_batch(Payloads.of(payloads)))
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
             results = list(pool.map(lambda p: scan_one(matcher, p), payloads))
@@ -462,8 +466,9 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
         mp.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
-        scanned = matcher.scan_batch(payloads)
-        exact = per_payload(matcher.exact_matches_batch(payloads), len(payloads))
+        scanned = matcher.scan_batch(Payloads.of(payloads))
+        exact = per_payload(matcher.exact_matches_batch(Payloads.of(payloads)),
+                            len(payloads))
     assert [as_windows(c) for c in scanned] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
     assert [as_tuples(m) for m in exact] == \
@@ -485,9 +490,9 @@ def test_two_byte_pattern_at_payload_group_and_slice_ends(monkeypatch):
     ]
     assert [len(p) for p in payloads[:3]] == [10, 30, 24]
     expected = {0: [(8, 2, "ab")], 1: [(5, 2, "ab")], 2: [(22, 2, "ab")]}
-    exact = matcher.exact_matches_batch(payloads)
+    exact = matcher.exact_matches_batch(Payloads.of(payloads))
     assert {i: as_tuples(m) for i, m in exact.items()} == expected
-    scanned = matcher.scan_batch(payloads)
+    scanned = matcher.scan_batch(Payloads.of(payloads))
     assert [as_windows(c) for c in scanned] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
     verified = {i: as_tuples(matcher.verify(payloads[i], c))
@@ -531,7 +536,7 @@ def test_exact_scan_confirms_no_more_windows_than_per_length_tables(monkeypatch)
         return confirm(self, payload, candidates)
 
     monkeypatch.setattr(ExactScanner, "confirm", counting)
-    found = scanner.matches_batch(payloads)
+    found = scanner.matches_batch(Payloads.of(payloads))
     assert sum(len(m) for m in found.values()) == 103
     assert sum(handed) <= 647
 

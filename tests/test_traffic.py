@@ -1,16 +1,18 @@
+import csv
+import io
 import random
 import tracemalloc
 from hashlib import sha256
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicsieve.codec import parse_payloads, write_pcap
-from nicsieve.signatures import Signature, SignatureSet
+from nicsieve.signatures import Signature, SignatureSet, load_rules
 from nicsieve.traffic import (
     Manifest,
-    ManifestEntry,
     TrafficSpec,
     _ones_complement_sum,
     build_tcp_frame,
@@ -29,6 +31,14 @@ def payloads_of(trace):
     start, end, unparseable = parse_payloads(trace)
     assert not unparseable.any()
     return [bytes(trace.buf[a:b]) for a, b in zip(start.tolist(), end.tolist())]
+
+
+def manifest_rows(manifest):
+    """Each frame's (position, is_attack, signature id, offset), ids resolved."""
+    return [(i, code >= 0, manifest.ids[code] if code >= 0 else None,
+             at if at >= 0 else None)
+            for i, (code, at) in enumerate(zip(manifest.signature.tolist(),
+                                               manifest.offset.tolist()))]
 
 
 def small_rules():
@@ -88,7 +98,7 @@ def test_attack_count_is_floor_of_fraction():
                            payload_len_range=(20, 60), signatures=rules)
         _, manifest = generate_trace(spec)
         assert len(manifest.attack_indices()) == expected
-        assert len(manifest.entries) == count
+        assert manifest.signature.size == manifest.offset.size == count
 
 
 def test_frames_are_well_formed_tcp():
@@ -118,13 +128,12 @@ def test_manifest_matches_independent_scanner():
     assert flagged == set(manifest.attack_indices())
 
     # embedded signature is present at the recorded offset
+    assert manifest.ids == [s.id for s in rules.signatures]
     by_id = {s.id: s.pattern for s in rules.signatures}
-    for entry in manifest.entries:
-        if entry.is_attack:
-            payload = payloads[entry.index]
-            pattern = by_id[entry.signature_id]
-            assert payload[entry.embed_offset : entry.embed_offset
-                           + len(pattern)] == pattern
+    for i, is_attack, sig_id, at in manifest_rows(manifest):
+        if is_attack:
+            pattern = by_id[sig_id]
+            assert payloads[i][at : at + len(pattern)] == pattern
 
 
 def test_zero_fraction_background_is_clean():
@@ -133,7 +142,7 @@ def test_zero_fraction_background_is_clean():
     spec = TrafficSpec(packet_count=300, attack_fraction=0.0, seed=14,
                        payload_len_range=(40, 200), signatures=rules)
     trace, manifest = generate_trace(spec)
-    assert manifest.attack_indices() == []
+    assert manifest.attack_indices().size == 0
     for payload in payloads_of(trace):
         assert naive_exact_matches(rules.signatures, payload) == []
 
@@ -159,13 +168,13 @@ def test_attacks_spliced_and_background_redrawn_in_place(data):
 
     by_id = {s.id: s.pattern for s in rules.signatures}
     payloads = payloads_of(trace)
-    assert len(payloads) == len(manifest.entries) == spec.packet_count
-    for entry, payload in zip(manifest.entries, payloads):
+    rows = manifest_rows(manifest)
+    assert len(payloads) == len(rows) == spec.packet_count
+    for (_, is_attack, sig_id, at), payload in zip(rows, payloads):
         assert lo <= len(payload) <= hi
-        if entry.is_attack:
-            pattern = by_id[entry.signature_id]
-            assert payload[entry.embed_offset :
-                           entry.embed_offset + len(pattern)] == pattern
+        if is_attack:
+            pattern = by_id[sig_id]
+            assert payload[at : at + len(pattern)] == pattern
         else:
             assert naive_exact_matches(rules.signatures, payload) == []
     assert write_pcap(generate_trace(spec)[0]) == write_pcap(trace)
@@ -199,7 +208,7 @@ def test_generation_without_rules():
     trace, manifest = generate_trace(TrafficSpec(packet_count=25, seed=5,
                                                  payload_len_range=(10, 40)))
     assert len(trace) == 25
-    assert manifest.attack_indices() == []
+    assert manifest.attack_indices().size == 0
 
 
 def test_timestamps_nondecreasing():
@@ -250,18 +259,75 @@ def test_generated_capture_bytes_are_pinned():
 # --- manifest file ----------------------------------------------------------
 
 def test_manifest_csv_roundtrip():
-    manifest = Manifest(entries=[
-        ManifestEntry(index=0, is_attack=False),
-        ManifestEntry(index=1, is_attack=True, signature_id="sX",
-                      embed_offset=17),
-    ])
+    manifest = Manifest(ids=["sY", "sX"], signature=np.array([-1, 1]),
+                        offset=np.array([-1, 17]))
     text = manifest.to_csv().decode()
     assert text.splitlines()[0] == "index,is_attack,signature_id,embed_offset"
-    assert text.splitlines()[2] == "1,1,sX,17"
+    assert text.splitlines()[1:] == ["0,0,,", "1,1,sX,17"]
     back = Manifest.from_csv(manifest.to_csv())
-    assert back == manifest
+    assert manifest_rows(back) == manifest_rows(manifest) == [
+        (0, False, None, None), (1, True, "sX", 17)]
+    # a generated manifest: every column survives, ids read in file order
+    spec = TrafficSpec(packet_count=300, attack_fraction=0.3, seed=4,
+                       payload_len_range=(10, 60), signatures=small_rules())
+    _, manifest = generate_trace(spec)
+    back = Manifest.from_csv(manifest.to_csv())
+    assert manifest_rows(back) == manifest_rows(manifest)
+    assert back.to_csv() == manifest.to_csv()
+
+
+def test_manifest_csv_quotes_ids_as_csv_writer_does():
+    # each id's field is rendered once, with the csv module's quoting
+    spec = TrafficSpec(packet_count=50, attack_fraction=0.2, seed=6,
+                       payload_len_range=(10, 40),
+                       signatures=load_rules(b'q"1,ascii,EVIL\n'))
+    _, manifest = generate_trace(spec)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["index", "is_attack", "signature_id", "embed_offset"])
+    for i, is_attack, sig_id, at in manifest_rows(manifest):
+        writer.writerow([i, int(is_attack), sig_id or "",
+                         "" if at is None else at])
+    data = manifest.to_csv()
+    assert data == out.getvalue().encode("utf-8")
+    assert b',1,"q""1",' in data
+    assert Manifest.from_csv(data).ids == ['q"1']
+
+
+def test_manifest_memory_is_two_int64_columns():
+    # the manifest holds two int64 columns, about 16 B per frame, where a
+    # ManifestEntry per frame took about 105; to_csv renders a block of
+    # rows at a time (2.2x the file's size above the manifest here),
+    # where one csv.writer row per frame peaked at 8.7x
+    rules = random_signature_set(random.Random(5), 300, lengths=[6, 9, 14])
+    spec = TrafficSpec(packet_count=20_000, attack_fraction=0.02, seed=2,
+                       payload_len_range=(30, 120), signatures=rules)
+    tracemalloc.start()
+    try:
+        trace, manifest = generate_trace(spec)
+        del trace
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = manifest.to_csv()
+        rendered = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 24 * spec.packet_count
+    assert rendered < 3 * len(data)
 
 
 def test_manifest_rejects_foreign_csv():
     with pytest.raises(ValueError, match="manifest"):
         Manifest.from_csv(b"a,b\n1,2\n")
+
+
+@pytest.mark.parametrize("row", [
+    "1,1", "1,7,,", "1,1,,5", "1,1,s,", "1,1,s,-3", "1,0,s,", "1,0,,3",
+    "2,0,,",
+], ids=["short-row", "is-attack-7", "attack-without-id",
+        "attack-without-offset", "attack-negative-offset",
+        "background-with-id", "background-with-offset", "index-out-of-place"])
+def test_manifest_rejects_rows_it_would_not_write(row):
+    data = f"index,is_attack,signature_id,embed_offset\n0,0,,\n{row}\n"
+    with pytest.raises(ValueError, match="manifest line 3"):
+        Manifest.from_csv(data.encode())

@@ -25,11 +25,9 @@ from .codec import (
 )
 from .pipeline import (
     BaselineReport,
-    DecisionRecord,
     Decisions,
     PipelineStats,
     Reason,
-    Verdict,
     compare_baseline,
     decision_log_csv,
 )
@@ -54,8 +52,8 @@ __all__ = [
     "fpr_theoretical", "optimal_k",
     "PcapError", "RawFrame", "Trace", "parse_packet", "parse_payloads",
     "read_pcap", "write_pcap",
-    "BaselineReport", "DecisionRecord", "Decisions", "PipelineStats",
-    "Reason", "Verdict", "compare_baseline", "decision_log_csv",
+    "BaselineReport", "Decisions", "PipelineStats", "Reason",
+    "compare_baseline", "decision_log_csv",
     "CandidateMatch", "ExactScanner", "Payloads", "RuleParseError",
     "Signature", "SignatureMatcher", "SignatureSet", "Windows", "load_rules",
     "Manifest", "TrafficSpec", "generate_trace",

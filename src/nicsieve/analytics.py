@@ -104,16 +104,14 @@ def _distinct_tokens(rng: np.random.Generator, count: int,
     return tokens
 
 
-def emit_csv(rows: list, row_type: type | None = None) -> bytes:
+def emit_csv(rows: list) -> bytes:
     """Render dataclass rows as CSV: header then one line per row.
 
     Floats are written with 8 significant digits; all rows must be the
-    same dataclass type. An empty list needs an explicit ``row_type`` to
-    name the header columns.
+    same dataclass type, and there must be at least one.
     """
-    if rows:
-        row_type = type(rows[0])
-    if row_type is None or not dataclasses.is_dataclass(row_type):
+    row_type = type(rows[0]) if rows else None
+    if not dataclasses.is_dataclass(row_type):
         raise ValueError("emit_csv expects dataclass rows")
     if any(type(r) is not row_type for r in rows):
         raise ValueError("emit_csv expects homogeneous rows")

@@ -23,7 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analytics import FprSweepRow, emit_csv, fpr_sweep
+from .analytics import emit_csv, fpr_sweep
 from .bloom import BloomParams, fpr_theoretical
 from .codec import read_pcap, write_pcap
 from .pipeline import compare_baseline, decision_log_csv
@@ -202,7 +202,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = fpr_sweep(args.m, args.k_list, args.n_list, args.trials,
                      seed=args.seed)
-    Path(args.out).write_bytes(emit_csv(rows, row_type=FprSweepRow))
+    Path(args.out).write_bytes(emit_csv(rows))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -5,15 +5,16 @@ offset of its data in the buffer and its captured length. The buffer is
 the only store of the record headers: ``read_pcap`` walks the records
 keeping only their offsets, from which their captured lengths follow,
 and a frame's timestamp and original length are read from its header
-when someone asks for the frame (``frames``), so a frame costs no Python
-object until then.
+when the trace is indexed, so a frame costs no Python object until then.
 
 ``parse_payloads`` locates the payload of every frame at once with numpy
 over the header bytes; it is the one header walk, and ``parse_packet``
 runs it over one frame's bytes. It reads Ethernet II, stepping over up
 to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then IPv4
 (options honored via IHL) and TCP (options via the data offset) or UDP.
-The payload is the bytes after the last header that could be walked.
+The payload is the bytes after the last header that could be walked;
+an IPv4 payload ends at the datagram's total length, so Ethernet padding
+and trailers, which the end host's transport never sees, are not scanned.
 Parsing is total -- anything truncated or malformed, a frame cut inside
 a VLAN tag included, is not parseable instead of raising, because the
 filtering pipeline must still carry such frames. IPv4 fragments are not
@@ -148,10 +149,10 @@ def parse_packet(frame: RawFrame) -> bytes | None:
     data = frame.data
     if len(data) < _ETH_LEN:  # the walk reads inside a non-empty buffer only
         return None
-    start, parsed = _payload_starts(np.frombuffer(data, dtype=np.uint8),
-                                    np.zeros(1, dtype=np.int64),
-                                    np.array([len(data)]))
-    return data[int(start[0]):] if parsed[0] else None
+    start, end, parsed = _payload_bounds(np.frombuffer(data, dtype=np.uint8),
+                                         np.zeros(1, dtype=np.int64),
+                                         np.array([len(data)]))
+    return data[int(start[0]):int(end[0])] if parsed[0] else None
 
 
 def parse_payloads(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,29 +162,31 @@ def parse_payloads(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that is not parseable gets ``start == end``, an empty payload. The
     payload follows the TCP/UDP header when one decodes, the IPv4 header
     for other IP protocols, and the link header (VLAN tags included) for
-    other ethertypes. An IPv4 fragment (MF set or a non-zero fragment
-    offset) is not parseable; DF alone is fine. The frames are parsed
-    ``_PARSE_FRAMES`` at a time, so the temporaries stay small however
-    long the trace.
+    other ethertypes. An IPv4 payload ends at the datagram's total length,
+    or at the capture's end if that comes first; others run to the end.
+    A total length shorter than the headers, or an IPv4 fragment (MF set
+    or a non-zero fragment offset; DF alone is fine), is not parseable.
+    The frames are parsed ``_PARSE_FRAMES`` at a time, so the temporaries
+    stay small however long the trace.
     """
     u8 = np.frombuffer(trace.buf, dtype=np.uint8)
-    end = trace.data_offset + trace.caplen
-    start = end.copy()
-    unparseable = np.ones(len(trace), dtype=bool)
+    start = np.empty(len(trace), dtype=np.int64)
+    end = np.empty_like(start)
+    unparseable = np.empty(len(trace), dtype=bool)
     for a in range(0, len(trace), _PARSE_FRAMES):
         b = a + _PARSE_FRAMES
-        payload_start, parsed = _payload_starts(u8, trace.data_offset[a:b],
-                                                trace.caplen[a:b])
-        start[a:b][parsed] = payload_start[parsed]
+        start[a:b], end[a:b], parsed = _payload_bounds(
+            u8, trace.data_offset[a:b], trace.caplen[a:b])
         unparseable[a:b] = ~parsed
     return start, end, unparseable
 
 
-def _payload_starts(u8: np.ndarray, base: np.ndarray, caplen: np.ndarray):
-    """(payload start in ``u8``, parseable) of the frames at ``base``.
+def _payload_bounds(u8: np.ndarray, base: np.ndarray, caplen: np.ndarray):
+    """(payload start, payload end, parseable) of the frames at ``base``.
 
-    Every test reads a frame's own bytes only where its length allows;
-    the other lanes read some in-buffer byte and are masked out.
+    An unparseable frame gets an empty payload at its end. Every test
+    reads a frame's own bytes only where its length allows; the other
+    lanes read some in-buffer byte and are masked out.
     """
     size = caplen.astype(np.int64)
     last = max(u8.size - 1, 0)
@@ -206,6 +209,7 @@ def _payload_starts(u8: np.ndarray, base: np.ndarray, caplen: np.ndarray):
     ip = ethertype == ETHERTYPE_IPV4
     version_ihl = byte(head)
     ihl = (version_ihl & 0x0F) * 4
+    total_len = word(head + 2)
     l4 = head + ihl
     protocol = byte(head + 9)
     ip_ok = ((size >= head + _IPV4_MIN) & (version_ihl >> 4 == 4)
@@ -215,9 +219,12 @@ def _payload_starts(u8: np.ndarray, base: np.ndarray, caplen: np.ndarray):
     tcp_len = (byte(l4 + 12) >> 4) * 4
     l4_len = np.where(tcp, tcp_len, np.where(udp, _UDP_LEN, 0))
     l4_ok = ((~tcp | ((size >= l4 + _TCP_MIN) & (tcp_len >= _TCP_MIN)))
-             & (size >= l4 + l4_len))
+             & (size >= l4 + l4_len) & (total_len >= ihl + l4_len))
     parsed = ok & (~ip | (ip_ok & l4_ok))
-    return base + np.where(ip, l4 + l4_len, head), parsed
+    end = base + np.where(ip & parsed, np.minimum(size, head + total_len),
+                          size)
+    start = np.where(parsed, base + np.where(ip, l4 + l4_len, head), end)
+    return start, end, parsed
 
 
 def read_pcap(data: bytes) -> Trace:

@@ -13,14 +13,13 @@ one batch pass with arrays -- a reason code, a candidate count and a
 payload length per frame -- and runs the unfiltered host route beside
 it. Only frames with candidate windows reach ``verify``, and only frames
 with matches have detections, so a dropped frame costs numpy work and no
-Python object. ``Decisions`` makes a ``DecisionRecord`` for a frame when
-one is asked for. The test suite checks the decisions frame by frame
-against the oracles in ``tests/conftest.py``.
+Python object. ``Decisions`` is those columns, and ``decision_log_csv``
+renders them; the test suite reads them frame by frame against the
+oracles in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,11 +29,6 @@ from .analytics import columns_csv
 # parse_packet stays bound here: bench/tracer.py wraps it by this name
 from .codec import Trace, parse_packet, parse_payloads  # noqa: F401
 from .signatures import CandidateMatch, Payloads, SignatureMatcher
-
-
-class Verdict(Enum):
-    FORWARD = "FORWARD"
-    DROP = "DROP"
 
 
 class Reason(Enum):
@@ -63,28 +57,12 @@ class PipelineStats:
     equivalent: bool = False  # filtered detections equal unfiltered ones
 
 
-@dataclass
-class DecisionRecord:
-    """Per-packet outcome of the card."""
-
-    index: int
-    reason: Reason
-    candidate_count: int
-    verified: list[CandidateMatch]
-    payload_len: int
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.DROP if self.reason is Reason.CLEAN else Verdict.FORWARD
-
-
 @dataclass(eq=False)
-class Decisions(Sequence):
+class Decisions:
     """The card's decisions over a trace, one array entry per frame.
 
-    ``reason`` holds codes into ``REASONS``; ``verified`` holds the
-    verified matches of the frames that have any. Indexing makes the
-    frame's ``DecisionRecord``.
+    ``reason`` holds codes into ``REASONS``; ``verified`` maps the index
+    of each frame with verified matches to those matches.
     """
 
     reason: np.ndarray  # uint8
@@ -92,27 +70,16 @@ class Decisions(Sequence):
     payload_len: np.ndarray  # int64
     verified: dict[int, tuple[CandidateMatch, ...]]
 
-    def __len__(self) -> int:
-        return self.reason.size
-
-    def __getitem__(self, i: int) -> DecisionRecord:
-        i = range(len(self))[i]
-        return DecisionRecord(
-            index=i, reason=REASONS[self.reason[i]],
-            candidate_count=int(self.candidates[i]),
-            verified=list(self.verified.get(i, ())),
-            payload_len=int(self.payload_len[i]))
-
 
 @dataclass
 class BaselineReport:
     """Filtered-vs-unfiltered detection comparison for one trace.
 
-    Both detection maps hold only the frames with matches, by frame index.
+    ``baseline_detections`` holds the host's exact matches of every frame
+    with any, by frame index; the card's are ``records.verified``.
     """
 
     baseline_detections: dict[int, tuple[CandidateMatch, ...]]
-    filtered_detections: dict[int, tuple[CandidateMatch, ...]]
     stats: PipelineStats
     forwarded: Trace
     records: Decisions  # one per frame, in file order
@@ -153,16 +120,16 @@ def compare_baseline(matcher: SignatureMatcher, trace: Trace) -> BaselineReport:
         reduction=1.0 - forwarded / total if total else 0.0,
         equivalent=baseline == filtered)
     return BaselineReport(
-        baseline_detections=baseline, filtered_detections=filtered,
-        stats=stats, forwarded=trace.select(forward),
+        baseline_detections=baseline, stats=stats,
+        forwarded=trace.select(forward),
         records=Decisions(reason, counts, end - start, filtered))
 
 
 def decision_log_csv(decisions: Decisions) -> bytes:
     """Render the decisions as CSV, one row per packet (``columns_csv``)."""
-    labels = [f"{(Verdict.DROP if r is Reason.CLEAN else Verdict.FORWARD).value},"
-              f"{r.value}" for r in REASONS]
-    verified = np.zeros(len(decisions), dtype=np.int64)
+    labels = [f"{'DROP' if r is Reason.CLEAN else 'FORWARD'},{r.value}"
+              for r in REASONS]
+    verified = np.zeros(decisions.reason.size, dtype=np.int64)
     verified[list(decisions.verified)] = [len(v) for v in
                                           decisions.verified.values()]
     return columns_csv("index,verdict,reason,candidates,verified,payload_len",

@@ -93,9 +93,10 @@ def reference_candidates(filters, payload: bytes) -> list[tuple[int, int]]:
 def reference_parse(data: bytes) -> bytes | None:
     """Scalar header walk: the frame's payload, or ``None`` if not parseable.
 
-    Ethernet II, up to two 802.1Q / 802.1ad tags, IPv4 (IHL options, and
-    fragments not parseable) and TCP (data offset) or UDP, one field at a
-    time; the oracle of the batch parse.
+    Ethernet II, up to two 802.1Q / 802.1ad tags, IPv4 (IHL options, the
+    total length ending the payload, and fragments not parseable) and TCP
+    (data offset) or UDP, one field at a time; the oracle of the batch
+    parse.
     """
     if len(data) < 14:
         return None
@@ -121,21 +122,26 @@ def reference_parse(data: bytes) -> bytes | None:
         return None
     if (data[head + 6] << 8 | data[head + 7]) & 0x3FFF:  # MF or an offset
         return None
+    total_length = data[head + 2] << 8 | data[head + 3]
+    datagram = data[head : head + total_length]  # padding and trailer cut
     protocol = data[head + 9]
-    l4_off = head + ihl
 
     if protocol == 6:  # TCP
-        if len(data) < l4_off + 20:
+        if len(data) < head + ihl + 20:
             return None
-        data_offset = (data[l4_off + 12] >> 4) * 4
-        if data_offset < 20 or len(data) < l4_off + data_offset:
+        data_offset = (data[head + ihl + 12] >> 4) * 4
+        if data_offset < 20 or len(data) < head + ihl + data_offset:
             return None
-        return data[l4_off + data_offset:]
-    if protocol == 17:  # UDP
-        if len(data) < l4_off + 8:
+        header_len = ihl + data_offset
+    elif protocol == 17:  # UDP
+        if len(data) < head + ihl + 8:
             return None
-        return data[l4_off + 8:]
-    return data[l4_off:]
+        header_len = ihl + 8
+    else:
+        header_len = ihl
+    if total_length < header_len:
+        return None
+    return datagram[header_len:]
 
 
 def reference_ones_complement_sum(data: bytes) -> int:

@@ -159,12 +159,6 @@ def test_emit_csv_layout_and_parse_back():
         assert float(fields[6]) == pytest.approx(row.std_err, rel=1e-6)
 
 
-def test_emit_csv_empty_list_header_only():
-    data = emit_csv([], row_type=FprSweepRow)
-    assert data == b"m,k,n,fpr_theory,fpr_empirical,trials,std_err\n"
-    assert emit_csv([], row_type=LoadRow).startswith(b"scenario,")
-
-
 def test_emit_csv_single_row_two_lines():
     rows = [LoadRow(scenario="x", total=10, forwarded=1,
                         percent_analyzed=10.0)]

@@ -249,7 +249,7 @@ def test_scan_keeps_nanosecond_timestamps(tmp_path, rules_file,
     assert fwd.read_bytes()[:4] == (0xA1B23C4D).to_bytes(4, "little")
     forwarded = read_pcap(fwd.read_bytes())
     assert forwarded.ts_resolution == NSEC
-    assert list(forwarded.frames) == expected
+    assert list(forwarded) == expected
 
 
 @pytest.mark.parametrize("endian, resolution, extra_len", [

@@ -27,11 +27,14 @@ def eth_header(ethertype, dst=b"\x02" * 6, src=b"\x04" * 6):
     return struct.pack("!6s6sH", dst, src, ethertype)
 
 
-def ipv4_header(protocol, src=b"\x0a\x00\x00\x01", dst=b"\xc0\xa8\x00\x02",
-                ihl_words=5, options=b"", flags_offset=0):
-    total = ihl_words * 4  # total_length field is not used for slicing
+def ipv4_header(protocol, body=b"", src=b"\x0a\x00\x00\x01",
+                dst=b"\xc0\xa8\x00\x02", ihl_words=5, options=b"",
+                flags_offset=0, total=None):
+    """An IPv4 header, then ``body``; the total length counts both."""
+    if total is None:
+        total = 20 + len(options) + len(body)
     return struct.pack("!BBHHHBBH4s4s", 0x40 | ihl_words, 0, total, 0,
-                       flags_offset, 64, protocol, 0, src, dst) + options
+                       flags_offset, 64, protocol, 0, src, dst) + options + body
 
 
 def tcp_header(sport, dport, offset_words=5, options=b""):
@@ -63,43 +66,55 @@ def batch_bounds(datas):
     return out
 
 
+def payload_end(data):
+    """Where a parseable frame's payload ends: its IPv4 datagram's end, or
+    the frame's end if that comes first or the frame is not IPv4."""
+    head = 14
+    while head < 22 and data[head - 2 : head] in (b"\x81\x00", b"\x88\xa8"):
+        head += 4
+    if data[head - 2 : head] != b"\x08\x00":
+        return len(data)
+    return min(len(data), head + int.from_bytes(data[head + 2 : head + 4], "big"))
+
+
 def scalar_bounds(data):
     """``reference_parse``'s payload as (start, end) within the frame, or None."""
     payload = reference_parse(data)
     if payload is None:
         return None
-    assert data[len(data) - len(payload):] == payload
-    return len(data) - len(payload), len(data)
+    end = payload_end(data)
+    assert data[end - len(payload) : end] == payload
+    return end - len(payload), end
 
 
 # --- parse_packet -----------------------------------------------------------
 
 def test_parse_minimal_tcp_frame():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6)
-                     + tcp_header(4321, 80) + b"GET")
+    frame = RawFrame(data=eth_header(0x0800)
+                     + ipv4_header(6, tcp_header(4321, 80) + b"GET"))
     assert parse_packet(frame) == b"GET"
     # don't-fragment alone is not a fragment
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6, flags_offset=0x4000)
-                     + tcp_header(4321, 80) + b"GET")
+    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
+        6, tcp_header(4321, 80) + b"GET", flags_offset=0x4000))
     assert parse_packet(frame) == b"GET"
 
 
 def test_parse_udp_frame():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(17)
-                     + udp_header(53, 5353) + b"query")
+    frame = RawFrame(data=eth_header(0x0800)
+                     + ipv4_header(17, udp_header(53, 5353) + b"query"))
     assert parse_packet(frame) == b"query"
 
 
 def test_parse_ipv4_options_honored():
     options = b"\x01" * 8  # ihl 7 words
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6, ihl_words=7, options=options)
-                     + tcp_header(1, 2) + b"pay")
+    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
+        6, tcp_header(1, 2) + b"pay", ihl_words=7, options=options))
     assert parse_packet(frame) == b"pay"
 
 
 def test_parse_tcp_options_honored():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(6)
-                     + tcp_header(1, 2, offset_words=6, options=b"\x00" * 4) + b"pp")
+    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
+        6, tcp_header(1, 2, offset_words=6, options=b"\x00" * 4) + b"pp"))
     assert parse_packet(frame) == b"pp"
 
 
@@ -113,25 +128,46 @@ def test_parse_arp_payload_after_ethernet():
 
 
 def test_parse_non_tcp_udp_payload_after_ip():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(47) + b"gre-body")
+    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(47, b"gre-body"))
     assert parse_packet(frame) == b"gre-body"
+
+
+@pytest.mark.parametrize("protocol,l4", [
+    (PROTO_TCP, tcp_header(1, 2)), (PROTO_UDP, udp_header(1, 2)), (47, b"")],
+    ids=["tcp", "udp", "other"])
+def test_parse_ipv4_payload_ends_at_total_length(protocol, l4):
+    # Ethernet padding and trailers lie past the datagram: not payload; a
+    # capture cut inside the datagram keeps what it has
+    datagram = eth_header(0x0800) + ipv4_header(protocol, l4 + b"GET")
+    for data, payload in [(datagram + b"\x00" * 6, b"GET"),
+                          (datagram + b"TRLR", b"GET"),
+                          (datagram[:-1], b"GE")]:
+        assert parse_packet(RawFrame(data=data)) == payload
+        assert batch_bounds([data]) == [(len(datagram) - 3,
+                                         len(datagram) - 3 + len(payload))]
 
 
 @pytest.mark.parametrize("data", [
     eth_header(0x0800) + ipv4_header(6)[:12],          # truncated IPv4
     eth_header(0x0800) + ipv4_header(6, ihl_words=4),  # bad IHL
     eth_header(0x0800) + b"\x65" + ipv4_header(6)[1:], # version != 4
-    eth_header(0x0800) + ipv4_header(6) + tcp_header(1, 2)[:10],  # short TCP
-    eth_header(0x0800) + ipv4_header(6)                # TCP offset < 5
-    + struct.pack("!HHIIBBHHH", 1, 2, 0, 0, 4 << 4, 0, 0, 0, 0),
-    eth_header(0x0800) + ipv4_header(6, ihl_words=7),  # options cut short
-    eth_header(0x0800) + ipv4_header(17) + udp_header(1, 2)[:6],  # short UDP
-    eth_header(0x0800) + ipv4_header(6, flags_offset=0x2000)  # first fragment
-    + tcp_header(1, 2) + b"GET",
-    eth_header(0x0800) + ipv4_header(6, flags_offset=185)     # later fragment
-    + tcp_header(1, 2) + b"GET",
-    eth_header(0x0800) + ipv4_header(6, flags_offset=0x4000 | 185)
-    + tcp_header(1, 2) + b"GET",                               # DF + offset
+    eth_header(0x0800) + ipv4_header(6, tcp_header(1, 2))[:30],  # short TCP
+    eth_header(0x0800) + ipv4_header(6, struct.pack(   # TCP offset < 5
+        "!HHIIBBHHH", 1, 2, 0, 0, 4 << 4, 0, 0, 0, 0)),
+    eth_header(0x0800)                                 # options cut short
+    + ipv4_header(6, ihl_words=7, options=b"\x01" * 8)[:24],
+    eth_header(0x0800) + ipv4_header(17, udp_header(1, 2))[:26],  # short UDP
+    eth_header(0x0800)                                 # total < IPv4 + TCP
+    + ipv4_header(6, tcp_header(1, 2) + b"GET", total=39),
+    eth_header(0x0800) + ipv4_header(17, udp_header(1, 2), total=27),
+    eth_header(0x0800) + ipv4_header(47, b"GET", total=19),
+    eth_header(0x0800) + ipv4_header(6, tcp_header(1, 2) + b"GET", total=0),
+    eth_header(0x0800) + ipv4_header(                  # first fragment
+        6, tcp_header(1, 2) + b"GET", flags_offset=0x2000),
+    eth_header(0x0800) + ipv4_header(                  # later fragment
+        6, tcp_header(1, 2) + b"GET", flags_offset=185),
+    eth_header(0x0800) + ipv4_header(                  # DF + offset
+        6, tcp_header(1, 2) + b"GET", flags_offset=0x4000 | 185),
 ])
 def test_parse_malformed_frames_not_parseable(data):
     assert parse_packet(RawFrame(data=data)) is None
@@ -141,12 +177,12 @@ def test_parse_malformed_frames_not_parseable(data):
 @pytest.mark.parametrize("tpids", [(0x8100,), (0x88A8,), (0x88A8, 0x8100)],
                          ids=["802.1Q", "802.1ad", "double"])
 def test_parse_steps_over_vlan_tags(tpids):
-    tcp = (tagged_eth_header(tpids, 0x0800) + ipv4_header(6)
-           + tcp_header(4321, 80) + b"GET")
-    udp = (tagged_eth_header(tpids, 0x0800) + ipv4_header(17)
-           + udp_header(53, 5353) + b"query")
-    fragment = (tagged_eth_header(tpids, 0x0800)
-                + ipv4_header(6, flags_offset=0x2000) + tcp_header(1, 2) + b"GET")
+    tcp = (tagged_eth_header(tpids, 0x0800)
+           + ipv4_header(6, tcp_header(4321, 80) + b"GET"))
+    udp = (tagged_eth_header(tpids, 0x0800)
+           + ipv4_header(17, udp_header(53, 5353) + b"query"))
+    fragment = (tagged_eth_header(tpids, 0x0800) + ipv4_header(
+        6, tcp_header(1, 2) + b"GET", flags_offset=0x2000))
     arp = tagged_eth_header(tpids, 0x0806) + b"arp body"
     assert parse_packet(RawFrame(data=tcp)) == b"GET"
     assert parse_packet(RawFrame(data=udp)) == b"query"
@@ -172,18 +208,20 @@ def test_parse_is_total_and_payload_in_bounds(data):
     payload = parse_packet(RawFrame(data=data))
     if payload is not None:
         assert len(payload) <= len(data) - 14
-        assert data[len(data) - len(payload):] == payload
+        end = payload_end(data)
+        assert data[end - len(payload) : end] == payload
 
 
 def test_parse_fuzz_bulk():
-    # volume fuzz: parsing must never raise, payload must be a frame suffix
+    # volume fuzz: parsing must never raise, and a payload ends where the
+    # frame or its IPv4 datagram does, whichever comes first
     rng = random.Random(99)
     datas = [rng.randbytes(rng.randint(0, 80)) for _ in range(100_000)]
     bounds = batch_bounds(datas)  # one batch call over every frame
     for data, bound in zip(datas, bounds):
         if bound is not None:
             start, end = bound
-            assert 14 <= start <= end == len(data)
+            assert 14 <= start <= end == payload_end(data)
     assert bounds == [scalar_bounds(d) for d in datas]
 
 
@@ -200,11 +238,8 @@ def mutated_frames(draw):
     flags = draw(st.sampled_from([0, 0, 0x4000, 0x2000]))
     fragment_offset = draw(st.sampled_from([0, 0, 0, 1, 185, 0x1FFF]))
     protocol = draw(st.sampled_from([PROTO_TCP, PROTO_TCP, PROTO_UDP, 47]))
-    ip = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, 0, 0,
-                     flags | fragment_offset, 64, protocol, 0,
-                     b"\x0a\x00\x00\x01", b"\xc0\xa8\x00\x02")
-    ip += draw(st.binary(min_size=max(0, ihl * 4 - 20),
-                         max_size=max(0, ihl * 4 - 20)))
+    options = draw(st.binary(min_size=max(0, ihl * 4 - 20),
+                             max_size=max(0, ihl * 4 - 20)))
     data_offset = draw(st.integers(0, 15))
     if protocol == PROTO_TCP:
         l4 = tcp_header(1, 2, offset_words=data_offset,
@@ -213,11 +248,19 @@ def mutated_frames(draw):
         l4 = udp_header(53, 5353)
     else:
         l4 = b""
-    frame = eth + ip + l4 + draw(st.binary(max_size=24))
+    body = l4 + draw(st.binary(max_size=24))
+    # the total length: exact, short (into the headers too), long, or 0
+    exact = 20 + len(options) + len(body)
+    total = draw(st.sampled_from([exact, exact, 0, exact + 6])
+                 | st.integers(0, exact))
+    ip = struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total, 0,
+                     flags | fragment_offset, 64, protocol, 0,
+                     b"\x0a\x00\x00\x01", b"\xc0\xa8\x00\x02") + options
+    frame = eth + ip + body
     edges = [0, 12, 14, len(eth) - 2, len(eth), len(eth) + 20,
              len(eth) + len(ip), len(eth) + len(ip) + 8,
              len(eth) + len(ip) + 13, len(eth) + len(ip) + 20,
-             len(eth) + len(ip) + len(l4), len(frame)]
+             len(eth) + len(ip) + len(l4), len(eth) + total, len(frame)]
     edges += [4 * i + 14 for i in range(1, len(tpids) + 1)]
     cuts = sorted({e + d for e in edges for d in (-1, 0, 1)
                    if 0 <= e + d <= len(frame)})

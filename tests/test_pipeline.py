@@ -7,8 +7,8 @@ from nicsieve.analytics import emit_csv
 from nicsieve.bloom import BloomParams
 from nicsieve.codec import RawFrame, Trace, parse_packet, write_pcap
 from nicsieve.pipeline import (
+    REASONS,
     Reason,
-    Verdict,
     compare_baseline,
     decision_log_csv,
 )
@@ -53,46 +53,44 @@ def oracle_decision(matcher, frame):
 
 
 def decide_one(matcher, frame):
+    """The card's (reason, verified matches, payload length) for one frame,
+    which it forwards exactly when the reason is not ``CLEAN``."""
     report = compare_baseline(matcher, Trace.from_frames([frame]))
-    assert len(report.records) == report.stats.total == 1
-    assert len(report.forwarded) == report.stats.forwarded
-    return report.records[0]
+    log = report.records
+    reason = REASONS[log.reason[0]]
+    assert log.reason.size == report.stats.total == 1
+    assert len(report.forwarded) == report.stats.forwarded == \
+        (reason is not Reason.CLEAN)
+    return reason, log.verified.get(0, ()), log.payload_len[0]
 
 
 # --- single-frame decisions -------------------------------------------------
 
 def test_attack_packet_forwarded_with_match():
     matcher = simple_matcher()
-    rec = decide_one(matcher, frame_with_payload(b"xxEVILxx"))
-    assert rec.verdict is Verdict.FORWARD
-    assert rec.reason is Reason.MATCH_CANDIDATE
-    assert [(v.offset, v.length, v.signature_id) for v in rec.verified] == \
+    reason, verified, _ = decide_one(matcher, frame_with_payload(b"xxEVILxx"))
+    assert reason is Reason.MATCH_CANDIDATE
+    assert [(v.offset, v.length, v.signature_id) for v in verified] == \
         [(2, 4, "s0")]
 
 
 def test_clean_packet_dropped():
     matcher = simple_matcher()
-    rec = decide_one(matcher, frame_with_payload(b"hello world"))
-    assert rec.verdict is Verdict.DROP
-    assert rec.reason is Reason.CLEAN
-    assert rec.verified == []
+    reason, verified, _ = decide_one(matcher, frame_with_payload(b"hello world"))
+    assert reason is Reason.CLEAN
+    assert verified == ()
 
 
 def test_empty_payload_is_clean_not_unparseable():
     matcher = simple_matcher()
-    rec = decide_one(matcher, frame_with_payload(b""))
-    assert rec.verdict is Verdict.DROP
-    assert rec.reason is Reason.CLEAN
-    assert rec.payload_len == 0
-    assert rec.verified == []
+    assert decide_one(matcher, frame_with_payload(b"")) == (Reason.CLEAN, (), 0)
 
 
 def test_garbage_frame_fails_open():
     matcher = simple_matcher()
-    rec = decide_one(matcher, RawFrame(data=b"\x01" * 13))
-    assert rec.verdict is Verdict.FORWARD
-    assert rec.reason is Reason.NON_PARSEABLE
-    assert rec.verified == []
+    reason, verified, _ = decide_one(matcher, RawFrame(data=b"\x01" * 13))
+    assert reason is Reason.NON_PARSEABLE
+    assert verified == ()
 
 
 def test_ipv4_fragment_forwarded_unscanned():
@@ -102,10 +100,9 @@ def test_ipv4_fragment_forwarded_unscanned():
     head = frame_with_payload(b"").data[:34]  # Ethernet + IPv4 headers
     body = b"cmd.exe /c dir " + b"A" * 40
     frame = RawFrame(data=head[:20] + (185).to_bytes(2, "big") + head[22:] + body)
-    rec = decide_one(matcher, frame)
-    assert rec.verdict is Verdict.FORWARD
-    assert rec.reason is Reason.NON_PARSEABLE
-    assert rec.verified == []
+    reason, verified, _ = decide_one(matcher, frame)
+    assert reason is Reason.NON_PARSEABLE
+    assert verified == ()
 
 
 def test_vlan_tagged_frames_are_scanned_from_their_tcp_payload():
@@ -115,15 +112,48 @@ def test_vlan_tagged_frames_are_scanned_from_their_tcp_payload():
     plain = frame_with_payload(b"run cmd.exe now").data
     for tags in (b"\x81\x00\x00\x05", b"\x88\xa8\x00\x05\x81\x00\x00\x07"):
         data = plain[:12] + tags + plain[12:]
-        rec = decide_one(matcher, RawFrame(data=data))
-        assert rec.reason is Reason.MATCH_CANDIDATE
-        assert rec.payload_len == len(b"run cmd.exe now")
-        assert [(v.offset, v.length) for v in rec.verified] == [(4, 7)]
+        reason, verified, payload_len = decide_one(matcher, RawFrame(data=data))
+        assert reason is Reason.MATCH_CANDIDATE
+        assert payload_len == len(b"run cmd.exe now")
+        assert [(v.offset, v.length) for v in verified] == [(4, 7)]
         fragment = data[:len(tags) + 20] + b"\x20\x00" + data[len(tags) + 22:]
-        rec = decide_one(matcher, RawFrame(data=fragment))
-        assert rec.verdict is Verdict.FORWARD
-        assert rec.reason is Reason.NON_PARSEABLE
-        assert rec.verified == []
+        reason, verified, _ = decide_one(matcher, RawFrame(data=fragment))
+        assert reason is Reason.NON_PARSEABLE
+        assert verified == ()
+
+
+def test_ethernet_padding_is_not_payload():
+    # a bare ACK padded with zeros to the 60-byte Ethernet minimum has an
+    # empty payload, like the same ACK unpadded
+    matcher = simple_matcher((b"\x00\x00\x00", b"GET /x"))
+    ack = frame_with_payload(b"").data
+    assert len(ack) == 54
+    for data in (ack + bytes(6), ack):
+        assert decide_one(matcher, RawFrame(data=data)) == (Reason.CLEAN, (), 0)
+
+
+def test_ethernet_trailer_is_not_payload():
+    # a pattern ending on the payload's last byte is found; one that runs
+    # on into the 4-byte trailer after the datagram is not
+    matcher = simple_matcher((b"EVIL", b"ILTR"))
+    data = frame_with_payload(b"xxEVIL").data + b"TRLR"
+    reason, verified, payload_len = decide_one(matcher, RawFrame(data=data))
+    assert (reason, payload_len) == (Reason.MATCH_CANDIDATE, 6)
+    assert [(v.offset, v.length, v.signature_id) for v in verified] == \
+        [(2, 4, "s0")]
+
+
+def test_total_length_shorter_than_the_headers_fails_open():
+    # the IPv4 and TCP headers take 40 bytes: a total length of 39 is not
+    # parseable, and one of 40 leaves the datagram no payload
+    matcher = simple_matcher()
+    data = bytearray(frame_with_payload(b"xxEVILxx").data)
+    data[16:18] = (39).to_bytes(2, "big")
+    assert decide_one(matcher, RawFrame(data=bytes(data)))[:2] == \
+        (Reason.NON_PARSEABLE, ())
+    data[16:18] = (40).to_bytes(2, "big")
+    assert decide_one(matcher, RawFrame(data=bytes(data))) == \
+        (Reason.CLEAN, (), 0)
 
 
 # --- the card over a trace --------------------------------------------------------------
@@ -157,8 +187,8 @@ def test_run_trace_counters_and_forwarded_trace():
     assert stats.bytes_forwarded == sum(len(f.data) for f in forwarded)
 
     # forwarded trace: exactly the FORWARD frames, bytes untouched, in order
-    expected = [trace.frames[i] for i, rec in enumerate(log)
-                if rec.verdict is Verdict.FORWARD]
+    expected = [trace[i] for i, code in enumerate(log.reason)
+                if REASONS[code] is not Reason.CLEAN]
     assert [f.data for f in forwarded] == [f.data for f in expected]
     assert [f.ts_sec for f in forwarded] == [f.ts_sec for f in expected]
 
@@ -184,10 +214,15 @@ def test_run_trace_matches_per_packet_processing():
     stats, log = report.stats, report.records
     expected = [oracle_decision(matcher, f) for f in frames]
 
-    assert [(r.reason, [(v.offset, v.length, v.signature_id) for v in r.verified])
-            for r in log] == expected
-    assert all((r.verdict is Verdict.DROP) == (r.reason is Reason.CLEAN)
-               for r in log)
+    assert [(REASONS[log.reason[i]],
+             [(v.offset, v.length, v.signature_id)
+              for v in log.verified.get(i, ())])
+            for i in range(len(frames))] == expected
+    # the log's verdict is DROP exactly when its reason is CLEAN, every row
+    rows = [line.split(",")
+            for line in decision_log_csv(log).decode().splitlines()[1:]]
+    assert len(rows) == len(frames)
+    assert all((row[1] == "DROP") == (row[2] == "CLEAN") for row in rows)
     assert stats.total == len(frames)
     assert stats.forwarded == sum(reason is not Reason.CLEAN
                                   for reason, _ in expected)
@@ -222,15 +257,15 @@ def test_compare_baseline_equivalence_and_reduction():
     report = compare_baseline(matcher, trace)
 
     assert report.stats.equivalent
-    assert report.baseline_detections == report.filtered_detections
+    assert report.baseline_detections == report.records.verified
     assert report.stats.true_matches == len(manifest.attack_indices())
     # reduction recomputed from raw counters
     assert report.stats.reduction == pytest.approx(
         1.0 - report.stats.forwarded / report.stats.total)
     # forwarded trace is an order-preserving subsequence of the input
-    assert report.stats.forwarded == len(report.forwarded.frames)
-    it = iter(trace.frames)
-    assert all(any(f == g for g in it) for f in report.forwarded.frames)
+    assert report.stats.forwarded == len(report.forwarded)
+    it = iter(trace)
+    assert all(any(f == g for g in it) for f in report.forwarded)
 
 
 def test_compare_baseline_no_attacks():
@@ -258,8 +293,9 @@ def test_compare_baseline_two_calls_return_their_own_records():
     first = compare_baseline(matcher, trace)
     second = compare_baseline(matcher, trace)
     assert first.stats.equivalent and second.stats.equivalent
-    assert second.filtered_detections == first.filtered_detections
-    assert len(first.records) == len(second.records) == len(trace)
+    assert second.records.verified == first.records.verified
+    assert first.records.verified is not second.records.verified
+    assert first.records.reason.size == second.records.reason.size == len(trace)
 
 
 def test_compare_baseline_duplicate_patterns_carry_every_id():
@@ -276,7 +312,7 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
     assert evil
     for i in evil:
         for detections in (report.baseline_detections[i],
-                           report.filtered_detections[i]):
+                           report.records.verified[i]):
             ids = {m.signature_id for m in detections
                    if m.offset == manifest.offset[i] and m.length == 5}
             assert ids == {"a", "b"}

@@ -111,7 +111,7 @@ class Trace(Sequence):
     def from_frames(cls, frames: Iterable[RawFrame],
                     ts_resolution: int = USEC) -> Trace:
         """Append each frame's record, as it arrives, to one little-endian capture."""
-        buf = bytearray(_file_header(ts_resolution))
+        buf = bytearray(file_header(ts_resolution))
         lengths = array("I")
         for f in frames:
             buf += _RECORD.pack(f.ts_sec, f.ts_usec, len(f.data), f.orig_len)
@@ -273,7 +273,8 @@ def read_pcap(data: bytes) -> Trace:
     return Trace(buf, rec + _RECORD_HEADER, caplen, _MAGIC_RESOLUTION[magic])
 
 
-def _file_header(ts_resolution: int) -> bytes:
+def file_header(ts_resolution: int) -> bytes:
+    """The 24-byte little-endian header of a classic capture file."""
     magic = PCAP_MAGIC_NSEC if ts_resolution == NSEC else PCAP_MAGIC
     return struct.pack("<IHHiIII", magic, 2, 4, 0, 0, _PCAP_SNAPLEN,
                        LINKTYPE_ETHERNET)
@@ -281,7 +282,7 @@ def _file_header(ts_resolution: int) -> bytes:
 
 def write_pcap(trace: Trace) -> bytes:
     """Encode a trace as a little-endian classic capture file."""
-    header = _file_header(trace.ts_resolution)
+    header = file_header(trace.ts_resolution)
     if not len(trace):
         return header
     # copy each run of records that lie back to back in the buffer

@@ -8,13 +8,18 @@ sampled until no pattern occurs in them by chance, so the manifest --
 which packet is an attack, which signature, at what offset -- is exact
 ground truth for measuring detection and false-positive behavior.
 
-Every payload is drawn into one buffer, where attacks are spliced in and
-dirty background payloads redrawn, and each frame is appended to the
-capture buffer as it is built, so no per-frame payload or frame is kept;
-the manifest is two integer columns beside the payload lengths, so no
-per-frame ground-truth object is kept either. Everything is driven by
-one seeded generator: the same spec and seed reproduce the trace and its
-manifest bit for bit.
+The capture is laid out by column. Each frame's header draws are one
+24-byte row and its payload length one integer, from which every
+record's place in the capture follows; the capture is allocated once at
+its final size, and each payload is drawn straight into its place there,
+where attacks are spliced in and dirty background payloads redrawn. The
+record, Ethernet, IPv4 and TCP headers are then written with numpy a
+block of frames at a time, both checksums included: the payloads' word
+sums are read where they lie, and carries are folded once at the end
+(RFC 1071). No per-frame payload, frame or Python object is kept; the
+manifest is two integer columns beside the payload lengths. Everything
+is driven by one seeded generator: the same spec and seed reproduce the
+trace and its manifest bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytics import columns_csv
-from .codec import RawFrame, Trace
+from .codec import PROTO_TCP, USEC, Trace, file_header
 from .signatures import ExactScanner, Payloads, SignatureSet
 
 MAX_PAYLOAD = 1400  # keeps frames inside a standard Ethernet MTU
@@ -38,6 +43,8 @@ MAX_PAYLOAD = 1400  # keeps frames inside a standard Ethernet MTU
 _TS_BASE = 1_600_000_000  # fixed epoch so generated captures are stable
 _TS_STEP_USEC = 100
 _HEADER_DRAWS = struct.Struct("<16sHHI")  # MACs and IP hosts, ports, seq
+_DRAWS = np.dtype([("hosts", "u1", 16), ("src_port", "<u2"), ("dst_port", "<u2"),
+                   ("seq", "<u4")])  # the same rows, as numpy reads them
 _MANIFEST_HEADER = ["index", "is_attack", "signature_id", "embed_offset"]
 
 
@@ -104,7 +111,8 @@ class Manifest:
         signature, offset = array("q"), array("q")
         for row in reader:
             index, is_attack, sig_id, at = row if len(row) == 4 else [""] * 4
-            attack = is_attack == "1" and sig_id != "" and at.isdecimal()
+            attack = (is_attack == "1" and sig_id != "" and at.isascii()
+                      and at.isdecimal() and at == str(int(at)))
             if index != str(len(signature)) or not (
                     attack or row[1:] == ["0", "", ""]):
                 raise ValueError(
@@ -117,38 +125,148 @@ class Manifest:
                    np.frombuffer(offset, dtype=np.int64))
 
 
-def _ones_complement_sum(data: bytes) -> int:
-    """The 16-bit ones' complement sum of ``data`` as big-endian words.
+# One generated record: the capture's little-endian record header, then an
+# Ethernet II, an IPv4 and a TCP header, neither with options; the payload
+# follows. The IPv4 and TCP headers start at even offsets, so a big-endian
+# 16-bit view of the records reads their checksum words.
+_RECORD = np.dtype([
+    ("ts_sec", "<u4"), ("ts_usec", "<u4"), ("caplen", "<u4"), ("orig_len", "<u4"),
+    ("dst_mac", "u1", 6), ("src_mac", "u1", 6), ("ethertype", ">u2"),
+    ("version_ihl", "u1"), ("tos", "u1"), ("total_len", ">u2"), ("ident", ">u2"),
+    ("fragment", ">u2"), ("ttl", "u1"), ("protocol", "u1"),
+    ("ip_checksum", ">u2"), ("src_ip", "u1", 4), ("dst_ip", "u1", 4),
+    ("src_port", ">u2"), ("dst_port", ">u2"), ("seq", ">u4"), ("ack", ">u4"),
+    ("data_offset", "u1"), ("flags", "u1"), ("window", ">u2"),
+    ("tcp_checksum", ">u2"), ("urgent", ">u2"),
+])
+_RECORD_HEADER = _RECORD.fields["dst_mac"][1]
+_IP_AT = _RECORD.fields["version_ihl"][1]
+_TCP_AT = _RECORD.fields["src_port"][1]
+_TCP_HEADER = _RECORD.itemsize - _TCP_AT
+_FRAME_HEADERS = _RECORD.itemsize - _RECORD_HEADER  # Ethernet + IPv4 + TCP
+_IP_WORDS = slice(_IP_AT // 2, _TCP_AT // 2)
+_ADDRESS_WORDS = slice(_RECORD.fields["src_ip"][1] // 2, _TCP_AT // 2)
+_TCP_WORDS = slice(_TCP_AT // 2, _RECORD.itemsize // 2)
 
-    2**16 is 1 mod 0xFFFF, so the words' sum is, mod 0xFFFF, the number
-    the (even-length) bytes spell; end-around carries never fold a
-    nonzero sum to 0, so that residue reads 0xFFFF.
+# the fields every record shares; a generated frame's addresses are
+# 10.0.x.x and 192.168.x.x, its host parts drawn per frame
+_TEMPLATE = np.zeros(1, dtype=_RECORD)
+for _name, _value in (("ethertype", 0x0800), ("version_ihl", 0x45), ("ttl", 64),
+                      ("protocol", PROTO_TCP), ("src_ip", (10, 0, 0, 0)),
+                      ("dst_ip", (192, 168, 0, 0)), ("data_offset", 5 << 4),
+                      ("flags", 0x18), ("window", 65535)):  # flags: PSH, ACK
+    _TEMPLATE[_name] = _value
+
+# frame bounds of one pass of the header writer: its temporaries stay a
+# few hundred KiB however long the trace
+_BLOCK_FRAMES = 4096
+_BLOCK_BYTES = 64 * 1024  # payload bytes, past a block's first frame
+
+
+def _word_sums(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each ``u8[starts[i] : starts[i] + lengths[i]]``'s big-endian word sum.
+
+    An odd last byte is a word's high byte. The payloads ascend and do not
+    overlap, and are summed where they lie: a byte is a high byte where
+    it has its payload start's parity, so with ``plain`` the bytes' sum
+    and ``high`` the sum weighting bytes at even offsets by 256, a payload
+    that starts at an even offset sums to ``high`` and one at an odd
+    offset to ``257 * plain - high``.
     """
-    if len(data) % 2:
-        data += b"\x00"
-    value = int.from_bytes(data, "big")
-    return value % 0xFFFF or (0xFFFF if value else 0)
+    lo, hi = int(starts[0]), int(starts[-1] + lengths[-1])
+    span = np.zeros(hi - lo + 1, dtype=np.uint16)  # reduceat reads inside only
+    span[:-1] = u8[lo:hi]
+    bounds = np.empty(2 * starts.size, dtype=np.int64)
+    bounds[0::2] = starts - lo
+    bounds[1::2] = bounds[0::2] + lengths
+    plain = np.add.reduceat(span, bounds, dtype=np.int64)[0::2]
+    span[lo % 2 :: 2] <<= 8
+    high = np.add.reduceat(span, bounds, dtype=np.int64)[0::2]
+    sums = np.where(starts % 2 == 0, high, 257 * plain - high)
+    sums[lengths == 0] = 0  # reduceat reads one byte for an empty range
+    return sums
+
+
+def _fold(sums: np.ndarray) -> np.ndarray:
+    """The 16-bit ones' complement sum of each word sum.
+
+    2**16 is 1 mod 0xFFFF, so carries can wait to the end (RFC 1071):
+    the sum is its residue mod 0xFFFF, except that end-around carries
+    never fold a nonzero sum to 0, so that residue reads 0xFFFF.
+    """
+    folded = sums % 0xFFFF
+    folded[(folded == 0) & (sums != 0)] = 0xFFFF
+    return folded
+
+
+def _write_records(u8: np.ndarray, at: np.ndarray, lengths: np.ndarray,
+                   records: np.ndarray) -> None:
+    """Complete ``records`` and write record i at offset ``at[i]`` of ``u8``.
+
+    Record i's payload, ``lengths[i]`` bytes, already lies just past its
+    headers. The lengths and both checksums are filled in here, the
+    checksum fields being 0 until then; the TCP checksum covers the
+    pseudo-header (addresses, protocol, segment length), the TCP header
+    and the payload.
+    """
+    records["caplen"] = records["orig_len"] = lengths + _FRAME_HEADERS
+    records["total_len"] = lengths + (_RECORD.itemsize - _IP_AT)
+    words = records.view(">u2").reshape(records.size, -1)
+    ip = words[:, _IP_WORDS].sum(axis=1, dtype=np.int64)
+    tcp = (words[:, _ADDRESS_WORDS].sum(axis=1, dtype=np.int64) + PROTO_TCP
+           + _TCP_HEADER + lengths + words[:, _TCP_WORDS].sum(axis=1, dtype=np.int64)
+           + _word_sums(u8, at + _RECORD.itemsize, lengths))
+    records["ip_checksum"] = ~_fold(ip) & 0xFFFF
+    records["tcp_checksum"] = ~_fold(tcp) & 0xFFFF
+    u8[at[:, None] + np.arange(_RECORD.itemsize)] = records.view(np.uint8).reshape(
+        records.size, -1)
 
 
 def build_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
                     dst_ip: bytes, src_port: int, dst_port: int,
                     payload: bytes, seq: int = 0) -> bytes:
     """Assemble an Ethernet/IPv4/TCP frame with valid checksums."""
-    eth = struct.pack("!6s6sH", dst_mac, src_mac, 0x0800)
+    record = np.repeat(_TEMPLATE, 1)
+    for name, value in (("src_mac", src_mac), ("dst_mac", dst_mac),
+                        ("src_ip", src_ip), ("dst_ip", dst_ip)):
+        record[name] = np.frombuffer(value, dtype=np.uint8)
+    record["src_port"], record["dst_port"], record["seq"] = src_port, dst_port, seq
+    out = bytearray(_RECORD.itemsize) + payload
+    _write_records(np.frombuffer(out, dtype=np.uint8), np.zeros(1, dtype=np.int64),
+                   np.array([len(payload)]), record)
+    return bytes(out[_RECORD_HEADER:])
 
-    total_len = 20 + 20 + len(payload)
-    ip_no_cksum = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0,
-                              64, 6, 0, src_ip, dst_ip)
-    cksum = ~_ones_complement_sum(ip_no_cksum) & 0xFFFF
-    ip = ip_no_cksum[:10] + struct.pack("!H", cksum) + ip_no_cksum[12:]
 
-    tcp_no_cksum = struct.pack("!HHIIBBHHH", src_port, dst_port, seq, 0,
-                               5 << 4, 0x18, 65535, 0, 0)
-    pseudo = struct.pack("!4s4sBBH", src_ip, dst_ip, 0, 6, 20 + len(payload))
-    tcp_cksum = ~_ones_complement_sum(pseudo + tcp_no_cksum + payload) & 0xFFFF
-    tcp = tcp_no_cksum[:16] + struct.pack("!H", tcp_cksum) + tcp_no_cksum[18:]
+def _blocks(lengths: np.ndarray):
+    """(first, stop) frame ranges within the block bounds, in order."""
+    ends = np.cumsum(lengths)
+    first = 0
+    while first < lengths.size:
+        base = ends[first - 1] if first else 0
+        stop = int(np.searchsorted(ends, base + _BLOCK_BYTES, side="right"))
+        stop = min(max(stop, first + 1), first + _BLOCK_FRAMES)
+        yield first, stop
+        first = stop
 
-    return eth + ip + tcp + payload
+
+def _redraw_dirty(rng: random.Random, signatures: SignatureSet,
+                  capture: bytearray, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Redraw in place, until none does, the payloads holding a pattern."""
+    scanner = ExactScanner(signatures)
+    u8 = np.frombuffer(capture, dtype=np.uint8)
+    rounds = 0
+    while starts.size:
+        dirty = scanner.contains_any_batch(Payloads(u8, starts, ends))
+        starts, ends = starts[dirty], ends[dirty]
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            capture[a:b] = rng.randbytes(b - a)
+        rounds += 1
+        if rounds > 100 and starts.size:
+            # dense short patterns can make pattern-free payloads
+            # vanishingly rare; give up loudly rather than spin
+            raise ValueError(
+                "cannot draw pattern-free background payloads; the rule "
+                "set matches random bytes too often")
 
 
 def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
@@ -188,51 +306,53 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
         signature.append(code)
         offset.append(splice)
 
-    # Pass 2: payload bytes, drawn into one buffer; attacks spliced in place.
-    buf = bytearray(sum(lengths))
-    at = 0
+    # Pass 2: the capture laid out from the lengths, each record's headers
+    # followed by its payload; payload bytes drawn where they lie, attacks
+    # spliced in place.
+    header = file_header(USEC)
+    payload_len = np.frombuffer(lengths, dtype=np.int64)
+    record_at = (np.cumsum(payload_len + _RECORD.itemsize) - payload_len
+                 - _RECORD.itemsize + len(header))
+    capture = bytearray(len(header) + int(payload_len.sum())
+                        + _RECORD.itemsize * payload_len.size)
+    capture[: len(header)] = header
+    at = len(header) + _RECORD.itemsize
     for code, splice, length in zip(signature, offset, lengths):
-        buf[at : at + length] = rng.randbytes(length)
+        capture[at : at + length] = rng.randbytes(length)
         if code >= 0:
             pattern = signatures[code].pattern
-            buf[at + splice : at + splice + len(pattern)] = pattern
-        at += length
+            capture[at + splice : at + splice + len(pattern)] = pattern
+        at += length + _RECORD.itemsize
     manifest = Manifest([s.id for s in signatures],
                         np.frombuffer(signature, dtype=np.int64),
                         np.frombuffer(offset, dtype=np.int64))
 
     # Pass 3: redraw in place background payloads holding a pattern by chance.
     if signatures:
-        scanner = ExactScanner(spec.signatures)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        background = np.flatnonzero(manifest.signature < 0)
-        rounds = 0
-        while background.size:
-            background = background[scanner.contains_any_batch(Payloads(
-                np.frombuffer(buf, dtype=np.uint8), starts[background],
-                ends[background]))]
-            for a, b in zip(starts[background].tolist(),
-                            ends[background].tolist()):
-                buf[a:b] = rng.randbytes(b - a)
-            rounds += 1
-            if rounds > 100 and background.size:
-                # dense short patterns can make pattern-free payloads
-                # vanishingly rare; give up loudly rather than spin
-                raise ValueError(
-                    "cannot draw pattern-free background payloads; the rule "
-                    "set matches random bytes too often")
+        background = manifest.signature < 0
+        starts = record_at[background] + _RECORD.itemsize
+        _redraw_dirty(rng, spec.signatures, capture, starts,
+                      starts + payload_len[background])
 
-    def frames():
-        at = 0
-        for index, ((raw, sport, dport, seq), length) in enumerate(
-                zip(_HEADER_DRAWS.iter_unpack(headers), lengths)):
-            data = build_tcp_frame(raw[0:6], raw[6:12],
-                                   b"\x0a\x00" + raw[12:14],  # 10.0.x.x
-                                   b"\xc0\xa8" + raw[14:16],  # 192.168.x.x
-                                   sport, dport, buf[at : at + length], seq=seq)
-            at += length
-            usec = _TS_STEP_USEC * index
-            yield RawFrame(data, _TS_BASE + usec // 1_000_000, usec % 1_000_000)
+    # Pass 4: the headers and checksums, a block of frames at a time.
+    u8 = np.frombuffer(capture, dtype=np.uint8)
+    draws = np.frombuffer(headers, dtype=_DRAWS)
+    for first, stop in _blocks(payload_len):
+        records = np.repeat(_TEMPLATE, stop - first)
+        block = draws[first:stop]
+        hosts = block["hosts"]
+        records["src_mac"] = hosts[:, 0:6]
+        records["dst_mac"] = hosts[:, 6:12]
+        records["src_ip"][:, 2:] = hosts[:, 12:14]
+        records["dst_ip"][:, 2:] = hosts[:, 14:16]
+        records["src_port"] = block["src_port"]
+        records["dst_port"] = block["dst_port"]
+        records["seq"] = block["seq"]
+        usec = _TS_STEP_USEC * np.arange(first, stop)
+        records["ts_sec"] = _TS_BASE + usec // 1_000_000
+        records["ts_usec"] = usec % 1_000_000
+        _write_records(u8, record_at[first:stop], payload_len[first:stop], records)
 
-    return Trace.from_frames(frames()), manifest
+    trace = Trace(capture, record_at + _RECORD_HEADER,
+                  (payload_len + _FRAME_HEADERS).astype(np.uint32))
+    return trace, manifest

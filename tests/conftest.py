@@ -9,6 +9,7 @@ implementation against something other than itself.
 from __future__ import annotations
 
 import random
+import struct
 import warnings
 
 from nicsieve import Signature, SignatureSet
@@ -152,6 +153,28 @@ def reference_ones_complement_sum(data: bytes) -> int:
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return total
+
+
+def reference_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
+                        dst_ip: bytes, src_port: int, dst_port: int,
+                        payload: bytes, seq: int = 0) -> bytes:
+    """Scalar Ethernet/IPv4/TCP frame builder: one header at a time."""
+    eth = struct.pack("!6s6sH", dst_mac, src_mac, 0x0800)
+
+    total_len = 20 + 20 + len(payload)
+    ip_no_cksum = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total_len, 0, 0,
+                              64, 6, 0, src_ip, dst_ip)
+    cksum = ~reference_ones_complement_sum(ip_no_cksum) & 0xFFFF
+    ip = ip_no_cksum[:10] + struct.pack("!H", cksum) + ip_no_cksum[12:]
+
+    tcp_no_cksum = struct.pack("!HHIIBBHHH", src_port, dst_port, seq, 0,
+                               5 << 4, 0x18, 65535, 0, 0)
+    pseudo = struct.pack("!4s4sBBH", src_ip, dst_ip, 0, 6, 20 + len(payload))
+    tcp_cksum = ~reference_ones_complement_sum(
+        pseudo + tcp_no_cksum + payload) & 0xFFFF
+    tcp = tcp_no_cksum[:16] + struct.pack("!H", tcp_cksum) + tcp_no_cksum[18:]
+
+    return eth + ip + tcp + payload
 
 
 def random_signature_set(rng: random.Random, count: int,

@@ -103,6 +103,16 @@ def test_gen_writes_trace_and_manifest(tmp_path, rules_file):
     assert manifest_path.read_bytes() == truth.to_csv()
 
 
+def test_gen_zero_count_writes_a_header_only_capture(tmp_path):
+    assert run("gen", "--count", 0, "--out", tmp_path / "t.pcap",
+               "--manifest", tmp_path / "m.csv") == 0
+    data = (tmp_path / "t.pcap").read_bytes()
+    assert len(data) == 24
+    assert len(read_pcap(data)) == 0
+    assert (tmp_path / "m.csv").read_bytes() == (
+        b"index,is_attack,signature_id,embed_offset\n")
+
+
 def test_gen_requires_rules_for_attacks(tmp_path):
     assert run("gen", "--count", 100, "--attack-fraction", 0.2,
                "--out", tmp_path / "t.pcap",

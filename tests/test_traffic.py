@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import struct
 import tracemalloc
 from hashlib import sha256
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from nicsieve.codec import parse_payloads, write_pcap
 from nicsieve.signatures import Signature, SignatureSet, load_rules
+from nicsieve import traffic
 from nicsieve.traffic import (
     Manifest,
     TrafficSpec,
-    _ones_complement_sum,
+    _fold,
+    _word_sums,
     build_tcp_frame,
     generate_trace,
 )
@@ -23,6 +26,7 @@ from conftest import (
     naive_exact_matches,
     random_signature_set,
     reference_ones_complement_sum,
+    reference_tcp_frame,
 )
 
 
@@ -231,6 +235,54 @@ def test_build_tcp_frame_checksums():
     assert reference_ones_complement_sum(pseudo + seg) == 0xFFFF
 
 
+def test_checksums_that_fold_to_zero_are_written_as_zero():
+    # with a 2-byte payload the IPv4 header's words (checksum 0) sum to
+    # 0x4500 + 42 + 0x4006 = 0x8530, and the source address adds 0x7ACF:
+    # the sum is 0xFFFF, so the checksum field is 0x0000, not 0xFFFF
+    head = (b"\x01" * 6, b"\x02" * 6, b"\x7a\xcf\x00\x00", b"\x00" * 4, 1234, 80)
+    probe = build_tcp_frame(*head, b"\x00\x00")
+    assert probe[24:26] == b"\x00\x00"
+    # a payload word equal to the probe's TCP checksum brings that sum
+    # to 0xFFFF too
+    payload = probe[50:52]
+    frame = build_tcp_frame(*head, payload)
+    assert frame[24:26] == frame[50:52] == b"\x00\x00"
+    assert frame == reference_tcp_frame(*head, payload)
+    assert reference_ones_complement_sum(frame[14:34]) == 0xFFFF
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_frame_writer_equals_scalar_builder_across_block_edges(data):
+    # the block writer's frames, with blocks of a few frames and bytes so
+    # that many block edges fall inside the trace, equal the scalar
+    # builder's frame by frame, and both checksums verify; the payloads
+    # include empty and odd-length ones
+    hi = data.draw(st.integers(0, 64))
+    lo = data.draw(st.integers(0, hi))
+    spec = TrafficSpec(packet_count=data.draw(st.integers(0, 40)),
+                       payload_len_range=(lo, hi),
+                       seed=data.draw(st.integers(0, 2**32)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traffic, "_BLOCK_FRAMES", data.draw(st.integers(1, 5)))
+        mp.setattr(traffic, "_BLOCK_BYTES", data.draw(st.integers(0, 100)))
+        trace, _ = generate_trace(spec)
+    assert len(trace) == spec.packet_count
+    for frame in trace:
+        raw = frame.data
+        payload = raw[54:]
+        assert lo <= len(payload) <= hi
+        assert frame.orig_len == len(raw)
+        fields = (raw[6:12], raw[0:6], raw[26:30], raw[30:34],
+                  *struct.unpack("!HH", raw[34:38]), payload,
+                  int.from_bytes(raw[38:42], "big"))
+        assert raw == reference_tcp_frame(*fields) == build_tcp_frame(*fields)
+        assert reference_ones_complement_sum(raw[14:34]) == 0xFFFF
+        segment = raw[34:]
+        pseudo = raw[26:34] + b"\x00\x06" + len(segment).to_bytes(2, "big")
+        assert reference_ones_complement_sum(pseudo + segment) == 0xFFFF
+
+
 @given(st.one_of(
     st.binary(max_size=80),
     st.lists(st.sampled_from([b"\x00\x00", b"\xff\xff", b"\x00", b"\xff",
@@ -241,7 +293,14 @@ def test_build_tcp_frame_checksums():
 @example(b"\xff")
 @example(b"\x00\x01\xff\xfe")  # words summing to 0xFFFF exactly
 def test_ones_complement_sum_equals_end_around_carry(data):
-    assert _ones_complement_sum(data) == reference_ones_complement_sum(data)
+    # the word sums are read where the bytes lie, here twice in one
+    # buffer at an even and an odd offset, and the first copy at both
+    for pad in (b"", b"\x07"):
+        u8 = np.frombuffer(pad + data + b"\xab" + data, dtype=np.uint8)
+        starts = np.array([len(pad), len(pad) + len(data) + 1])
+        lengths = np.array([len(data), len(data)])
+        assert _fold(_word_sums(u8, starts, lengths)).tolist() == (
+            [reference_ones_complement_sum(data)] * 2)
 
 
 def test_generated_capture_bytes_are_pinned():
@@ -254,6 +313,18 @@ def test_generated_capture_bytes_are_pinned():
         "2c86088e6f343d892324918c4336b0f9a4947b1675ceda2c533aa36ba2597cdd")
     assert sha256(manifest.to_csv()).hexdigest() == (
         "f01acdf97e4d647b46a6b4504b20a8b6ba28a29614fb50ff9d9291b045d8a655")
+
+
+def test_multi_block_capture_bytes_are_pinned():
+    # about 2 MiB of payloads: the header writer runs over some thirty
+    # blocks, where the spec above fits in one
+    spec = TrafficSpec(packet_count=3000, attack_fraction=0.25, seed=9,
+                       payload_len_range=(0, 1400), signatures=small_rules())
+    trace, manifest = generate_trace(spec)
+    assert sha256(write_pcap(trace)).hexdigest() == (
+        "fac3cb586ee90757436f5d0c1826ce0b59d46f1076d307548d780680b0dbe729")
+    assert sha256(manifest.to_csv()).hexdigest() == (
+        "864c9eee575ab718ec829ddf968b39e8cafe698b2704a1e7078d3f0deec3079e")
 
 
 # --- manifest file ----------------------------------------------------------
@@ -323,10 +394,11 @@ def test_manifest_rejects_foreign_csv():
 
 @pytest.mark.parametrize("row", [
     "1,1", "1,7,,", "1,1,,5", "1,1,s,", "1,1,s,-3", "1,0,s,", "1,0,,3",
-    "2,0,,",
+    "2,0,,", "1,1,s,007", "1,1,s,\u0663",
 ], ids=["short-row", "is-attack-7", "attack-without-id",
         "attack-without-offset", "attack-negative-offset",
-        "background-with-id", "background-with-offset", "index-out-of-place"])
+        "background-with-id", "background-with-offset", "index-out-of-place",
+        "offset-leading-zeros", "offset-non-ascii-digit"])
 def test_manifest_rejects_rows_it_would_not_write(row):
     data = f"index,is_attack,signature_id,embed_offset\n0,0,,\n{row}\n"
     with pytest.raises(ValueError, match="manifest line 3"):

@@ -110,17 +110,13 @@ class Trace(Sequence):
     @classmethod
     def from_frames(cls, frames: Iterable[RawFrame],
                     ts_resolution: int = USEC) -> Trace:
-        """Append each frame's record, as it arrives, to one little-endian capture."""
+        """Append each frame's record, as it arrives, to one little-endian
+        capture, and read that capture back (``read_pcap``)."""
         buf = bytearray(file_header(ts_resolution))
-        lengths = array("I")
         for f in frames:
             buf += _RECORD.pack(f.ts_sec, f.ts_usec, len(f.data), f.orig_len)
             buf += f.data
-            lengths.append(len(f.data))
-        caplen = np.array(lengths, dtype=np.uint32)
-        data_offset = (np.cumsum(caplen + _RECORD_HEADER, dtype=np.int64)
-                       - caplen + _FILE_HEADER)
-        return cls(buf, data_offset, caplen, ts_resolution)
+        return read_pcap(buf)
 
     def __len__(self) -> int:
         return self.data_offset.size

@@ -227,6 +227,21 @@ class Payloads:
         buf = self.buf
         return (buf[a:b] for a, b in zip(self.starts.tolist(), self.ends.tolist()))
 
+    def blocks(self, max_payloads: int, max_bytes: int):
+        """(first, stop) runs of whole payloads that tile the batch in order.
+
+        Each run is as long as it can be with at most ``max_payloads``
+        payloads and ``max_bytes`` payload bytes; a longer payload is a
+        run of its own.
+        """
+        first = 0
+        while first < len(self):
+            ahead = slice(first, first + max_payloads)
+            sizes = np.cumsum(self.ends[ahead] - self.starts[ahead])
+            stop = first + max(int(sizes.searchsorted(max_bytes, side="right")), 1)
+            yield first, stop
+            first = stop
+
     def gather(self, first: int, stop: int) -> Payloads:
         """Payloads ``first`` to ``stop`` joined end to end in a new buffer.
 
@@ -319,11 +334,8 @@ def _sieve(payloads: Payloads, lengths: list[int], test,
     """
     empty = np.zeros(0, dtype=np.int64)
     rows = [(empty, empty, empty)]  # (payload, offset, length) per group and length
-    first = 0
-    while first < len(payloads) and lengths:
-        ahead = slice(first, first + SLICE_WINDOWS)
-        sizes = np.cumsum(payloads.ends[ahead] - payloads.starts[ahead])
-        stop = first + max(int(sizes.searchsorted(GROUP_BYTES, side="right")), 1)
+    groups = payloads.blocks(SLICE_WINDOWS, GROUP_BYTES) if lengths else ()
+    for first, stop in groups:
         group = payloads.gather(first, stop)
         kept: dict[int, list] = {length: [] for length in lengths}
         # a view reaches ``lengths[-1] - 1`` bytes past its run, so it holds
@@ -345,7 +357,6 @@ def _sieve(payloads: Payloads, lengths: list[int], test,
                 pos, owner = pos[keep], owner[keep]
             rows.append((owner + first, pos - group.starts[owner],
                          np.full(pos.size, length, dtype=np.int64)))
-        first = stop
     payload, offset, length = (np.concatenate(c) for c in zip(*rows))
     order = np.lexsort((length, offset, payload))
     return Windows(len(payloads), payload[order], offset[order], length[order])

@@ -199,15 +199,14 @@ def _fold(sums: np.ndarray) -> np.ndarray:
     return folded
 
 
-def _write_records(u8: np.ndarray, at: np.ndarray, lengths: np.ndarray,
+def _write_records(u8: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                    records: np.ndarray) -> None:
-    """Complete ``records`` and write record i at offset ``at[i]`` of ``u8``.
+    """Complete ``records`` and write record i just before ``u8[starts[i]:]``.
 
-    Record i's payload, ``lengths[i]`` bytes, already lies just past its
-    headers. The lengths and both checksums are filled in here, the
-    checksum fields being 0 until then; the TCP checksum covers the
-    pseudo-header (addresses, protocol, segment length), the TCP header
-    and the payload.
+    Record i's payload, ``lengths[i]`` bytes, already lies at ``starts[i]``.
+    The lengths and both checksums are filled in here, the checksum
+    fields being 0 until then; the TCP checksum covers the pseudo-header
+    (addresses, protocol, segment length), the TCP header and the payload.
     """
     records["caplen"] = records["orig_len"] = lengths + _FRAME_HEADERS
     records["total_len"] = lengths + (_RECORD.itemsize - _IP_AT)
@@ -215,11 +214,11 @@ def _write_records(u8: np.ndarray, at: np.ndarray, lengths: np.ndarray,
     ip = words[:, _IP_WORDS].sum(axis=1, dtype=np.int64)
     tcp = (words[:, _ADDRESS_WORDS].sum(axis=1, dtype=np.int64) + PROTO_TCP
            + _TCP_HEADER + lengths + words[:, _TCP_WORDS].sum(axis=1, dtype=np.int64)
-           + _word_sums(u8, at + _RECORD.itemsize, lengths))
+           + _word_sums(u8, starts, lengths))
     records["ip_checksum"] = ~_fold(ip) & 0xFFFF
     records["tcp_checksum"] = ~_fold(tcp) & 0xFFFF
-    u8[at[:, None] + np.arange(_RECORD.itemsize)] = records.view(np.uint8).reshape(
-        records.size, -1)
+    u8[starts[:, None] + np.arange(-_RECORD.itemsize, 0)] = records.view(
+        np.uint8).reshape(records.size, -1)
 
 
 def build_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
@@ -232,36 +231,23 @@ def build_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
         record[name] = np.frombuffer(value, dtype=np.uint8)
     record["src_port"], record["dst_port"], record["seq"] = src_port, dst_port, seq
     out = bytearray(_RECORD.itemsize) + payload
-    _write_records(np.frombuffer(out, dtype=np.uint8), np.zeros(1, dtype=np.int64),
+    _write_records(np.frombuffer(out, dtype=np.uint8), np.array([_RECORD.itemsize]),
                    np.array([len(payload)]), record)
     return bytes(out[_RECORD_HEADER:])
 
 
-def _blocks(lengths: np.ndarray):
-    """(first, stop) frame ranges within the block bounds, in order."""
-    ends = np.cumsum(lengths)
-    first = 0
-    while first < lengths.size:
-        base = ends[first - 1] if first else 0
-        stop = int(np.searchsorted(ends, base + _BLOCK_BYTES, side="right"))
-        stop = min(max(stop, first + 1), first + _BLOCK_FRAMES)
-        yield first, stop
-        first = stop
-
-
 def _redraw_dirty(rng: random.Random, signatures: SignatureSet,
-                  capture: bytearray, starts: np.ndarray, ends: np.ndarray) -> None:
+                  capture: bytearray, payloads: Payloads) -> None:
     """Redraw in place, until none does, the payloads holding a pattern."""
     scanner = ExactScanner(signatures)
-    u8 = np.frombuffer(capture, dtype=np.uint8)
     rounds = 0
-    while starts.size:
-        dirty = scanner.contains_any_batch(Payloads(u8, starts, ends))
-        starts, ends = starts[dirty], ends[dirty]
-        for a, b in zip(starts.tolist(), ends.tolist()):
+    while len(payloads):
+        dirty = scanner.contains_any_batch(payloads)
+        payloads = Payloads(payloads.buf, payloads.starts[dirty], payloads.ends[dirty])
+        for a, b in zip(payloads.starts.tolist(), payloads.ends.tolist()):
             capture[a:b] = rng.randbytes(b - a)
         rounds += 1
-        if rounds > 100 and starts.size:
+        if rounds > 100 and len(payloads):
             # dense short patterns can make pattern-free payloads
             # vanishingly rare; give up loudly rather than spin
             raise ValueError(
@@ -311,18 +297,17 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
     # spliced in place.
     header = file_header(USEC)
     payload_len = np.frombuffer(lengths, dtype=np.int64)
-    record_at = (np.cumsum(payload_len + _RECORD.itemsize) - payload_len
-                 - _RECORD.itemsize + len(header))
-    capture = bytearray(len(header) + int(payload_len.sum())
-                        + _RECORD.itemsize * payload_len.size)
+    ends = np.cumsum(np.append(len(header), payload_len + _RECORD.itemsize))
+    capture = bytearray(int(ends[-1]))
     capture[: len(header)] = header
-    at = len(header) + _RECORD.itemsize
-    for code, splice, length in zip(signature, offset, lengths):
-        capture[at : at + length] = rng.randbytes(length)
+    payloads = Payloads(np.frombuffer(capture, dtype=np.uint8),
+                        ends[1:] - payload_len, ends[1:])
+    for a, b, code, splice in zip(memoryview(payloads.starts),
+                                  memoryview(payloads.ends), signature, offset):
+        capture[a:b] = rng.randbytes(b - a)
         if code >= 0:
             pattern = signatures[code].pattern
-            capture[at + splice : at + splice + len(pattern)] = pattern
-        at += length + _RECORD.itemsize
+            capture[a + splice : a + splice + len(pattern)] = pattern
     manifest = Manifest([s.id for s in signatures],
                         np.frombuffer(signature, dtype=np.int64),
                         np.frombuffer(offset, dtype=np.int64))
@@ -330,14 +315,13 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
     # Pass 3: redraw in place background payloads holding a pattern by chance.
     if signatures:
         background = manifest.signature < 0
-        starts = record_at[background] + _RECORD.itemsize
-        _redraw_dirty(rng, spec.signatures, capture, starts,
-                      starts + payload_len[background])
+        _redraw_dirty(rng, spec.signatures, capture,
+                      Payloads(payloads.buf, payloads.starts[background],
+                               payloads.ends[background]))
 
     # Pass 4: the headers and checksums, a block of frames at a time.
-    u8 = np.frombuffer(capture, dtype=np.uint8)
     draws = np.frombuffer(headers, dtype=_DRAWS)
-    for first, stop in _blocks(payload_len):
+    for first, stop in payloads.blocks(_BLOCK_FRAMES, _BLOCK_BYTES):
         records = np.repeat(_TEMPLATE, stop - first)
         block = draws[first:stop]
         hosts = block["hosts"]
@@ -351,8 +335,9 @@ def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
         usec = _TS_STEP_USEC * np.arange(first, stop)
         records["ts_sec"] = _TS_BASE + usec // 1_000_000
         records["ts_usec"] = usec % 1_000_000
-        _write_records(u8, record_at[first:stop], payload_len[first:stop], records)
+        _write_records(payloads.buf, payloads.starts[first:stop],
+                       payload_len[first:stop], records)
 
-    trace = Trace(capture, record_at + _RECORD_HEADER,
+    trace = Trace(capture, payloads.starts - _FRAME_HEADERS,
                   (payload_len + _FRAME_HEADERS).astype(np.uint32))
     return trace, manifest

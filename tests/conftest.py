@@ -177,6 +177,23 @@ def reference_tcp_frame(src_mac: bytes, dst_mac: bytes, src_ip: bytes,
     return eth + ip + tcp + payload
 
 
+def reference_capture(frames, endian: str, resolution: int) -> bytes:
+    """Scalar classic capture writer, one struct-packed field at a time.
+
+    ``endian`` is ``"<"`` or ``">"``; ``resolution`` 10**9 writes the
+    nanosecond magic, any other the microsecond one. Each frame's
+    ``ts_usec`` is written as its sub-second field and its ``orig_len``
+    as it is, whatever their values.
+    """
+    magic = 0xA1B23C4D if resolution == 10**9 else 0xA1B2C3D4
+    parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
+    for f in frames:
+        parts.append(struct.pack(endian + "IIII", f.ts_sec, f.ts_usec,
+                                 len(f.data), f.orig_len))
+        parts.append(f.data)
+    return b"".join(parts)
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

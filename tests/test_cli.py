@@ -1,5 +1,3 @@
-import struct
-
 import pytest
 
 from nicsieve.bloom import BloomFilter
@@ -7,6 +5,8 @@ from nicsieve.cli import main
 from nicsieve.codec import NSEC, USEC, RawFrame, Trace, read_pcap, write_pcap
 from nicsieve.signatures import load_rules
 from nicsieve.traffic import Manifest, TrafficSpec, generate_trace
+
+from conftest import reference_capture
 
 RULES = b"""# demo rules
 web1,ascii,GET /etc/passwd
@@ -272,23 +272,13 @@ def test_scan_forwards_capture_variants_as_little_endian(
     # capture is a little-endian file at the input's resolution holding
     # exactly the forwarded records, their orig_len and timestamps kept
     filters, trace_path, _ = built_and_generated
-    frames = list(read_pcap(trace_path.read_bytes()))
-    magic = 0xA1B23C4D if resolution == NSEC else 0xA1B2C3D4
     scale = resolution // USEC
-    records = [(f.ts_sec, f.ts_usec * scale + i % scale, f.data,
-                len(f.data) + extra_len + i % 3 * extra_len)
-               for i, f in enumerate(frames)]
-
-    def capture(order, rows):
-        parts = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
-        for ts_sec, ts_frac, data, orig_len in rows:
-            parts.append(struct.pack(order + "IIII", ts_sec, ts_frac,
-                                     len(data), orig_len))
-            parts.append(data)
-        return b"".join(parts)
+    records = [RawFrame(f.data, f.ts_sec, f.ts_usec * scale + i % scale,
+                        len(f.data) + extra_len + i % 3 * extra_len)
+               for i, f in enumerate(read_pcap(trace_path.read_bytes()))]
 
     source = tmp_path / "variant.pcap"
-    source.write_bytes(capture(endian, records))
+    source.write_bytes(reference_capture(records, endian, resolution))
     fwd, decisions = tmp_path / "fwd.pcap", tmp_path / "decisions.csv"
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", source, "--out", fwd, "--report", tmp_path / "r.csv",
@@ -298,7 +288,7 @@ def test_scan_forwards_capture_variants_as_little_endian(
                 for line in decisions.read_text().splitlines()[1:]]
     forwarded = [r for r, v in zip(records, verdicts) if v == "FORWARD"]
     assert len(forwarded) >= 100  # every attack at least
-    assert fwd.read_bytes() == capture("<", forwarded)
+    assert fwd.read_bytes() == reference_capture(forwarded, "<", resolution)
 
 
 def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated):

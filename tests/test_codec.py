@@ -20,7 +20,7 @@ from nicsieve.codec import (
     write_pcap,
 )
 
-from conftest import reference_parse
+from conftest import reference_capture, reference_parse
 
 
 def eth_header(ethertype, dst=b"\x02" * 6, src=b"\x04" * 6):
@@ -312,20 +312,10 @@ def test_pcap_global_header_layout():
         (0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
 
 
-def big_endian(trace):
-    """The trace's microsecond capture written big-endian by hand."""
-    parts = [struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
-    for f in trace:
-        parts.append(struct.pack(">IIII", f.ts_sec, f.ts_usec,
-                                 len(f.data), f.orig_len))
-        parts.append(f.data)
-    return b"".join(parts)
-
-
 def test_pcap_reads_swapped_byte_order():
     trace = sample_trace()
     little = write_pcap(trace)
-    big = big_endian(trace)
+    big = reference_capture(trace, ">", USEC)
     assert big != little
 
     back = read_pcap(big)
@@ -344,7 +334,7 @@ def test_pcap_read_keeps_one_copy():
                                for i in range(20_000)])
     little = write_pcap(trace)
     assert read_pcap(little).buf is little
-    big = big_endian(trace)
+    big = reference_capture(trace, ">", USEC)
     tracemalloc.start()
     try:
         back = read_pcap(big)
@@ -359,12 +349,9 @@ def test_pcap_read_keeps_one_copy():
 def test_pcap_reads_nanosecond_captures(endian):
     trace = sample_trace()
     # a nanosecond capture written by hand: magic 0xA1B23C4D, ns fractions
-    parts = [struct.pack(endian + "IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)]
-    for i, f in enumerate(trace):
-        parts.append(struct.pack(endian + "IIII", f.ts_sec, 999_999_000 + i,
-                                 len(f.data), f.orig_len))
-        parts.append(f.data)
-    data = b"".join(parts)
+    data = reference_capture(
+        [RawFrame(f.data, f.ts_sec, 999_999_000 + i, f.orig_len)
+         for i, f in enumerate(trace)], endian, NSEC)
 
     back = read_pcap(data)
     assert back.ts_resolution == NSEC
@@ -399,6 +386,26 @@ def test_pcap_truncated_record():
         read_pcap(good[:-60])  # 100 declared, 40 remain
     with pytest.raises(PcapError, match="truncated"):
         read_pcap(good[: 24 + 7])  # record header cut short
+
+
+# the capture reader and both writers against the scalar writer: any
+# timestamp fraction (even one past a second) and any original length
+# are kept as they are
+@pytest.mark.parametrize("resolution", [USEC, NSEC], ids=["usec", "nsec"])
+@pytest.mark.parametrize("endian", ["<", ">"], ids=["little", "big"])
+@given(rows=st.lists(st.tuples(st.binary(max_size=60),
+                               *[st.integers(0, 2**32 - 1)] * 3), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_capture_io_equals_reference_capture(endian, resolution, rows):
+    frames = [RawFrame(data, ts_sec, frac, orig_len)
+              for data, ts_sec, frac, orig_len in rows]
+    little = reference_capture(frames, "<", resolution)
+    back = read_pcap(reference_capture(frames, endian, resolution))
+    assert (list(back), back.ts_resolution) == (frames, resolution)
+    assert write_pcap(back) == little
+    built = Trace.from_frames(frames, ts_resolution=resolution)
+    assert (list(built), built.ts_resolution) == (frames, resolution)
+    assert write_pcap(built) == little
 
 
 @given(st.lists(st.binary(min_size=0, max_size=60), max_size=20))

@@ -25,6 +25,7 @@ from conftest import (
     random_signature_set,
     reference_candidates,
     reference_parse,
+    reference_tcp_frame,
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=55, seed_b=56)
@@ -316,6 +317,26 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
             ids = {m.signature_id for m in detections
                    if m.offset == manifest.offset[i] and m.length == 5}
             assert ids == {"a", "b"}
+
+
+def test_compare_baseline_nop_sled_matches_every_window():
+    # dense matches: every 14-byte window of a 1,400-byte NOP sled is one
+    # of the rules, so every frame is forwarded with 1,387 verified windows
+    rules = load_rules(b"nop,hex," + b"90" * 14 + b"\nweb,ascii,GET /x\n")
+    matcher = SignatureMatcher.program(rules, BloomParams())
+    data = reference_tcp_frame(b"\x02" * 6, b"\x04" * 6, b"\x0a\0\0\x01",
+                               b"\xc0\xa8\0\x01", 1234, 80, b"\x90" * 1400)
+    report = compare_baseline(matcher, Trace.from_frames([RawFrame(data)] * 20))
+    assert report.stats.equivalent
+    assert report.stats.forwarded == len(report.forwarded) == 20
+    sled = [(offset, 14, "nop") for offset in range(1387)]
+    assert naive_exact_matches(rules.signatures, reference_parse(data)) == sled
+    for i in range(20):
+        assert report.baseline_detections[i] == report.records.verified[i]
+        assert [(m.offset, m.length, m.signature_id)
+                for m in report.records.verified[i]] == sled
+    rows = decision_log_csv(report.records).decode().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["1387"] * 20
 
 
 def test_compare_baseline_empty_trace():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -571,6 +572,33 @@ def test_payloads_gather_joins_payloads_as_payloads_of():
             owner = group.ends.searchsorted(pos, side="right")
             assert (group.starts[owner] <= pos).all()
             assert (pos < group.ends[owner]).all()
+
+
+@given(sizes=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
+                      max_size=60),
+       max_payloads=st.integers(1, 8), max_bytes=st.integers(0, 100))
+@settings(max_examples=300, deadline=None)
+def test_payload_blocks_are_maximal_runs_within_the_bounds(sizes, max_payloads,
+                                                           max_bytes):
+    # payload lengths, zeros included, each after a gap that is not
+    # payload and so counts toward no bound
+    lengths = [length for length, _ in sizes]
+    ends = np.cumsum([length + gap for length, gap in sizes], dtype=np.int64)
+    payloads = Payloads(np.zeros(int(ends[-1]) if sizes else 0, dtype=np.uint8),
+                        ends - lengths, ends)
+    # a cut that failed to advance would yield forever: take one run more
+    runs = list(itertools.islice(payloads.blocks(max_payloads, max_bytes),
+                                 len(lengths) + 1))
+    bounds = [0] + [stop for _, stop in runs]
+    assert [first for first, _ in runs] == bounds[:-1]  # in order, no gap
+    assert bounds[-1] == len(lengths)
+    for first, stop in runs:
+        size = sum(lengths[first:stop])
+        assert 1 <= stop - first <= max_payloads
+        assert size <= max_bytes or stop - first == 1
+        if stop < len(lengths):  # the next payload would break a bound
+            assert (stop - first == max_payloads
+                    or size + lengths[stop] > max_bytes)
 
 
 def test_scan_memory_does_not_grow_with_the_batch():

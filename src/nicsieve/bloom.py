@@ -22,26 +22,27 @@ murmur-style finalizer) so that filters programmed with the same seeds
 are reproducible everywhere.
 
 One fold loop, ``_fold``, is the only implementation of the hash's byte
-fold: ``mix64_windows`` folds every window start of a buffer,
-``mix64_at`` the windows at given positions, and ``add_many`` and
-``check_many`` the columns of a same-length group's rows. The payload
-scan folds windows with the first two, and the queries and the scan
-share one probe loop, ``BloomFilter.narrow``. The test suite checks
-them against the independent reference hash in ``tests/conftest.py``.
+fold, and the program's only window hash. The fold state after j bytes
+does not depend on how long the window will be, so a running fold is
+carried across ascending lengths: ``WindowFold`` (``mix64_windows``)
+folds every window start of a buffer, and ``fold_at`` the windows at
+given positions. ``mix64_at`` is ``fold_at`` for one length, finalized;
+the exact route in ``signatures`` takes ``fold_at``'s states
+unfinalized, under a seed of its own. ``_digests`` folds the columns of
+a same-length group's rows, for ``add_many`` and ``check_many``. The
+queries and the scan share one probe loop, ``BloomFilter.narrow``. The
+test suite checks them against the independent reference hash in
+``tests/conftest.py``.
 
-The batch calls take a same-length group as one 2-D uint8 array, one
-row per element, so a caller with many elements (the FPR sweep) never
-builds a Python object per element. A list of ``bytes`` is joined into
-such row arrays once, one per element length, and takes the same path.
+The batch calls take a same-length group as one 2-D uint8 array, one row
+per element, so a caller with many elements (the FPR sweep) never builds
+a Python object per element. A list of ``bytes`` is joined into such row
+arrays once, one per element length, and takes the same path.
 
-The fold state after j bytes does not depend on how long the window
-will be, so a ``WindowFold`` carries one running fold of every window
-start across ascending lengths: each payload byte column is folded once
-for all lengths, and each length finalizes a copy. A filter keeps its
-vector unpacked, one bool per bit, so a probe round is one gather; the
-packed LSB-first bytes exist only in ``vector_bytes`` and images. Probe
-indices reduce with a mask when m is a power of two and modulo m
-otherwise, which gives the same index.
+A filter keeps its vector unpacked, one bool per bit, so a probe round
+is one gather; the packed LSB-first bytes exist only in ``vector_bytes``
+and images. Probe indices reduce with a mask when m is a power of two
+and modulo m otherwise, which gives the same index.
 """
 
 from __future__ import annotations
@@ -139,11 +140,32 @@ def mix64_at(seed: int, buf: np.ndarray, length: int,
              positions: np.ndarray) -> np.ndarray:
     """The ``mix64_windows`` digests of the windows starting at ``positions``.
 
-    Gather-based variant of ``mix64_windows``, for a few windows out of
-    a large buffer.
+    ``fold_at`` for one length, finalized: ``positions`` ascend, and a
+    window past the end of ``buf`` raises ``ValueError``.
+    """
+    ((_, at, state),) = fold_at(seed, buf, positions, [length])
+    if at.size < positions.size:
+        raise ValueError(f"a {length}-byte window at {positions[-1]} runs "
+                         f"past the {buf.size}-byte buffer")
+    return _finalize(state)
+
+
+def fold_at(seed: int, buf: np.ndarray, positions: np.ndarray,
+            lengths: list[int]):
+    """Yield (length, at, state): the running fold of the windows at ``positions``.
+
+    ``positions`` and ``lengths`` ascend. For each length, ``at`` is the
+    prefix of ``positions`` whose windows fit in ``buf``, and ``state``
+    their unfinalized fold states, overwritten by the next step.
     """
     state = np.full(positions.size, seed & MASK64, dtype=np.uint64)
-    return _finalize(_fold(state, (buf[positions + j] for j in range(length))))
+    folded = 0
+    for length in lengths:
+        at = positions[: positions.searchsorted(buf.size - length, side="right")]
+        state = _fold(state[: at.size],
+                      (buf.take(at + j) for j in range(folded, length)))
+        folded = length
+        yield length, at, state
 
 
 def _fold(state: np.ndarray, columns) -> np.ndarray:

@@ -27,7 +27,7 @@ from .analytics import emit_csv, fpr_sweep
 from .bloom import BloomParams, fpr_theoretical
 from .codec import read_pcap, write_pcap
 from .pipeline import compare_baseline, decision_log_csv
-from .signatures import SignatureMatcher, load_rules
+from .signatures import SignatureMatcher, load_rules, text_lines
 from .traffic import TrafficSpec, generate_trace
 
 DEFAULT_K_LIST = (2, 4, 6, 8)
@@ -154,18 +154,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _load_index(index_path: Path) -> dict[int, bytes]:
     images: dict[int, bytes] = {}
-    text = index_path.read_text().removeprefix("\ufeff")  # a byte-order mark
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(index_path.read_bytes()), start=1):
         line = line.strip()
         if not line:
             continue
         length_text, _, rel = line.partition(",")
-        try:
-            length = int(length_text)
-        except ValueError:
+        length_text, rel = length_text.strip(), rel.strip()
+        # ASCII digits only: int() also reads "1_0", "+6" and other scripts' digits
+        if not (length_text.isascii() and length_text.isdecimal()):
             raise ValueError(
-                f"{index_path}:{lineno}: bad length {length_text!r}") from None
-        rel = rel.strip()
+                f"{index_path}:{lineno}: bad length {length_text!r}")
+        length = int(length_text)
         if not rel:
             raise ValueError(f"{index_path}:{lineno}: no image file named")
         if length in images:

@@ -12,33 +12,28 @@ a window is compared with the patterns and given its signature ids.
 Two scanning routes exist and must agree: the Bloom route
 (``SignatureMatcher.scan_batch``) finds candidates, complete but only
 probably correct; the exact route (``ExactScanner.matches_batch``) finds
-the true match set with tables and a polynomial hash unrelated to the
-filters, confirming every hit byte-for-byte. Both take the batch as
-``Payloads``, bounds into one buffer (a capture's, as it was read), and
-walk it through one window sieve, ``_sieve``. The sieve cuts the batch
-into groups of whole payloads (``GROUP_BYTES`` payload bytes and
-``SLICE_WINDOWS`` payloads at most, or one longer payload), gathers each
-group's payload bytes end to end (``Payloads.gather``), and hands each
-run of ``SLICE_WINDOWS`` window starts to the route's first test, so the
-working arrays stay cache-sized and do not grow with the trace. Each
-byte column is hashed once for all lengths: a window's hash state after
-j bytes is the same for every length of at least j bytes, so one running
-state is advanced through the lengths in ascending order. The Bloom
+the true match set, confirming every hit byte-for-byte. Both walk a
+``Payloads`` batch, bounds into one buffer (a capture's, as it was
+read), through one window sieve, ``_sieve``, in cache-sized groups, and
+hash windows with ``bloom``'s one byte fold. A window's fold state after
+j bytes is the same for every length of at least j bytes, so each byte
+column is folded once for all lengths, in ascending order. The Bloom
 route folds every window start with a ``WindowFold`` and tests the
-round-0 probe. The exact route first tests every start's two bytes
-against a table of the patterns' first two bytes, gathers the bytes of
-only the starts that pass into a Horner fold, and tests each window's
-hash and length against one table shared by all lengths. Only the
-windows that pass a route's first test inside one payload outlive the
-group's walk; the Bloom route narrows them there through the other
-probes. Both routes leave the sieve the same way, as ``Windows``: arrays
-of (payload, offset, length) for the whole batch, sorted, with no Python
-object per payload. The Bloom route returns them as its candidates;
+round-0 probe. The exact route tests every start's two bytes against a
+table of the patterns' first two bytes, folds only the starts that pass
+with ``fold_at`` under a seed of its own, and tests each window's fold
+state and length against one table shared by all lengths; it reads no
+filter bit, filter seed or ``BloomParams``. Only the windows that pass a
+route's first test inside one payload outlive the group's walk; the
+Bloom route narrows them there through the other probes. Both routes
+leave the sieve the same way, as ``Windows``: arrays of (payload,
+offset, length) for the whole batch, sorted, with no Python object per
+payload. The Bloom route returns them as its candidates;
 ``CandidateMatch`` objects are made only for the payloads that someone
 asks about. ``Windows.confirmed`` is the one loop that turns windows
 into matches: the exact route runs it with ``ExactScanner.confirm`` and
-returns the matches of the payloads that have any, by payload index,
-and the card's host runs it with ``SignatureMatcher.verify`` on the
+returns the matches of the payloads that have any, by payload index, and
+the card's host runs it with ``SignatureMatcher.verify`` on the
 candidates. The tests check both routes against the independent
 per-payload oracles in ``tests/conftest.py``.
 """
@@ -51,12 +46,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloom import BloomFilter, BloomParams, WindowFold, mix64_at, mix64_windows
+from .bloom import (BloomFilter, BloomParams, WindowFold, fold_at, mix64_at,
+                    mix64_windows)
 
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
 
-_EXACT_MULT = 0x4C957F2D  # odd LCG multiplier, Horner hashing mod 2**32
+_EXACT_SEED = 0  # the exact route's own fold seed, not a filter seed
 _LENGTH_MULT = 0x9E3779B1  # odd: a window's length moves its hash's slot
 
 # Scan working-set bounds: payload bytes per group, and window starts per
@@ -113,13 +109,11 @@ class SignatureSet:
         return groups
 
 
-def load_rules(text: bytes | str) -> SignatureSet:
-    """Parse rule text: one ``id,encoding,value`` per line.
+def text_lines(text: bytes | str) -> list[str]:
+    """The lines of UTF-8 text (rule files, filter indexes), BOM skipped.
 
-    ``encoding`` is ``ascii`` (value taken literally) or ``hex``. Lines
-    starting with ``#`` and blank lines are skipped. All errors carry the
-    offending line number. Lines end only at ``\n``, ``\r\n`` or ``\r``.
-    A leading byte-order mark is skipped.
+    Lines end only at ``\n``, ``\r\n`` or ``\r``, unlike ``splitlines``.
+    A byte that is not UTF-8 raises ``RuleParseError`` naming its line.
     """
     if isinstance(text, bytes):
         text = text.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
@@ -130,10 +124,19 @@ def load_rules(text: bytes | str) -> SignatureSet:
             bad, line = text[exc.start], head.count(b"\n") + 1
             raise RuleParseError(line, f"byte 0x{bad:02X} is not valid UTF-8") from None
     text = text.removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def load_rules(text: bytes | str) -> SignatureSet:
+    """Parse rule text: one ``id,encoding,value`` per line (``text_lines``).
+
+    ``encoding`` is ``ascii`` (value taken literally) or ``hex``. Lines
+    starting with ``#`` and blank lines are skipped. All errors carry the
+    offending line number.
+    """
     signatures: list[Signature] = []
     seen_ids: set[str] = set()
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,31 +170,6 @@ class CandidateMatch:
     offset: int
     length: int
     signature_id: str | None = None
-
-
-def _poly32_at(buf: np.ndarray, pos: np.ndarray, lengths: list[int]):
-    """Yield (length, at, hashes): Horner hashes mod 2**32 of windows at ``pos``.
-
-    ``pos`` and ``lengths`` ascend. For each length, ``at`` is the
-    prefix of ``pos`` whose ``length``-byte windows fit in ``buf``, and
-    ``hashes`` their hashes. The bytes are gathered from ``buf`` one
-    column at a time, and each length folds only the columns the
-    previous one did not. Arithmetic mod 2**32 is enough: a table reads
-    only the low ``ExactScanner._TABLE_BITS`` bits. The yielded arrays
-    are overwritten by the next step, so use them before advancing.
-    """
-    state = np.zeros(pos.size, dtype=np.uint32)
-    column = pos.copy()  # each window's next byte
-    folded = 0
-    for length in lengths:
-        n = int(pos.searchsorted(buf.size - length, side="right"))
-        state, column = state[:n], column[:n]
-        for _ in range(folded, length):
-            state *= np.uint32(_EXACT_MULT)
-            state += buf.take(column)
-            column += 1
-        folded = length
-        yield length, pos[:n], state
 
 
 @dataclass(eq=False)
@@ -368,10 +346,10 @@ class ExactScanner:
     Two tables stand before the byte comparison. A window start passes
     the first only if its two bytes begin some pattern (every pattern
     has two, as ``PATTERN_MIN_LEN`` is 2); only those starts are hashed,
-    and a window passes the second only if its Horner hash and length
-    mark a slot that some pattern of that length marked. A window that
-    passes both is confirmed byte-for-byte, so neither table can add or
-    lose a match.
+    and a window passes the second only if its ``fold_at`` state under
+    ``_EXACT_SEED`` and its length mark a slot that some pattern of that
+    length marked. A window that passes both is confirmed byte-for-byte,
+    so neither table can add or lose a match, whatever the seed.
     """
 
     # shared hash-table size, in slots, over all lengths
@@ -393,20 +371,18 @@ class ExactScanner:
             starts = np.arange(0, joined.size, length)
             pair = joined.astype(np.uint16)
             self._prefixes[(pair[:-1] | pair[1:] << 8)[starts]] = True
-            _, _, hashes = next(_poly32_at(joined, starts, [length]))
-            self._table[self._slots(length, hashes)] = True
+            _, _, state = next(fold_at(_EXACT_SEED, joined, starts, [length]))
+            self._table[self._slots(length, state)] = True
 
-    def _slots(self, length: int, hashes: np.ndarray) -> np.ndarray:
-        """The shared-table slot of each ``length``-byte window's hash."""
-        key = np.uint32(length * _LENGTH_MULT & 0xFFFFFFFF)
-        return (hashes + key) & np.uint32((1 << self._TABLE_BITS) - 1)
+    def _slots(self, length: int, state: np.ndarray) -> np.ndarray:
+        """The shared-table slot of each ``length``-byte window's fold state."""
+        mask = np.uint64((1 << self._TABLE_BITS) - 1)
+        return ((state + np.uint64(length * _LENGTH_MULT)) & mask).view(np.int64)
 
     def matches_batch(self, payloads: Payloads
                       ) -> dict[int, list[CandidateMatch]]:
         """Vectorized exact matching: sieve windows, confirm hits by bytes.
 
-        Each run's 2-byte keys are tested in one gather; only the starts
-        that pass are hashed, through the lengths in ascending order.
         Returns the matches of each payload that has any, by payload
         index in ascending order.
         """
@@ -415,9 +391,10 @@ class ExactScanner:
         def marked(view, run):
             pair = view[: run + 1].astype(np.uint16)
             pos = np.flatnonzero(prefixes.take(pair[:-1] | pair[1:] << 8))
-            for length, at, hashes in _poly32_at(view, pos, self.lengths):
-                hit = table.take(self._slots(length, hashes))
-                yield length, at[hit], hashes[hit]
+            for length, at, state in fold_at(_EXACT_SEED, view, pos,
+                                             self.lengths):
+                hit = table.take(self._slots(length, state))
+                yield length, at[hit], state[hit]
 
         windows = _sieve(payloads, self.lengths, marked)
         return windows.confirmed(payloads, self.confirm)

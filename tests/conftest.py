@@ -46,12 +46,17 @@ def reference_finalize(value: int) -> int:
     return (value ^ (value >> 33)) % 2**64
 
 
-def reference_mix64(seed: int, data: bytes) -> int:
-    """Independent rewrite of the documented byte-fold mixer."""
+def reference_fold(seed: int, data: bytes) -> int:
+    """Independent rewrite of the documented byte fold, not finalized."""
     state = seed % 2**64
     for byte in data:
         state = ((state ^ byte) * 0x100000001B3) % 2**64
-    return reference_finalize(state)
+    return state
+
+
+def reference_mix64(seed: int, data: bytes) -> int:
+    """Independent rewrite of the documented byte-fold mixer."""
+    return reference_finalize(reference_fold(seed, data))
 
 
 def reference_probes(seed_a: int, seed_b: int, element: bytes, m: int,

@@ -11,13 +11,15 @@ from nicsieve.bloom import (
     BloomParams,
     FilterImageError,
     WindowFold,
+    fold_at,
     fpr_theoretical,
     mix64_at,
     mix64_windows,
     optimal_k,
 )
 
-from conftest import reference_check, reference_mix64, reference_probes
+from conftest import (reference_check, reference_fold, reference_mix64,
+                      reference_probes)
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=101, seed_b=202)
 # m neither a power of two nor a multiple of 8: probes reduce modulo m and
@@ -112,6 +114,34 @@ def test_vectorized_digests_match_scalar(buf, length):
             mix64_windows(seed, arr, length, fold=fold)
         with pytest.raises(ValueError, match="another buffer or seed"):
             mix64_windows(seed ^ 1, arr, length + 6, fold=fold)
+
+
+@given(st.binary(min_size=1, max_size=120), st.data())
+@settings(max_examples=50)
+def test_fold_at_yields_reference_folds_of_the_windows_that_fit(buf, data):
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    # the positions reach the buffer's end, so longer windows drop out
+    picked = data.draw(st.sets(st.integers(0, len(buf) - 1)))
+    positions = np.array(sorted(picked | {len(buf) - 1}), dtype=np.int64)
+    steps = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    lengths = np.cumsum(steps).tolist()
+    seen = []
+    for length, at, state in fold_at(seed, arr, positions, lengths):
+        fits = [p for p in positions.tolist() if p + length <= len(buf)]
+        assert at.tolist() == fits
+        assert state.tolist() == [reference_fold(seed, buf[p : p + length])
+                                  for p in fits]
+        seen.append(length)
+    assert seen == lengths
+
+
+def test_mix64_at_refuses_a_window_past_the_end():
+    arr = np.frombuffer(b"abcdef", dtype=np.uint8)
+    assert mix64_at(5, arr, 3, np.array([0, 3])).tolist() == \
+        [reference_mix64(5, b"abc"), reference_mix64(5, b"def")]
+    with pytest.raises(ValueError, match="past the 6-byte buffer"):
+        mix64_at(5, arr, 3, np.array([0, 4]))
 
 
 # --- add / check ------------------------------------------------------------

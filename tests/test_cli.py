@@ -233,6 +233,22 @@ def test_scan_index_tolerates_a_byte_order_mark(tmp_path, rules_file,
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_scan_index_lines_end_only_at_line_breaks(tmp_path, rules_file,
+                                                 built_and_generated):
+    # the index is UTF-8 text whose lines end at \n, \r\n or \r, as a
+    # rule file's do; \x1c (a line break to str.splitlines) is a name byte
+    filters, trace, _ = built_and_generated
+    index = filters / "index.txt"
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "a.pcap", "--report", tmp_path / "a.csv") == 0
+    (filters / "len6.bfi").rename(filters / "odd\x1cname.bfi")
+    index.write_bytes("6,odd\x1cname.bfi\r\n7,len7.bfi\r15,len15.bfi\n"
+                      .encode("utf-8"))
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "b.pcap", "--report", tmp_path / "b.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_scan_missing_trace_exit_2(tmp_path, rules_file, built_and_generated):
     filters, _, _ = built_and_generated
     assert run("scan", filters / "index.txt", "--rules", rules_file,
@@ -354,12 +370,19 @@ def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated,
     ("6,len6.bfi\n7\n15,len15.bfi\n", "index.txt:2: no image file"),
     ("6,len6.bfi\n7,len7.bfi\n15,len15.bfi\n7,len6.bfi\n",
      "index.txt:4: length 7 listed twice"),
+    # int() would read these as 10, 7 and 6
+    ("6,len6.bfi\n1_0,len10.bfi\n", "index.txt:2: bad length '1_0'"),
+    ("\u0667,len7.bfi\n", "index.txt:1: bad length '\u0667'"),
+    ("7,len7.bfi\n+6,len6.bfi\n", "index.txt:2: bad length '+6'"),
+    # a lone surrogate escapes the byte 0xFF, which is not UTF-8
+    ("6,len6.bfi\n\udcff\n", "line 2: byte 0xFF is not valid UTF-8"),
 ])
 def test_scan_malformed_index_exit_1_names_line(tmp_path, rules_file,
                                                 built_and_generated, capsys,
                                                 index_text, message):
     filters, trace, _ = built_and_generated
-    (filters / "index.txt").write_text(index_text)
+    (filters / "index.txt").write_bytes(
+        index_text.encode("utf-8", "surrogateescape"))
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", trace, "--out", tmp_path / "f.pcap",
                "--report", tmp_path / "r.csv") == 1

@@ -110,8 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed(path: str | Path, parse):
+    """``parse`` of the bytes of the file at ``path``; its errors name the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
-    ruleset = load_rules(Path(args.rules).read_bytes())
+    ruleset = _parsed(args.rules, load_rules)
     params = BloomParams(m=args.m, k=args.k, seed_a=args.seed_a,
                          seed_b=args.seed_b)
     matcher = SignatureMatcher.program(ruleset, params)
@@ -136,9 +145,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    ruleset = None
-    if args.rules is not None:
-        ruleset = load_rules(Path(args.rules).read_bytes())
+    ruleset = None if args.rules is None else _parsed(args.rules, load_rules)
     spec = TrafficSpec(packet_count=args.count,
                        attack_fraction=args.attack_fraction,
                        payload_len_range=(args.payload_min, args.payload_max),
@@ -154,7 +161,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _load_index(index_path: Path) -> dict[int, bytes]:
     images: dict[int, bytes] = {}
-    for lineno, line in enumerate(text_lines(index_path.read_bytes()), start=1):
+    for lineno, line in enumerate(_parsed(index_path, text_lines), start=1):
         line = line.strip()
         if not line:
             continue
@@ -177,9 +184,9 @@ def _load_index(index_path: Path) -> dict[int, bytes]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    ruleset = load_rules(Path(args.rules).read_bytes())
+    ruleset = _parsed(args.rules, load_rules)
     matcher = SignatureMatcher.from_images(ruleset, _load_index(Path(args.index)))
-    trace = read_pcap(Path(args.in_trace).read_bytes())
+    trace = _parsed(args.in_trace, read_pcap)
 
     report = compare_baseline(matcher, trace)
     Path(args.out).write_bytes(write_pcap(report.forwarded))

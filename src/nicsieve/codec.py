@@ -8,11 +8,11 @@ and a frame's timestamp and original length are read from its header
 when the trace is indexed, so a frame costs no Python object until then.
 
 ``parse_payloads`` locates the payload of every frame at once with numpy
-over the header bytes; it is the one header walk, and ``parse_packet``
-runs it over one frame's bytes. It reads Ethernet II, stepping over up
-to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then IPv4
-(options honored via IHL) and TCP (options via the data offset) or UDP.
-The payload is the bytes after the last header that could be walked;
+over the header bytes; it is the one header walk, and ``parse_packet`` is
+``parse_payloads`` of a one-frame trace. It reads Ethernet II, stepping
+over up to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then
+IPv4 (options honored via IHL) and TCP (options via the data offset) or
+UDP. The payload is the bytes after the last header that could be walked;
 an IPv4 payload ends at the datagram's total length, so Ethernet padding
 and trailers, which the end host's transport never sees, are not scanned.
 Parsing is total -- anything truncated or malformed, a frame cut inside
@@ -131,7 +131,7 @@ class Trace(Sequence):
 
     @property
     def frames(self) -> Trace:
-        """The trace itself, as the sequence of its frames."""
+        """The trace itself, as its frames; only bench/tracer.py reads it."""
         return self
 
     def select(self, mask: np.ndarray) -> Trace:
@@ -141,14 +141,11 @@ class Trace(Sequence):
 
 
 def parse_packet(frame: RawFrame) -> bytes | None:
-    """The frame's payload, or ``None`` if not parseable (``parse_payloads``)."""
-    data = frame.data
-    if len(data) < _ETH_LEN:  # the walk reads inside a non-empty buffer only
-        return None
-    start, end, parsed = _payload_bounds(np.frombuffer(data, dtype=np.uint8),
-                                         np.zeros(1, dtype=np.int64),
-                                         np.array([len(data)]))
-    return data[int(start[0]):int(end[0])] if parsed[0] else None
+    """The frame's payload, or ``None`` if not parseable: ``parse_payloads``
+    of a one-frame trace. Only ``bench/tracer.py`` reads it."""
+    trace = Trace.from_frames([frame])
+    (start,), (end,), (unparseable,) = parse_payloads(trace)
+    return None if unparseable else bytes(trace.buf[start:end])
 
 
 def parse_payloads(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,7 +182,7 @@ def _payload_bounds(u8: np.ndarray, base: np.ndarray, caplen: np.ndarray):
     lanes read some in-buffer byte and are masked out.
     """
     size = caplen.astype(np.int64)
-    last = max(u8.size - 1, 0)
+    last = u8.size - 1  # a capture buffer is never empty
 
     def byte(rel):
         return u8[np.minimum(base + rel, last)].astype(np.int64)
@@ -269,16 +266,18 @@ def read_pcap(data: bytes) -> Trace:
     return Trace(buf, rec + _RECORD_HEADER, caplen, _MAGIC_RESOLUTION[magic])
 
 
-def file_header(ts_resolution: int) -> bytes:
+def file_header(ts_resolution: int, snaplen: int = _PCAP_SNAPLEN) -> bytes:
     """The 24-byte little-endian header of a classic capture file."""
     magic = PCAP_MAGIC_NSEC if ts_resolution == NSEC else PCAP_MAGIC
-    return struct.pack("<IHHiIII", magic, 2, 4, 0, 0, _PCAP_SNAPLEN,
+    return struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snaplen,
                        LINKTYPE_ETHERNET)
 
 
 def write_pcap(trace: Trace) -> bytes:
-    """Encode a trace as a little-endian classic capture file."""
-    header = file_header(trace.ts_resolution)
+    """Encode a trace as a little-endian classic capture file, whose
+    snapshot length is 65,535 or, if longer, the longest record's."""
+    header = file_header(trace.ts_resolution,
+                         max(_PCAP_SNAPLEN, int(trace.caplen.max(initial=0))))
     if not len(trace):
         return header
     # copy each run of records that lie back to back in the buffer

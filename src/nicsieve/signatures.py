@@ -46,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloom import (BloomFilter, BloomParams, WindowFold, fold_at, mix64_at,
-                    mix64_windows)
+from .bloom import (BloomFilter, BloomParams, FilterImageError, WindowFold,
+                    fold_at, mix64_at, mix64_windows)
 
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
@@ -178,8 +178,8 @@ class Payloads:
 
     The bounds ascend and do not overlap, and they may leave gaps, so
     the payloads of a capture are scanned where they lie, with no copy
-    per payload.
-    Iterating yields each payload as a numpy view; indexing, its bytes.
+    per payload. Indexing gives a payload's bytes; iterating, each
+    payload as a numpy view, which only ``bench/tracer.py`` reads.
     """
 
     buf: np.ndarray  # uint8
@@ -224,13 +224,12 @@ class Payloads:
         """Payloads ``first`` to ``stop`` joined end to end in a new buffer.
 
         Only the payload bytes are gathered, never the gaps between them.
-        A view per payload (``Payloads.of`` over ``memoryview`` slices)
-        gathers the bench captures faster (7.9 -> 0.9 ms a scan on
-        many-len-hostile, 8.4 -> 7.5 on small-frames), but it costs per
-        payload: on the bare ACKs of
-        ``test_scan_memory_does_not_grow_with_gaps_between_payloads`` it
-        raised ``scan_batch``'s traced peak from 2.6 to 9.4 MiB and its
-        time from 31 to 293 ms.
+        Joining one view per non-empty payload gathers both bench captures
+        faster (0.6 against 8.4 ms a scan on many-len-hostile, 5.3 against
+        8.9 on small-frames) and costs no more on the bare ACKs of
+        ``test_scan_memory_does_not_grow_with_gaps_between_payloads``, but
+        it pays per payload: on 200k payloads of 1-10 bytes, which neither
+        bench workload has, it took 99 ms against 9.6.
         """
         src = self.starts[first:stop]
         lengths = self.ends[first:stop] - src
@@ -252,7 +251,8 @@ class Windows:
     Row r is the window of ``length[r]`` bytes at ``offset[r]`` in
     payload ``payload[r]``. Rows are sorted by payload, offset and
     length. Iterating gives the windows of each payload as
-    ``CandidateMatch`` objects, made on access.
+    ``CandidateMatch`` objects, made on access; only ``bench/tracer.py``
+    iterates a ``Windows``.
     """
 
     size: int
@@ -473,8 +473,12 @@ class SignatureMatcher:
             raise ValueError(
                 f"image lengths {sorted(images)} do not match "
                 f"rule lengths {sorted(groups)}")
-        filters = {length: BloomFilter.from_image(img)
-                   for length, img in images.items()}
+        filters = {}
+        for length, image in images.items():
+            try:
+                filters[length] = BloomFilter.from_image(image)
+            except FilterImageError as exc:
+                raise FilterImageError(f"length-{length} image: {exc}") from None
         params_seen = {f.params for f in filters.values()}
         if len(params_seen) != 1:
             raise ValueError("filter images carry inconsistent parameters")

@@ -53,7 +53,7 @@ def test_build_bad_rules_exit_1_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"ok1,ascii,fine\noops,hex,4\n")
     assert run("build", "--rules", bad, "--out", tmp_path / "f") == 1
-    assert "line 2" in capsys.readouterr().err
+    assert f"{bad}: line 2" in capsys.readouterr().err
 
 
 def test_build_empty_rules_exit_1(tmp_path, capsys):
@@ -307,13 +307,15 @@ def test_scan_forwards_capture_variants_as_little_endian(
     assert fwd.read_bytes() == reference_capture(forwarded, "<", resolution)
 
 
-def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated):
+def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated,
+                                   capsys):
     filters, _, _ = built_and_generated
     bad = tmp_path / "bad.pcap"
     bad.write_bytes(b"this is not a capture file")
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", bad, "--out", tmp_path / "f.pcap",
                "--report", tmp_path / "r.csv") == 1
+    assert f"{bad}: bad magic: 0x" in capsys.readouterr().err
 
 
 def test_scan_stale_rules_exit_1(tmp_path, rules_file, built_and_generated):
@@ -376,6 +378,7 @@ def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated,
     ("7,len7.bfi\n+6,len6.bfi\n", "index.txt:2: bad length '+6'"),
     # a lone surrogate escapes the byte 0xFF, which is not UTF-8
     ("6,len6.bfi\n\udcff\n", "line 2: byte 0xFF is not valid UTF-8"),
+    ("6,len6.bfi\n\udcff\n", "index.txt: line 2: byte 0xFF"),  # names the file
 ])
 def test_scan_malformed_index_exit_1_names_line(tmp_path, rules_file,
                                                 built_and_generated, capsys,
@@ -387,6 +390,35 @@ def test_scan_malformed_index_exit_1_names_line(tmp_path, rules_file,
                "--in", trace, "--out", tmp_path / "f.pcap",
                "--report", tmp_path / "r.csv") == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "scan"])
+def test_bad_rule_line_names_the_rule_file(tmp_path, built_and_generated,
+                                           capsys, command):
+    # build's case is test_build_bad_rules_exit_1_names_line
+    filters, trace, _ = built_and_generated
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok1,ascii,fine\nsig2,b64,Zm9v\n")
+    argv = {"gen": ("gen", "--count", 10, "--rules", bad,
+                    "--out", tmp_path / "t.pcap", "--manifest", tmp_path / "m.csv"),
+            "scan": ("scan", filters / "index.txt", "--rules", bad, "--in", trace,
+                     "--out", tmp_path / "f.pcap", "--report", tmp_path / "r.csv")}
+    capsys.readouterr()
+    assert run(*argv[command]) == 1
+    assert f"{bad}: line 2: unknown encoding 'b64'" in capsys.readouterr().err
+
+
+def test_scan_corrupt_image_names_its_length(tmp_path, rules_file,
+                                             built_and_generated, capsys):
+    filters, trace, _ = built_and_generated
+    image = bytearray((filters / "len7.bfi").read_bytes())
+    image[40] ^= 0x01
+    (filters / "len7.bfi").write_bytes(image)
+    capsys.readouterr()
+    assert run("scan", filters / "index.txt", "--rules", rules_file,
+               "--in", trace, "--out", tmp_path / "f.pcap",
+               "--report", tmp_path / "r.csv") == 1
+    assert "length-7 image: checksum mismatch" in capsys.readouterr().err
 
 
 # --- sweep ------------------------------------------------------------------

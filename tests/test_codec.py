@@ -66,6 +66,17 @@ def batch_bounds(datas):
     return out
 
 
+def payload_of(data):
+    """``parse_payloads``' payload of ``data`` in a capture, between two
+    neighbour frames, or ``None`` if not parseable: the masked lanes of a
+    short frame read the next record's bytes, as they do in a capture."""
+    neighbour = eth_header(0x0800) + ipv4_header(
+        6, tcp_header(1, 2) + b"neighbour payload")
+    bounds = batch_bounds([neighbour, data, neighbour])
+    assert bounds[0] == bounds[2] == (54, len(neighbour))
+    return None if bounds[1] is None else data[slice(*bounds[1])]
+
+
 def payload_end(data):
     """Where a parseable frame's payload ends: its IPv4 datagram's end, or
     the frame's end if that comes first or the frame is not IPv4."""
@@ -87,49 +98,47 @@ def scalar_bounds(data):
     return end - len(payload), end
 
 
-# --- parse_packet -----------------------------------------------------------
+# --- the header walk --------------------------------------------------------
 
 def test_parse_minimal_tcp_frame():
-    frame = RawFrame(data=eth_header(0x0800)
-                     + ipv4_header(6, tcp_header(4321, 80) + b"GET"))
-    assert parse_packet(frame) == b"GET"
+    frame = eth_header(0x0800) + ipv4_header(6, tcp_header(4321, 80) + b"GET")
+    assert payload_of(frame) == b"GET"
     # don't-fragment alone is not a fragment
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
-        6, tcp_header(4321, 80) + b"GET", flags_offset=0x4000))
-    assert parse_packet(frame) == b"GET"
+    frame = eth_header(0x0800) + ipv4_header(
+        6, tcp_header(4321, 80) + b"GET", flags_offset=0x4000)
+    assert payload_of(frame) == b"GET"
 
 
 def test_parse_udp_frame():
-    frame = RawFrame(data=eth_header(0x0800)
-                     + ipv4_header(17, udp_header(53, 5353) + b"query"))
-    assert parse_packet(frame) == b"query"
+    frame = eth_header(0x0800) + ipv4_header(17, udp_header(53, 5353) + b"query")
+    assert payload_of(frame) == b"query"
 
 
 def test_parse_ipv4_options_honored():
     options = b"\x01" * 8  # ihl 7 words
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
-        6, tcp_header(1, 2) + b"pay", ihl_words=7, options=options))
-    assert parse_packet(frame) == b"pay"
+    frame = eth_header(0x0800) + ipv4_header(
+        6, tcp_header(1, 2) + b"pay", ihl_words=7, options=options)
+    assert payload_of(frame) == b"pay"
 
 
 def test_parse_tcp_options_honored():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(
-        6, tcp_header(1, 2, offset_words=6, options=b"\x00" * 4) + b"pp"))
-    assert parse_packet(frame) == b"pp"
+    frame = eth_header(0x0800) + ipv4_header(
+        6, tcp_header(1, 2, offset_words=6, options=b"\x00" * 4) + b"pp")
+    assert payload_of(frame) == b"pp"
 
 
 def test_parse_short_frame_not_parseable():
-    assert parse_packet(RawFrame(data=b"\x00" * 13)) is None
+    assert payload_of(b"\x00" * 13) is None
 
 
 def test_parse_arp_payload_after_ethernet():
     body = b"arp-ish body bytes"
-    assert parse_packet(RawFrame(data=eth_header(0x0806) + body)) == body
+    assert payload_of(eth_header(0x0806) + body) == body
 
 
 def test_parse_non_tcp_udp_payload_after_ip():
-    frame = RawFrame(data=eth_header(0x0800) + ipv4_header(47, b"gre-body"))
-    assert parse_packet(frame) == b"gre-body"
+    frame = eth_header(0x0800) + ipv4_header(47, b"gre-body")
+    assert payload_of(frame) == b"gre-body"
 
 
 @pytest.mark.parametrize("protocol,l4", [
@@ -142,7 +151,7 @@ def test_parse_ipv4_payload_ends_at_total_length(protocol, l4):
     for data, payload in [(datagram + b"\x00" * 6, b"GET"),
                           (datagram + b"TRLR", b"GET"),
                           (datagram[:-1], b"GE")]:
-        assert parse_packet(RawFrame(data=data)) == payload
+        assert payload_of(data) == payload
         assert batch_bounds([data]) == [(len(datagram) - 3,
                                          len(datagram) - 3 + len(payload))]
 
@@ -170,7 +179,7 @@ def test_parse_ipv4_payload_ends_at_total_length(protocol, l4):
         6, tcp_header(1, 2) + b"GET", flags_offset=0x4000 | 185),
 ])
 def test_parse_malformed_frames_not_parseable(data):
-    assert parse_packet(RawFrame(data=data)) is None
+    assert payload_of(data) is None
     assert batch_bounds([data]) == [None]
 
 
@@ -184,14 +193,14 @@ def test_parse_steps_over_vlan_tags(tpids):
     fragment = (tagged_eth_header(tpids, 0x0800) + ipv4_header(
         6, tcp_header(1, 2) + b"GET", flags_offset=0x2000))
     arp = tagged_eth_header(tpids, 0x0806) + b"arp body"
-    assert parse_packet(RawFrame(data=tcp)) == b"GET"
-    assert parse_packet(RawFrame(data=udp)) == b"query"
-    assert parse_packet(RawFrame(data=fragment)) is None
-    assert parse_packet(RawFrame(data=arp)) == b"arp body"
+    assert payload_of(tcp) == b"GET"
+    assert payload_of(udp) == b"query"
+    assert payload_of(fragment) is None
+    assert payload_of(arp) == b"arp body"
     # cut inside the last tag: not parseable, so the card fails open
     head = len(tagged_eth_header(tpids, 0x0800))
     for cut in range(head - 4, head):
-        assert parse_packet(RawFrame(data=tcp[:cut])) is None
+        assert payload_of(tcp[:cut]) is None
     datas = [tcp, udp, fragment, arp] + [tcp[:cut] for cut in range(head - 4, head)]
     assert batch_bounds(datas) == [scalar_bounds(d) for d in datas]
 
@@ -199,13 +208,14 @@ def test_parse_steps_over_vlan_tags(tpids):
 def test_parse_third_vlan_tag_is_payload():
     # two tags are stepped over; a third one's bytes are the payload
     frame = tagged_eth_header((0x88A8, 0x8100, 0x8100), 0x0800) + b"body"
-    assert parse_packet(RawFrame(data=frame)) == frame[18 + 4:]
+    assert payload_of(frame) == frame[18 + 4:]
     assert batch_bounds([frame]) == [(22, len(frame))]
 
 
 @given(st.binary(min_size=0, max_size=120))
 def test_parse_is_total_and_payload_in_bounds(data):
     payload = parse_packet(RawFrame(data=data))
+    assert payload == reference_parse(data)
     if payload is not None:
         assert len(payload) <= len(data) - 14
         end = payload_end(data)
@@ -310,6 +320,16 @@ def test_pcap_global_header_layout():
         struct.unpack("<IHHiIII", data)
     assert (magic, major, minor, zone, sigfigs, snaplen, network) == \
         (0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+
+
+def test_pcap_snaplen_covers_the_longest_record():
+    # no record may be longer than its file's snapshot length
+    jumbo = RawFrame(data=bytes(range(256)) * 273 + b"end")  # 69,891 bytes
+    for frames, snaplen in [([RawFrame(b"\xaa" * 60)], 65535),
+                            ([RawFrame(b"\xaa" * 60), jumbo], len(jumbo.data))]:
+        data = write_pcap(Trace.from_frames(frames))
+        assert struct.unpack_from("<I", data, 16)[0] == snaplen
+        assert list(read_pcap(data)) == frames
 
 
 def test_pcap_reads_swapped_byte_order():

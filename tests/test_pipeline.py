@@ -5,7 +5,7 @@ import pytest
 
 from nicsieve.analytics import emit_csv
 from nicsieve.bloom import BloomParams
-from nicsieve.codec import RawFrame, Trace, parse_packet, write_pcap
+from nicsieve.codec import RawFrame, Trace, write_pcap
 from nicsieve.pipeline import (
     REASONS,
     Reason,
@@ -44,7 +44,7 @@ def simple_matcher(patterns=(b"EVIL",)):
 
 def oracle_decision(matcher, frame):
     """Per-frame (reason, verified tuples) from the conftest oracles alone."""
-    payload = parse_packet(frame)
+    payload = reference_parse(frame.data)
     if payload is None:
         return Reason.NON_PARSEABLE, []
     if not reference_candidates(matcher.filters, payload):

@@ -47,12 +47,19 @@ def scan_one(matcher, payload):
     return matcher.scan_batch(Payloads.of([payload])).by_payload().get(0, [])
 
 
+def scan_each(matcher, payloads):
+    """``scan_batch``'s windows in each of ``payloads``, one list per payload."""
+    return per_payload(matcher.scan_batch(Payloads.of(payloads)).by_payload(),
+                       len(payloads))
+
+
 def exact_one(matcher, payload):
     return matcher.exact_matches_batch(Payloads.of([payload])).get(0, [])
 
 
 def per_payload(found, size):
-    """The exact route's sparse matches as one list per payload."""
+    """A sparse map from payload index (the exact route's matches, or
+    ``Windows.by_payload()``) as one list per payload."""
     assert all(found.values()) and list(found) == sorted(found)
     return [found.get(i, []) for i in range(size)]
 
@@ -195,9 +202,9 @@ def test_images_reload_gives_identical_scans():
     assert reloaded.params == matcher.params
     corpus = [rng.randbytes(rng.randint(0, 200)) for _ in range(100)]
     corpus += [b"zz" + sset.signatures[0].pattern + b"zz"]
-    batch = Payloads.of(corpus)
-    assert list(reloaded.scan_batch(batch)) == list(matcher.scan_batch(batch))
-    assert [as_windows(c) for c in reloaded.scan_batch(batch)] == \
+    scanned = scan_each(reloaded, corpus)
+    assert scanned == scan_each(matcher, corpus)
+    assert [as_windows(c) for c in scanned] == \
         [reference_candidates(reloaded.filters, p) for p in corpus]
 
 
@@ -269,7 +276,7 @@ def test_scan_candidate_rate_tracks_theory():
                     ExactScanner(sset).contains_any_batch(Payloads.of(payloads)))
                 if not hit]
     windows = sum(len(p) - 8 + 1 for p in payloads)
-    candidates = sum(len(c) for c in matcher.scan_batch(Payloads.of(payloads)))
+    candidates = sum(len(c) for c in scan_each(matcher, payloads))
     theory = fpr_theoretical(PARAMS.m, PARAMS.k, n).fpr
     sigma = (theory * (1 - theory) / windows) ** 0.5
     assert abs(candidates / windows - theory) <= 4 * sigma
@@ -364,7 +371,7 @@ def test_scan_batch_equals_reference_candidates(params):
     payloads = [rng.randbytes(rng.randint(0, 180)) for _ in range(150)]
     sigs = sset.signatures
     payloads += [b"x" * 5 + s.pattern + b"y" * 3 for s in sigs[:10]]
-    batch = matcher.scan_batch(Payloads.of(payloads))
+    batch = scan_each(matcher, payloads)
     assert all(c.signature_id is None for cands in batch for c in cands)
     assert [as_windows(c) for c in batch] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
@@ -374,12 +381,11 @@ def test_scan_batch_windows_never_cross_payloads():
     # pattern split across two adjacent payloads must not match
     sset = SignatureSet([Signature("s", b"ABCDEF")])
     matcher = SignatureMatcher.program(sset, PARAMS)
-    results = matcher.scan_batch(Payloads.of([b"xxABC", b"DEFyy"]))
-    assert list(results) == [[], []]
+    assert scan_each(matcher, [b"xxABC", b"DEFyy"]) == [[], []]
     # both routes, with empty payloads first, in the middle and last
     payloads = [b"", b"xxABC", b"", b"DEFyy", b"ABCDEF", b""]
     expected = [[]] * 4 + [[CandidateMatch(0, 6)], []]
-    assert list(matcher.scan_batch(Payloads.of(payloads))) == expected
+    assert scan_each(matcher, payloads) == expected
     assert matcher.exact_matches_batch(Payloads.of(payloads)) == {
         4: [CandidateMatch(0, 6, "s")]}
 
@@ -392,7 +398,7 @@ def test_programmed_matcher_supports_concurrent_scans():
     matcher = SignatureMatcher.program(sset, PARAMS)
     payloads = [rng.randbytes(200) for _ in range(40)]
     payloads += [b"pad" + s.pattern for s in sset.signatures[:5]]
-    expected = list(matcher.scan_batch(Payloads.of(payloads)))
+    expected = scan_each(matcher, payloads)
     with ThreadPoolExecutor(max_workers=8) as pool:
         for _ in range(3):
             results = list(pool.map(lambda p: scan_one(matcher, p), payloads))
@@ -473,7 +479,7 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
         mp.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
-        scanned = matcher.scan_batch(Payloads.of(payloads))
+        scanned = scan_each(matcher, payloads)
         exact = per_payload(matcher.exact_matches_batch(Payloads.of(payloads)),
                             len(payloads))
     assert [as_windows(c) for c in scanned] == \
@@ -499,11 +505,11 @@ def test_two_byte_pattern_at_payload_group_and_slice_ends(monkeypatch):
     expected = {0: [(8, 2, "ab")], 1: [(5, 2, "ab")], 2: [(22, 2, "ab")]}
     exact = matcher.exact_matches_batch(Payloads.of(payloads))
     assert {i: as_tuples(m) for i, m in exact.items()} == expected
-    scanned = matcher.scan_batch(Payloads.of(payloads))
+    scanned = scan_each(matcher, payloads)
     assert [as_windows(c) for c in scanned] == \
         [reference_candidates(matcher.filters, p) for p in payloads]
-    verified = {i: as_tuples(matcher.verify(payloads[i], c))
-                for i, c in scanned.by_payload().items()}
+    verified = {i: as_tuples(matcher.verify(p, c))
+                for i, (p, c) in enumerate(zip(payloads, scanned))}
     assert {i: v for i, v in verified.items() if v} == expected
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nicsieve.codec import parse_payloads, write_pcap
+from nicsieve.codec import write_pcap
 from nicsieve.signatures import Signature, SignatureSet, load_rules
 from nicsieve import traffic
 from nicsieve.traffic import (
@@ -26,15 +26,16 @@ from conftest import (
     naive_exact_matches,
     random_signature_set,
     reference_ones_complement_sum,
+    reference_parse,
     reference_tcp_frame,
 )
 
 
 def payloads_of(trace):
-    """Every frame's payload, from one batch parse of the trace."""
-    start, end, unparseable = parse_payloads(trace)
-    assert not unparseable.any()
-    return [bytes(trace.buf[a:b]) for a, b in zip(start.tolist(), end.tolist())]
+    """Every frame's payload, from the scalar oracle parse."""
+    payloads = [reference_parse(frame.data) for frame in trace]
+    assert None not in payloads
+    return payloads
 
 
 def manifest_rows(manifest):

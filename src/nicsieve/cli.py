@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analytics import emit_csv, fpr_sweep
@@ -110,20 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _about(name: str | Path):
+    """Prefix ``name`` to the message of a ``ValueError`` raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _parsed(path: str | Path, parse):
     """``parse`` of the bytes of the file at ``path``; its errors name the file."""
     data = Path(path).read_bytes()
-    try:
+    with _about(path):
         return parse(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    ruleset = _parsed(args.rules, load_rules)
     params = BloomParams(m=args.m, k=args.k, seed_a=args.seed_a,
                          seed_b=args.seed_b)
-    matcher = SignatureMatcher.program(ruleset, params)
+    matcher = _parsed(args.rules, lambda data: SignatureMatcher.program(
+        load_rules(data), params))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -134,11 +142,12 @@ def cmd_build(args: argparse.Namespace) -> int:
         index_lines.append(f"{length},{name}")
     (out_dir / "index.txt").write_text("\n".join(index_lines) + "\n")
 
-    print(f"programmed {len(ruleset)} signatures across "
+    print(f"programmed {len(matcher.signature_set)} signatures across "
           f"{len(matcher.lengths)} lengths (m={params.m}, k={params.k})")
     for length in matcher.lengths:
-        n = matcher.filters[length].count_programmed
-        est = fpr_theoretical(params.m, params.k, n)
+        filt = matcher.filters[length]
+        n = filt.count_programmed
+        est = fpr_theoretical(filt.params.m, filt.params.k, n)
         print(f"  length {length}: {n} patterns, theoretical fpr {est.fpr:.6g}")
     print(f"index written to {out_dir / 'index.txt'}")
     return 0
@@ -146,6 +155,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     ruleset = None if args.rules is None else _parsed(args.rules, load_rules)
+    if ruleset is not None and len(ruleset) == 0 and args.attack_fraction > 0:
+        raise ValueError(f"{args.rules}: attack packets requested but the "
+                         "file holds no signatures")
     spec = TrafficSpec(packet_count=args.count,
                        attack_fraction=args.attack_fraction,
                        payload_len_range=(args.payload_min, args.payload_max),
@@ -185,7 +197,9 @@ def _load_index(index_path: Path) -> dict[int, bytes]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     ruleset = _parsed(args.rules, load_rules)
-    matcher = SignatureMatcher.from_images(ruleset, _load_index(Path(args.index)))
+    images = _load_index(Path(args.index))
+    with _about(f"{args.index} with {args.rules}"):
+        matcher = SignatureMatcher.from_images(ruleset, images)
     trace = _parsed(args.in_trace, read_pcap)
 
     report = compare_baseline(matcher, trace)

@@ -1,13 +1,13 @@
 """Signature rules, per-length Bloom matchers, and payload scanning.
 
-The matcher programs one filter per distinct pattern length, all with
-the same parameters. One shared filter would hold every pattern too and
-lose none; one per length is used because the card this models runs one
-engine per length, and each length's window false-positive rate then
-follows ``(1 - e^{-k n_L/m})^k`` for that length's own pattern count
-n_L. A window of a programmed length that answers "member" at any
-payload offset is a candidate. ``ExactScanner.confirm`` is the one place
-a window is compared with the patterns and given its signature ids.
+The matcher holds one filter per distinct pattern length, each with its
+own m and k and all with the same seeds. One shared filter would hold
+every pattern too and lose none; one per length is used because the card
+this models runs one engine per length, and each length's window false-
+positive rate then follows ``(1 - e^{-kn/m})^k`` for its own filter and
+pattern count n. A window of a programmed length that answers "member"
+at any payload offset is a candidate. ``ExactScanner.confirm`` is the
+one place a window is compared with the patterns and given its ids.
 
 Two scanning routes exist and must agree: the Bloom route
 (``SignatureMatcher.scan_batch``) finds candidates, complete but only
@@ -19,10 +19,8 @@ hash windows with ``bloom``'s one byte fold. A window's fold state after
 j bytes is the same for every length of at least j bytes, so each byte
 column is folded once for all lengths, in ascending order. The Bloom
 route folds every window start with a ``WindowFold`` and tests the
-round-0 probe. The exact route tests every start's two bytes against a
-table of the patterns' first two bytes, folds only the starts that pass
-with ``fold_at`` under a seed of its own, and tests each window's fold
-state and length against one table shared by all lengths; it reads no
+round-0 probe. The exact route folds only the starts that pass its
+prefix table, under a seed of its own (``ExactScanner``), and reads no
 filter bit, filter seed or ``BloomParams``. Only the windows that pass a
 route's first test inside one payload outlive the group's walk; the
 Bloom route narrows them there through the other probes. Both routes
@@ -58,6 +56,10 @@ _LENGTH_MULT = 0x9E3779B1  # odd: a window's length moves its hash's slot
 # Scan working-set bounds: payload bytes per group, and window starts per
 # slice (also the most payloads a group holds), so that a slice's uint64
 # arrays and a group's per-payload arrays (256 KiB each) stay in cache.
+# Two levels pay: many-len-hostile's scan_batch (in-process, best of 7, in
+# seven fresh processes on 2 vCPUs) took a median 253 ms; one level took
+# 507 ms with about 62k minor page faults a scan over 256 KiB groups (2 MiB
+# slice arrays) against under 2k, and 348 ms over 32 KiB groups.
 GROUP_BYTES = 256 * 1024
 SLICE_WINDOWS = 32 * 1024
 
@@ -424,15 +426,20 @@ class ExactScanner:
 class SignatureMatcher:
     """Programmed per-length filters plus the exact route for verification.
 
-    Programming happens once in ``program``; afterwards the matcher is
-    immutable and safe for concurrent scanning. The exact route's two
-    tables (about 1.1 MiB whatever the rule set) are built on first use
-    (``exact``), so programming and saving filters never pays for them.
+    Filters keep their own m and k under shared ``seeds``, (seed_a,
+    seed_b). Programming happens once in ``program``; afterwards the
+    matcher is immutable and safe for concurrent scanning. The exact
+    route's two tables (about 1.1 MiB whatever the rule set) are built
+    on first use (``exact``), so programming and saving never pay for them.
     """
 
-    def __init__(self, params: BloomParams, signature_set: SignatureSet,
+    def __init__(self, signature_set: SignatureSet,
                  filters: dict[int, BloomFilter]) -> None:
-        self.params = params
+        seeds = {n: (f.params.seed_a, f.params.seed_b) for n, f in filters.items()}
+        if len(set(seeds.values())) != 1:
+            raise ValueError("filters must share seed_a and seed_b: " + ", ".join(
+                f"length {n} has {pair}" for n, pair in sorted(seeds.items())))
+        (self.seeds,) = set(seeds.values())
         self.signature_set = signature_set
         self.filters = filters
         self.lengths = sorted(filters)
@@ -444,17 +451,15 @@ class SignatureMatcher:
 
     @classmethod
     def program(cls, signature_set: SignatureSet,
-                params: BloomParams | None = None) -> SignatureMatcher:
+                params: BloomParams = BloomParams()) -> SignatureMatcher:
         """Build and program one filter per distinct pattern length."""
         if len(signature_set) == 0:
             raise ValueError("signature set is empty")
-        params = params or BloomParams()
-        filters: dict[int, BloomFilter] = {}
-        for length, group in signature_set.by_length().items():
-            filt = BloomFilter(params)
-            filt.add_many([sig.pattern for sig in group])
-            filters[length] = filt
-        return cls(params, signature_set, filters)
+        groups = signature_set.by_length()
+        filters = {length: BloomFilter(params) for length in groups}
+        for length, group in groups.items():
+            filters[length].add_many([sig.pattern for sig in group])
+        return cls(signature_set, filters)
 
     @classmethod
     def from_images(cls, signature_set: SignatureSet,
@@ -470,33 +475,26 @@ class SignatureMatcher:
             raise ValueError("signature set is empty")
         groups = signature_set.by_length()
         if set(images) != set(groups):
-            raise ValueError(
-                f"image lengths {sorted(images)} do not match "
-                f"rule lengths {sorted(groups)}")
+            raise ValueError(f"image lengths {sorted(images)} do not match "
+                             f"rule lengths {sorted(groups)}")
         filters = {}
         for length, image in images.items():
             try:
-                filters[length] = BloomFilter.from_image(image)
+                filters[length] = filt = BloomFilter.from_image(image)
             except FilterImageError as exc:
                 raise FilterImageError(f"length-{length} image: {exc}") from None
-        params_seen = {f.params for f in filters.values()}
-        if len(params_seen) != 1:
-            raise ValueError("filter images carry inconsistent parameters")
-        for length, filt in filters.items():
             if filt.count_programmed != len(groups[length]):
-                raise ValueError(
-                    f"length-{length} image programmed with "
-                    f"{filt.count_programmed} elements, rules have "
-                    f"{len(groups[length])}")
+                raise ValueError(f"length-{length} image programmed with "
+                                 f"{filt.count_programmed} elements, rules "
+                                 f"have {len(groups[length])}")
         missing: list[str] = []
         for length, group in sorted(groups.items()):
             member = filters[length].check_many([sig.pattern for sig in group])
             missing += [sig.id for sig, ok in zip(group, member) if not ok]
         if missing:
-            raise ValueError(
-                f"filter images are stale: no filter holds the pattern of "
-                f"{', '.join(missing)}")
-        return cls(params_seen.pop(), signature_set, filters)
+            raise ValueError("filter images are stale: no filter holds the "
+                             f"pattern of {', '.join(missing)}")
+        return cls(signature_set, filters)
 
     def filter_images(self) -> dict[int, bytes]:
         """Serialized image per programmed length."""
@@ -506,28 +504,30 @@ class SignatureMatcher:
         """Candidate windows of every programmed length.
 
         The sieve tests every window's first probe, which needs no
-        stride. The second digest is gathered only for the windows that
-        pass it inside one payload, which with well-sized filters are a
-        small fraction, and they are narrowed through the other probes.
+        stride. Where a filter has more, the second digest is gathered
+        only for the windows that pass inside one payload, a small
+        fraction with well-sized filters, to narrow them through the rest.
         """
-        seed, k = self.params.seed_a, self.params.k
+        seed_a, seed_b = self.seeds
         zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
 
         def first_probe(view, run):
-            fold = WindowFold(seed, view)
+            fold = WindowFold(seed_a, view)
             for length in self.lengths:
-                g1 = mix64_windows(seed, view, length, fold=fold)[:run]
+                g1 = mix64_windows(seed_a, view, length, fold=fold)[:run]
                 filt = self.filters[length]
                 pos = np.flatnonzero(
                     filt.test_bits(filt.probe_indices(g1, zero, 0)))
                 yield length, pos, g1[pos]
 
         def other_probes(buf, length, pos, g1):
-            stride = mix64_at(self.params.seed_b, buf, length, pos) | np.uint64(1)
-            return self.filters[length].narrow(g1, stride, 1)
+            filt = self.filters[length]
+            if filt.params.k == 1:
+                return slice(None)
+            stride = mix64_at(seed_b, buf, length, pos) | np.uint64(1)
+            return filt.narrow(g1, stride, 1)
 
-        return _sieve(payloads, self.lengths, first_probe,
-                      other_probes if k > 1 else None)
+        return _sieve(payloads, self.lengths, first_probe, other_probes)
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

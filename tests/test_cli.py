@@ -60,7 +60,7 @@ def test_build_empty_rules_exit_1(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"# no rules yet\n")
     assert run("build", "--rules", empty, "--out", tmp_path / "f") == 1
-    assert "empty" in capsys.readouterr().err
+    assert f"{empty}: signature set is empty" in capsys.readouterr().err
 
 
 def test_build_missing_rules_exit_2(tmp_path):
@@ -117,6 +117,16 @@ def test_gen_requires_rules_for_attacks(tmp_path):
     assert run("gen", "--count", 100, "--attack-fraction", 0.2,
                "--out", tmp_path / "t.pcap",
                "--manifest", tmp_path / "m.csv") == 1
+
+
+def test_gen_attacks_from_an_empty_rule_file_name_it(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"# no rules yet\n")
+    argv = ("gen", "--count", 20, "--rules", empty, "--out", tmp_path / "t.pcap",
+            "--manifest", tmp_path / "m.csv")
+    assert run(*argv, "--attack-fraction", 0.5) == 1
+    assert f"{empty}: attack packets requested" in capsys.readouterr().err
+    assert run(*argv) == 0  # background only: no signature needed
 
 
 def test_gen_deterministic(tmp_path, rules_file):
@@ -318,13 +328,62 @@ def test_scan_corrupt_trace_exit_1(tmp_path, rules_file, built_and_generated,
     assert f"{bad}: bad magic: 0x" in capsys.readouterr().err
 
 
-def test_scan_stale_rules_exit_1(tmp_path, rules_file, built_and_generated):
+def test_scan_stale_rules_exit_1(tmp_path, rules_file, built_and_generated,
+                                capsys):
     filters, trace, _ = built_and_generated
     other = tmp_path / "other.txt"
     other.write_bytes(b"only1,ascii,zzzz\n")
     assert run("scan", filters / "index.txt", "--rules", other,
                "--in", trace, "--out", tmp_path / "f.pcap",
                "--report", tmp_path / "r.csv") == 1
+    assert (f"{filters / 'index.txt'} with {other}: image lengths [6, 7, 15] "
+            "do not match rule lengths [4]") in capsys.readouterr().err
+
+
+def test_scan_empty_rules_names_rules_and_index(tmp_path, built_and_generated,
+                                                capsys):
+    filters, trace, _ = built_and_generated
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"# no rules yet\n")
+    assert run("scan", filters / "index.txt", "--rules", empty,
+               "--in", trace, "--out", tmp_path / "f.pcap",
+               "--report", tmp_path / "r.csv") == 1
+    assert (f"{filters / 'index.txt'} with {empty}: signature set is empty"
+            in capsys.readouterr().err)
+
+
+def test_scan_images_of_different_m_and_k_share_one_card(
+        tmp_path, rules_file, built_and_generated):
+    # each image carries its own m and k; only the seeds must agree
+    filters, trace, _ = built_and_generated
+    other = tmp_path / "other"
+    assert run("build", "--rules", rules_file, "--out", other,
+               "--m", 5000, "--k", 1) == 0
+    index = tmp_path / "mixed.txt"
+    index.write_text(f"6,{filters / 'len6.bfi'}\n7,{other / 'len7.bfi'}\n"
+                     f"15,{other / 'len15.bfi'}\n")
+    report = tmp_path / "r.csv"
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "f.pcap", "--report", report) == 0
+    row = dict(zip(*(line.split(",") for line in report.read_text().splitlines())))
+    assert row["equivalent"] == "1" and row["true_matches"] == "100"
+
+
+def test_scan_images_under_other_seeds_exit_1_names_index(
+        tmp_path, rules_file, built_and_generated, capsys):
+    filters, trace, _ = built_and_generated
+    other = tmp_path / "other"
+    assert run("build", "--rules", rules_file, "--out", other,
+               "--seed-a", 5) == 0
+    index = tmp_path / "mixed.txt"
+    index.write_text(f"6,{filters / 'len6.bfi'}\n7,{other / 'len7.bfi'}\n"
+                     f"15,{filters / 'len15.bfi'}\n")
+    capsys.readouterr()
+    assert run("scan", index, "--rules", rules_file, "--in", trace,
+               "--out", tmp_path / "f.pcap", "--report", tmp_path / "r.csv") == 1
+    err = capsys.readouterr().err
+    assert f"{index} with {rules_file}: filters must share seed_a and seed_b" in err
+    assert "length 7 has (5, " in err
 
 
 def test_scan_stale_image_exit_1_names_id(tmp_path, rules_file,

@@ -21,7 +21,8 @@ from nicsieve.signatures import (
     SignatureSet,
     load_rules,
 )
-from nicsieve.traffic import build_tcp_frame
+from nicsieve.pipeline import compare_baseline
+from nicsieve.traffic import TrafficSpec, build_tcp_frame, generate_trace
 
 from conftest import (
     naive_exact_matches,
@@ -199,7 +200,9 @@ def test_images_reload_gives_identical_scans():
     sset = random_signature_set(rng, 120)
     matcher = SignatureMatcher.program(sset, PARAMS)
     reloaded = SignatureMatcher.from_images(sset, matcher.filter_images())
-    assert reloaded.params == matcher.params
+    assert reloaded.seeds == matcher.seeds == (77, 78)
+    assert {n: f.params for n, f in reloaded.filters.items()} == \
+        {n: f.params for n, f in matcher.filters.items()}
     corpus = [rng.randbytes(rng.randint(0, 200)) for _ in range(100)]
     corpus += [b"zz" + sset.signatures[0].pattern + b"zz"]
     scanned = scan_each(reloaded, corpus)
@@ -217,16 +220,56 @@ def test_from_images_validates_consistency():
     with pytest.raises(ValueError, match="lengths"):
         SignatureMatcher.from_images(sset, {4: images[4]})
 
-    other = SignatureMatcher.program(sset, BloomParams(m=8192, k=2,
-                                                       seed_a=1, seed_b=2))
-    mixed = {4: images[4], 8: other.filter_images()[8]}
-    with pytest.raises(ValueError, match="inconsistent"):
-        SignatureMatcher.from_images(sset, mixed)
+    # other m and k under the same seeds: one card, each filter its own shape
+    other = SignatureMatcher.program(sset, BloomParams(m=8191, k=2,
+                                                       seed_a=77, seed_b=78))
+    mixed = SignatureMatcher.from_images(
+        sset, {4: images[4], 8: other.filter_images()[8]})
+    assert (mixed.filters[4].params, mixed.filters[8].params) == (
+        PARAMS, other.filters[8].params)
+    assert mixed.seeds == (77, 78)
+
+    # other seeds: refused, naming each length's seeds
+    rekeyed = SignatureMatcher.program(sset, BloomParams(seed_a=1, seed_b=78))
+    with pytest.raises(ValueError, match=r"share seed_a and seed_b: "
+                       r"length 4 has \(77, 78\), length 8 has \(1, 78\)"):
+        SignatureMatcher.from_images(
+            sset, {4: images[4], 8: rekeyed.filter_images()[8]})
 
     smaller = SignatureSet(sset.signatures[:20])
     if sorted(smaller.by_length()) == [4, 8]:
         with pytest.raises(ValueError, match="programmed with"):
             SignatureMatcher.from_images(smaller, images)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_images_of_different_m_and_k_scan_as_one_card(data):
+    # each length's image has its own m (mostly not a power of two) and k
+    # (1 included), all under one pair of seeds
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    rng = random.Random(seed)
+    lengths = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=4,
+                                 unique=True), label="lengths")
+    sset = random_signature_set(rng, data.draw(st.integers(1, 40)), lengths)
+    images = {}
+    for length, group in sset.by_length().items():
+        params = BloomParams(m=data.draw(st.integers(8, 3000), label="m"),
+                             k=data.draw(st.integers(1, 5), label="k"),
+                             seed_a=77, seed_b=78)
+        single = SignatureMatcher.program(SignatureSet(group), params)
+        images[length] = single.filter_images()[length]
+    matcher = SignatureMatcher.from_images(sset, images)
+    assert matcher.seeds == (77, 78)
+
+    payloads = [rng.randbytes(rng.randint(0, 60)) for _ in range(12)]
+    payloads += [b"ab" + s.pattern + b"cd" for s in sset.signatures[:4]]
+    assert [as_windows(c) for c in scan_each(matcher, payloads)] == \
+        [reference_candidates(matcher.filters, p) for p in payloads]
+    trace, _ = generate_trace(TrafficSpec(
+        packet_count=60, attack_fraction=0.25, payload_len_range=(0, 120),
+        seed=seed, signatures=sset))
+    assert compare_baseline(matcher, trace).stats.equivalent
 
 
 def test_from_images_refuses_stale_images():

@@ -21,18 +21,28 @@ The base mixer is fixed bit-for-bit (FNV-style byte fold plus a
 murmur-style finalizer) so that filters programmed with the same seeds
 are reproducible everywhere.
 
+The finalizer is F = xs . mul(C) . xs, with xs(x) = x ^ (x >> 33) and C
+= 0xFF51AFD7ED558CCD. On 64-bit words xs undoes itself: xs(xs(x)) = x ^
+(x >> 66) = x. So F(F(x)) = xs(C**2 * xs(x)), and the round-0 probe,
+F(g1) = F(F(fold state)) mod m, takes one multiply and no stride
+(``first_probes``). It is the same number, so the same bit is set and
+read as before; images, digests and every probe are unchanged. The scan
+and ``check_many`` (``BloomFilter.first_hits``) probe round 0 this way
+from seed_a's fold state, and finalize g1 and fold seed_b only for the
+elements that pass it.
+
 One fold loop, ``_fold``, is the only implementation of the hash's byte
 fold, and the program's only window hash. The fold state after j bytes
 does not depend on how long the window will be, so a running fold is
-carried across ascending lengths: ``WindowFold`` (``mix64_windows``)
-folds every window start of a buffer, and ``fold_at`` the windows at
-given positions. ``mix64_at`` is ``fold_at`` for one length, finalized;
-the exact route in ``signatures`` takes ``fold_at``'s states
-unfinalized, under a seed of its own. ``_digests`` folds the columns of
-a same-length group's rows, for ``add_many`` and ``check_many``. The
-queries and the scan share one probe loop, ``BloomFilter.narrow``. The
-test suite checks them against the independent reference hash in
-``tests/conftest.py``.
+carried across ascending lengths: ``WindowFold`` folds every window
+start of a buffer (``advance``; ``mix64_windows`` finalizes it), and
+``fold_at`` the windows at given positions. ``mix64_at`` is ``fold_at``
+for one length, finalized; the exact route in ``signatures`` takes
+``fold_at``'s states unfinalized, under a seed of its own. ``_fold_rows``
+folds the columns of a same-length group's rows, for ``add_many`` and
+``check_many``. Rounds 1 and up share one probe loop,
+``BloomFilter.narrow``. The test suite checks them against the
+independent reference hash in ``tests/conftest.py``.
 
 The batch calls take a same-length group as one 2-D uint8 array, one row
 per element, so a caller with many elements (the FPR sweep) never builds
@@ -57,6 +67,8 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 _FOLD_PRIME = 0x100000001B3
 _FINAL_MULT = 0xFF51AFD7ED558CCD
+_FINAL_MULT_SQ = _FINAL_MULT * _FINAL_MULT & MASK64  # F.F = xs.mul(C**2).xs
+_SHIFT = np.uint64(33)
 
 # Default seeds: distinct odd 64-bit constants (golden-ratio and xxhash
 # derived). Any pair works as long as seed_a != seed_b.
@@ -97,17 +109,43 @@ class BloomParams:
 class WindowFold:
     """One running fold of every window start of ``buf``, for one seed.
 
-    ``mix64_windows`` advances it through ascending window lengths, so a
-    byte column folded for a shorter length is not folded again for a
-    longer one. Create one per buffer scan; it is not shared between
-    threads.
+    ``advance`` carries it through ascending window lengths, so a byte
+    column folded for a shorter length is not folded again for a longer
+    one. ``buf`` holds byte values: uint8, or widened to uint64 once, so
+    that no fold step casts a column. ``state``, if given, is a uint64
+    array of at least ``buf.size`` entries that the fold overwrites, so
+    that one array serves the folds of many buffers. Create one per
+    buffer scan; it is not shared between threads.
     """
 
-    def __init__(self, seed: int, buf: np.ndarray) -> None:
+    def __init__(self, seed: int, buf: np.ndarray,
+                 state: np.ndarray | None = None) -> None:
         self.seed = seed & MASK64
         self.buf = buf
-        self.state = np.full(buf.size, self.seed, dtype=np.uint64)
+        if state is None:
+            state = np.empty(buf.size, dtype=np.uint64)
+        elif state.size < buf.size:
+            raise ValueError(f"a {state.size}-entry state cannot fold "
+                             f"{buf.size} window starts")
+        self.state = state[: buf.size]
+        self.state.fill(self.seed)
         self.folded = 0  # bytes of every window already in ``state``
+
+    def advance(self, length: int) -> np.ndarray:
+        """The unfinalized fold of every ``length``-byte window of ``buf``.
+
+        One state per window start, in place: the next call overwrites
+        it. ``length`` must not be below what the fold already covers.
+        """
+        if length < self.folded:
+            raise ValueError(f"fold already covers {self.folded} bytes, "
+                             f"cannot advance to length {length}")
+        buf = self.buf
+        n = max(0, buf.size - length + 1)
+        self.state = _fold(self.state[:n], (buf[j : j + n]
+                                            for j in range(self.folded, length)))
+        self.folded = length
+        return self.state
 
 
 def mix64_windows(seed: int, buf: np.ndarray, length: int,
@@ -116,24 +154,17 @@ def mix64_windows(seed: int, buf: np.ndarray, length: int,
 
     Bit-exact by contract: per byte, state = (state XOR byte) *
     0x100000001B3 (mod 2**64), starting from ``seed``; then xor-shift 33,
-    multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a uint8 1-D
-    array; the result has ``buf.size - length + 1`` digests, one per
-    window start offset. With ``fold``, the bytes it already folded are
-    reused and it is advanced to ``length``, which must not be below
-    what it already folded.
+    multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a 1-D array
+    of byte values, as ``WindowFold`` takes it; the result has
+    ``buf.size - length + 1`` digests, one per window start offset. With
+    ``fold``, the bytes it already folded are reused and it is advanced
+    to ``length``, which must not be below what it already folded.
     """
     if fold is None:
         fold = WindowFold(seed, buf)
     elif fold.buf is not buf or fold.seed != seed & MASK64:
         raise ValueError("fold belongs to another buffer or seed")
-    if length < fold.folded:
-        raise ValueError(f"fold already covers {fold.folded} bytes, "
-                         f"cannot finalize length {length}")
-    n = max(0, buf.size - length + 1)
-    state = _fold(fold.state[:n], (buf[j : j + n]
-                                   for j in range(fold.folded, length)))
-    fold.state, fold.folded = state, length
-    return _finalize(state.copy())
+    return _finalize(fold.advance(length).copy())
 
 
 def mix64_at(seed: int, buf: np.ndarray, length: int,
@@ -162,17 +193,18 @@ def fold_at(seed: int, buf: np.ndarray, positions: np.ndarray,
     folded = 0
     for length in lengths:
         at = positions[: positions.searchsorted(buf.size - length, side="right")]
+        # byte j of each window is ``buf[j:]`` at the window's start
         state = _fold(state[: at.size],
-                      (buf.take(at + j) for j in range(folded, length)))
+                      (buf[j:].take(at) for j in range(folded, length)))
         folded = length
         yield length, at, state
 
 
 def _fold(state: np.ndarray, columns) -> np.ndarray:
-    """Fold uint8 ``columns`` into ``state`` in turn, in place: the FNV step.
+    """Fold ``columns`` into ``state`` in turn, in place: the FNV step.
 
-    Each column holds the next byte of every window; it is widened one
-    column at a time, never the whole buffer.
+    Each column holds the next byte of every window. A uint8 column is
+    widened as it is folded, one column at a time, never the whole buffer.
     """
     for column in columns:
         state ^= column
@@ -180,11 +212,44 @@ def _fold(state: np.ndarray, columns) -> np.ndarray:
     return state
 
 
+def _fold_rows(seed: int, rows: np.ndarray) -> np.ndarray:
+    """The unfinalized fold under ``seed`` of each row of a row array."""
+    return _fold(np.full(rows.shape[0], seed, dtype=np.uint64), rows.T)
+
+
 def _finalize(state: np.ndarray) -> np.ndarray:
-    state ^= state >> np.uint64(33)
+    state ^= state >> _SHIFT
     state *= np.uint64(_FINAL_MULT)
-    state ^= state >> np.uint64(33)
+    state ^= state >> _SHIFT
     return state
+
+
+def _reduce(values: np.ndarray, m: int) -> np.ndarray:
+    """``values`` mod m in place: a mask when m is a power of two."""
+    if m & (m - 1) == 0:
+        return np.bitwise_and(values, np.uint64(m - 1), out=values)
+    return np.remainder(values, np.uint64(m), out=values)
+
+
+def first_probes(state: np.ndarray, m: int, out: np.ndarray | None = None,
+                 tmp: np.ndarray | None = None) -> np.ndarray:
+    """The round-0 probe index of each seed_a fold state: F(F(state)) mod m.
+
+    F(F(x)) = xs(C**2 * xs(x)), so this is one multiply and two
+    xor-shifts (see the module docstring). ``out`` and ``tmp``, uint64
+    arrays of ``state``'s size, are overwritten if given and allocated if
+    not; the index is returned in ``out``.
+    """
+    if out is None:
+        out = np.empty_like(state)
+    if tmp is None:
+        tmp = np.empty_like(state)
+    np.right_shift(state, _SHIFT, out=tmp)
+    np.bitwise_xor(state, tmp, out=out)
+    np.multiply(out, np.uint64(_FINAL_MULT_SQ), out=out)
+    np.right_shift(out, _SHIFT, out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    return _reduce(out, m)
 
 
 def _row_groups(elements: list[bytes] | np.ndarray) -> list[np.ndarray]:
@@ -229,12 +294,9 @@ class BloomFilter:
         self.count_programmed = count_programmed
         self._table = np.zeros(8 * ((params.m + 7) // 8), dtype=bool)
 
-    def _digests(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g1 and the odd stride of each row of a row array."""
-        g1, g2 = (_finalize(_fold(np.full(rows.shape[0], seed, dtype=np.uint64),
-                                  rows.T))
-                  for seed in (self.params.seed_a, self.params.seed_b))
-        return g1, g2 | np.uint64(1)
+    def _strides(self, rows: np.ndarray) -> np.ndarray:
+        """The odd stride (g2, made odd) of each row of a row array."""
+        return _finalize(_fold_rows(self.params.seed_b, rows)) | np.uint64(1)
 
     def add_many(self, elements: list[bytes] | np.ndarray) -> None:
         """Set the k bits of every element, one batch per element length.
@@ -246,7 +308,8 @@ class BloomFilter:
         elements.
         """
         for rows in _row_groups(elements):
-            g1, stride = self._digests(rows)
+            g1 = _finalize(_fold_rows(self.params.seed_a, rows))
+            stride = self._strides(rows)
             for i in range(self.params.k):
                 idx = self.probe_indices(g1, stride, i)
                 self._table[idx.view(np.int64)] = True
@@ -255,25 +318,37 @@ class BloomFilter:
     def probe_indices(self, g1: np.ndarray, stride: np.ndarray,
                       i: int) -> np.ndarray:
         """Vectorized i-th probe: F(g1 + i*stride mod 2**64) mod m."""
-        combined = _finalize(g1 + np.uint64(i) * stride)
-        m = self.params.m
-        if m & (m - 1) == 0:
-            return np.bitwise_and(combined, np.uint64(m - 1), out=combined)
-        return np.remainder(combined, np.uint64(m), out=combined)
+        return _reduce(_finalize(g1 + np.uint64(i) * stride), self.params.m)
 
     def test_bits(self, idx: np.ndarray) -> np.ndarray:
         """Boolean value of each bit position in ``idx``, uint64 below m."""
         return self._table.take(idx.view(np.int64))
 
-    def narrow(self, g1: np.ndarray, stride: np.ndarray,
-               first: int) -> np.ndarray:
-        """Indices of the elements whose probes ``first``..k-1 all hit set bits.
+    def first_hits(self, state: np.ndarray, out: np.ndarray | None = None,
+                   idx: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+        """Whether the round-0 probe of each seed_a fold state hits a set bit.
 
+        ``out`` (bool), ``idx`` and ``tmp`` (uint64), each of ``state``'s
+        size, are overwritten if given and allocated if not, so a caller
+        can probe many batches with no new array (``first_probes``).
+        """
+        idx = first_probes(state, self.params.m, idx, tmp)
+        # "clip" never clips an index below m; unlike "raise", it writes
+        # ``out`` directly instead of through a buffer
+        return self._table.take(idx.view(np.int64), out=out, mode="clip")
+
+    def narrow(self, state: np.ndarray, stride: np.ndarray) -> np.ndarray:
+        """Indices of the elements whose probes 1..k-1 all hit set bits.
+
+        ``state`` is each element's seed_a fold state, whose round 0 the
+        caller has probed (``first_hits``); g1 is finalized from it here.
         Each round probes only the elements that survived the rounds
         before it.
         """
+        g1 = _finalize(state.copy())
         alive = np.arange(g1.size)
-        for i in range(first, self.params.k):
+        for i in range(1, self.params.k):
             if alive.size == 0:
                 break
             idx = self.probe_indices(g1[alive], stride[alive], i)
@@ -292,9 +367,12 @@ class BloomFilter:
             raise ValueError("check_many requires equal-length elements")
         if not groups:
             return np.zeros(0, dtype=bool)
-        g1, stride = self._digests(groups[0])
-        member = np.zeros(g1.size, dtype=bool)
-        member[self.narrow(g1, stride, 0)] = True
+        rows = groups[0]
+        state = _fold_rows(self.params.seed_a, rows)
+        alive = np.flatnonzero(self.first_hits(state))
+        stride = self._strides(rows[alive])
+        member = np.zeros(state.size, dtype=bool)
+        member[alive[self.narrow(state[alive], stride)]] = True
         return member
 
     def popcount(self) -> int:

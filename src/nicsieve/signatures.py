@@ -18,12 +18,13 @@ read), through one window sieve, ``_sieve``, in cache-sized groups, and
 hash windows with ``bloom``'s one byte fold. A window's fold state after
 j bytes is the same for every length of at least j bytes, so each byte
 column is folded once for all lengths, in ascending order. The Bloom
-route folds every window start with a ``WindowFold`` and tests the
-round-0 probe. The exact route folds only the starts that pass its
-prefix table, under a seed of its own (``ExactScanner``), and reads no
-filter bit, filter seed or ``BloomParams``. Only the windows that pass a
-route's first test inside one payload outlive the group's walk; the
-Bloom route narrows them there through the other probes. Both routes
+route folds every window start with a ``WindowFold`` and probes round 0
+from the fold state (``bloom.first_probes``). The exact route folds only
+the starts that pass its prefix table, under a seed of its own
+(``ExactScanner``), and reads no filter bit, filter seed or
+``BloomParams``. Only the windows that pass a route's first test inside
+one payload outlive their slice; the Bloom route narrows them there
+through the other probes. Both routes
 leave the sieve the same way, as ``Windows``: arrays of (payload,
 offset, length) for the whole batch, sorted, with no Python object per
 payload. The Bloom route returns them as its candidates;
@@ -45,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .bloom import (BloomFilter, BloomParams, FilterImageError, WindowFold,
-                    fold_at, mix64_at, mix64_windows)
+                    fold_at, mix64_at)
+from .bloom import mix64_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 PATTERN_MIN_LEN = 2
 PATTERN_MAX_LEN = 64
@@ -54,12 +56,21 @@ _EXACT_SEED = 0  # the exact route's own fold seed, not a filter seed
 _LENGTH_MULT = 0x9E3779B1  # odd: a window's length moves its hash's slot
 
 # Scan working-set bounds: payload bytes per group, and window starts per
-# slice (also the most payloads a group holds), so that a slice's uint64
-# arrays and a group's per-payload arrays (256 KiB each) stay in cache.
-# Two levels pay: many-len-hostile's scan_batch (in-process, best of 7, in
-# seven fresh processes on 2 vCPUs) took a median 253 ms; one level took
-# 507 ms with about 62k minor page faults a scan over 256 KiB groups (2 MiB
-# slice arrays) against under 2k, and 348 ms over 32 KiB groups.
+# slice (also the most payloads a group holds). A scan allocates its slice
+# arrays once (256 KiB each, uint64) and narrows survivors in their slice,
+# so a group holds only its gathered bytes. On 2 MiB of payloads shaped as
+# many-len-hostile (10 lengths, 2,000 patterns; in-process, 15 interleaved
+# rounds on a shared 2-vCPU VM), scan_batch took a median 437 ms with a
+# 1.96 MiB traced peak; slices of 16 Ki starts took 567 ms (1.21 MiB) and
+# of 64 Ki 396 ms (3.62 MiB), while groups of 32 KiB to 1 MiB moved the time
+# only within noise (437-455 ms), 1 MiB groups peaking at 3.43 MiB. The
+# slice arrays must be reused: allocated per operation, each one is above
+# glibc's 128 KiB mmap threshold, so it is mapped and faulted again on every
+# use; a many-len-hostile scan child built that way took 54k minor faults
+# against 6.7k, and 19% longer. Smaller slice temporaries fault too: the
+# exact route's three 64 KiB prefix arrays, freed at the top of the heap,
+# were trimmed and faulted back each slice in some heap layouts (2.5k
+# faults a scan against 0.4k with one reused array).
 GROUP_BYTES = 256 * 1024
 SLICE_WINDOWS = 32 * 1024
 
@@ -222,28 +233,47 @@ class Payloads:
             yield first, stop
             first = stop
 
-    def gather(self, first: int, stop: int) -> Payloads:
+    def gather(self, first: int, stop: int,
+               at: np.ndarray | None = None) -> Payloads:
         """Payloads ``first`` to ``stop`` joined end to end in a new buffer.
 
-        Only the payload bytes are gathered, never the gaps between them.
-        Joining one view per non-empty payload gathers both bench captures
-        faster (0.6 against 8.4 ms a scan on many-len-hostile, 5.3 against
-        8.9 on small-frames) and costs no more on the bare ACKs of
-        ``test_scan_memory_does_not_grow_with_gaps_between_payloads``, but
-        it pays per payload: on 200k payloads of 1-10 bytes, which neither
-        bench workload has, it took 99 ms against 9.6.
+        Only the payload bytes are gathered, never the gaps between them,
+        through a running-sum source index built ``SLICE_WINDOWS`` bytes
+        at a time in ``at``, an int64 array of at least that many entries
+        (allocated if not given; ``_sieve`` passes one array for a whole
+        scan, see ``GROUP_BYTES``). The index of a whole 256 KiB group took
+        2 MiB, and was no faster: all the gathers of a scan took 9.9 against
+        9.3 ms on the many-len-hostile capture, 10.3 against 11.1 on
+        small-frames, and 10.6 against 11.5 on 200k payloads of 1-10 bytes
+        (best of 9, in-process). Joining one view per non-empty
+        payload took 1.5, 14.1 and 121.5 ms: it pays per payload.
         """
         src = self.starts[first:stop]
         lengths = self.ends[first:stop] - src
         ends = np.cumsum(lengths)
         starts = ends - lengths
+        buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+        if at is None:
+            at = np.empty(min(buf.size, SLICE_WINDOWS), dtype=np.int64)
+        elif at.size < min(buf.size, SLICE_WINDOWS):
+            raise ValueError(f"a {at.size}-entry index cannot hold a slice "
+                             f"of {SLICE_WINDOWS} bytes")
         # the source index steps by one per byte, and by one plus the gap
-        # at each payload's first byte; summing the steps in place needs
-        # no second index-sized array
+        # at each non-empty payload's first byte; a slice's steps start
+        # from the source of its first byte and are summed in place
         nonempty = lengths > 0
-        at = np.ones(int(lengths.sum()), dtype=np.int64)
-        at[starts[nonempty]] += np.diff((src - starts)[nonempty], prepend=1)
-        return Payloads(self.buf[np.cumsum(at, out=at)], starts, ends)
+        begin, shift = starts[nonempty], (src - starts)[nonempty]
+        for a in range(0, buf.size, SLICE_WINDOWS):
+            step = at[: min(SLICE_WINDOWS, buf.size - a)]
+            step.fill(1)
+            # the payload that holds byte a, and the first that begins
+            # after the slice
+            p = int(begin.searchsorted(a, side="right")) - 1
+            q = int(begin.searchsorted(a + step.size))
+            step[begin[p + 1 : q] - a] += np.diff(shift[p:q])
+            step[0] = a + shift[p]
+            self.buf.take(np.cumsum(step, out=step), out=buf[a : a + step.size])
+        return Payloads(buf, starts, ends)
 
 
 @dataclass(eq=False)
@@ -302,41 +332,50 @@ def _sieve(payloads: Payloads, lengths: list[int], test,
     ``GROUP_BYTES`` payload bytes and ``SLICE_WINDOWS`` payloads each (a
     longer payload is a group of its own), so neither a group's bytes
     nor its per-payload arrays grow with the capture. A group's payload
-    bytes are gathered (``Payloads.gather``) and walked in runs of
-    ``SLICE_WINDOWS`` window starts. ``test(view, run)`` yields
-    (length, starts, digests) for each of the ascending ``lengths`` in
-    turn: the windows that start in the first ``run`` bytes of ``view``
-    and pass the route's first test, and a digest of each. Of those,
-    the windows that lie inside one payload are kept, and when there
-    are any, ``narrow(buf, length, starts, digests)`` may select among
-    them by the group's buffer positions. Windows never cross payloads,
-    so the groups need no overlap.
+    bytes are gathered (``Payloads.gather``) and walked in slices of
+    ``SLICE_WINDOWS`` window starts, each slice's bytes widened to uint64
+    into one array that every slice reuses. ``test(view, run)`` returns
+    (length, starts, digests) for each of the ascending ``lengths``: the
+    windows that start in the first ``run`` entries of ``view`` and pass
+    the route's first test, and a digest of each. Of those, the windows
+    that lie inside one payload are kept, and when there are any,
+    ``narrow(view, length, starts, digests)`` may select among them, in
+    their slice, so that no group holds a list of survivors. Windows never
+    cross payloads, so the groups need no overlap.
     """
     empty = np.zeros(0, dtype=np.int64)
-    rows = [(empty, empty, empty)]  # (payload, offset, length) per group and length
-    groups = payloads.blocks(SLICE_WINDOWS, GROUP_BYTES) if lengths else ()
-    for first, stop in groups:
-        group = payloads.gather(first, stop)
-        kept: dict[int, list] = {length: [] for length in lengths}
+    if not lengths:
+        return Windows(len(payloads), empty, empty, empty)
+    rows = [(empty, empty, empty)]  # (payload, offset, length) per group
+    # one slice's arrays, reused by every slice: the gathers' index, and
+    # the slice's bytes widened, so that no fold step casts a byte
+    at = np.empty(SLICE_WINDOWS, dtype=np.int64)
+    wide = np.empty(SLICE_WINDOWS + lengths[-1] - 1, dtype=np.uint64)
+    for first, stop in payloads.blocks(SLICE_WINDOWS, GROUP_BYTES):
+        group = payloads.gather(first, stop, at)
+        kept = []  # (position, owner, length) of the group's windows
         # a view reaches ``lengths[-1] - 1`` bytes past its run, so it holds
         # every window that starts in the run; an empty group gives one
         # empty view
         for a in range(0, max(group.buf.size, 1), SLICE_WINDOWS):
-            view = group.buf[a : a + SLICE_WINDOWS + lengths[-1] - 1]
+            piece = group.buf[a : a + wide.size]
+            view = wide[: piece.size]
+            np.copyto(view, piece)
             for length, pos, digests in test(view, SLICE_WINDOWS):
-                kept[length].append((pos + a, digests))
-        for length, parts in kept.items():
-            pos, digests = (np.concatenate(arrays) for arrays in zip(*parts))
-            # the first payload to end after a position holds it, so an
-            # empty payload never owns a window
-            owner = group.ends.searchsorted(pos, side="right")
-            inside = pos + length <= group.ends[owner]
-            pos, owner = pos[inside], owner[inside]
-            if narrow is not None and pos.size:
-                keep = narrow(group.buf, length, pos, digests[inside])
-                pos, owner = pos[keep], owner[keep]
-            rows.append((owner + first, pos - group.starts[owner],
-                         np.full(pos.size, length, dtype=np.int64)))
+                # the first payload to end after a position holds it, so
+                # an empty payload never owns a window
+                owner = group.ends.searchsorted(pos + a, side="right")
+                inside = pos + (a + length) <= group.ends[owner]
+                pos, owner = pos[inside], owner[inside]
+                if narrow is not None and pos.size:
+                    keep = narrow(view, length, pos, digests[inside])
+                    pos, owner = pos[keep], owner[keep]
+                if pos.size:
+                    kept.append((pos + a, owner, np.full(pos.size, length,
+                                                         dtype=np.int64)))
+        if kept:
+            pos, owner, length = (np.concatenate(c) for c in zip(*kept))
+            rows.append((owner + first, pos - group.starts[owner], length))
     payload, offset, length = (np.concatenate(c) for c in zip(*rows))
     order = np.lexsort((length, offset, payload))
     return Windows(len(payloads), payload[order], offset[order], length[order])
@@ -351,10 +390,11 @@ class ExactScanner:
     and a window passes the second only if its ``fold_at`` state under
     ``_EXACT_SEED`` and its length mark a slot that some pattern of that
     length marked. A window that passes both is confirmed byte-for-byte,
-    so neither table can add or lose a match, whatever the seed.
+    so neither table can add or lose a match, whatever the seed. The
+    slot table is packed, one bit a slot, LSB-first within each byte.
     """
 
-    # shared hash-table size, in slots, over all lengths
+    # shared hash-table size, in slots (bits), over all lengths
     _TABLE_BITS = 20
 
     def __init__(self, signature_set: SignatureSet) -> None:
@@ -366,7 +406,7 @@ class ExactScanner:
         groups = signature_set.by_length()
         self.lengths = sorted(groups)
         self._prefixes = np.zeros(1 << 16, dtype=bool)
-        self._table = np.zeros(1 << self._TABLE_BITS, dtype=bool)
+        self._table = np.zeros(1 << (self._TABLE_BITS - 3), dtype=np.uint8)
         for length, group in groups.items():
             joined = np.frombuffer(b"".join(s.pattern for s in group),
                                    dtype=np.uint8)
@@ -374,12 +414,20 @@ class ExactScanner:
             pair = joined.astype(np.uint16)
             self._prefixes[(pair[:-1] | pair[1:] << 8)[starts]] = True
             _, _, state = next(fold_at(_EXACT_SEED, joined, starts, [length]))
-            self._table[self._slots(length, state)] = True
+            slots = self._slots(length, state)
+            np.bitwise_or.at(self._table, slots >> 3,
+                             np.left_shift(1, slots & 7).astype(np.uint8))
 
     def _slots(self, length: int, state: np.ndarray) -> np.ndarray:
         """The shared-table slot of each ``length``-byte window's fold state."""
         mask = np.uint64((1 << self._TABLE_BITS) - 1)
         return ((state + np.uint64(length * _LENGTH_MULT)) & mask).view(np.int64)
+
+    def _in_table(self, length: int, state: np.ndarray) -> np.ndarray:
+        """Whether each ``length``-byte window's slot is marked in the table."""
+        slots = self._slots(length, state)
+        byte = self._table.take(slots >> 3)
+        return (byte >> (slots & 7).astype(np.uint8) & 1).view(bool)
 
     def matches_batch(self, payloads: Payloads
                       ) -> dict[int, list[CandidateMatch]]:
@@ -388,15 +436,23 @@ class ExactScanner:
         Returns the matches of each payload that has any, by payload
         index in ascending order.
         """
-        prefixes, table = self._prefixes, self._table
+        prefixes = self._prefixes
+        # one slice's arrays, overwritten by every slice of the scan (see
+        # GROUP_BYTES): each start's first two bytes as one prefix-table
+        # index, and whether the table holds it
+        pair = np.empty(SLICE_WINDOWS, dtype=np.uint64)
+        hit = np.empty(SLICE_WINDOWS, dtype=bool)
 
         def marked(view, run):
-            pair = view[: run + 1].astype(np.uint16)
-            pos = np.flatnonzero(prefixes.take(pair[:-1] | pair[1:] << 8))
+            n = max(0, min(run, view.size - 1))
+            np.left_shift(view[1 : n + 1], np.uint64(8), out=pair[:n])
+            np.bitwise_or(pair[:n], view[:n], out=pair[:n])
+            pos = np.flatnonzero(prefixes.take(pair[:n].view(np.int64),
+                                               out=hit[:n], mode="clip"))
             for length, at, state in fold_at(_EXACT_SEED, view, pos,
                                              self.lengths):
-                hit = table.take(self._slots(length, state))
-                yield length, at[hit], state[hit]
+                known = self._in_table(length, state)
+                yield length, at[known], state[known]
 
         windows = _sieve(payloads, self.lengths, marked)
         return windows.confirmed(payloads, self.confirm)
@@ -429,7 +485,7 @@ class SignatureMatcher:
     Filters keep their own m and k under shared ``seeds``, (seed_a,
     seed_b). Programming happens once in ``program``; afterwards the
     matcher is immutable and safe for concurrent scanning. The exact
-    route's two tables (about 1.1 MiB whatever the rule set) are built
+    route's two tables (192 KiB whatever the rule set) are built
     on first use (``exact``), so programming and saving never pay for them.
     """
 
@@ -503,29 +559,41 @@ class SignatureMatcher:
     def scan_batch(self, payloads: Payloads) -> Windows:
         """Candidate windows of every programmed length.
 
-        The sieve tests every window's first probe, which needs no
-        stride. Where a filter has more, the second digest is gathered
+        The sieve folds every window start under seed_a into one slice's
+        arrays, allocated once per scan, and probes round 0 from the fold
+        state (``BloomFilter.first_hits``), which needs no digest and no
+        stride. Where a filter has more rounds, g1 and the stride are made
         only for the windows that pass inside one payload, a small
         fraction with well-sized filters, to narrow them through the rest.
         """
         seed_a, seed_b = self.seeds
-        zero = np.zeros(1, dtype=np.uint64)  # broadcast: i=0 ignores the stride
+        # one slice's arrays, overwritten by every slice of the scan: a
+        # fold state per window start its view holds, and the round-0
+        # index, temporary and hits of the run's starts
+        state = np.empty(SLICE_WINDOWS + self.lengths[-1] - 1, dtype=np.uint64)
+        idx, tmp = (np.empty(SLICE_WINDOWS, dtype=np.uint64) for _ in range(2))
+        hit = np.empty(SLICE_WINDOWS, dtype=bool)
 
         def first_probe(view, run):
-            fold = WindowFold(seed_a, view)
+            # every length's round 0 runs before any narrowing, while the
+            # slice's arrays are in cache: narrowing each length in turn
+            # took 3-8% longer in-process
+            fold = WindowFold(seed_a, view, state)
+            found = []
             for length in self.lengths:
-                g1 = mix64_windows(seed_a, view, length, fold=fold)[:run]
-                filt = self.filters[length]
-                pos = np.flatnonzero(
-                    filt.test_bits(filt.probe_indices(g1, zero, 0)))
-                yield length, pos, g1[pos]
+                folded = fold.advance(length)[:run]
+                n = folded.size
+                pos = np.flatnonzero(self.filters[length].first_hits(
+                    folded, hit[:n], idx[:n], tmp[:n]))
+                found.append((length, pos, folded[pos]))
+            return found
 
-        def other_probes(buf, length, pos, g1):
+        def other_probes(view, length, pos, folded):
             filt = self.filters[length]
             if filt.params.k == 1:
                 return slice(None)
-            stride = mix64_at(seed_b, buf, length, pos) | np.uint64(1)
-            return filt.narrow(g1, stride, 1)
+            stride = mix64_at(seed_b, view, length, pos) | np.uint64(1)
+            return filt.narrow(folded, stride)
 
         return _sieve(payloads, self.lengths, first_probe, other_probes)
 

@@ -11,6 +11,7 @@ from nicsieve.bloom import (
     BloomParams,
     FilterImageError,
     WindowFold,
+    first_probes,
     fold_at,
     fpr_theoretical,
     mix64_at,
@@ -134,6 +135,63 @@ def test_fold_at_yields_reference_folds_of_the_windows_that_fit(buf, data):
                                   for p in fits]
         seen.append(length)
     assert seen == lengths
+
+
+@given(st.binary(min_size=1, max_size=80), st.integers(1, 8),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+       st.one_of(st.just(8), st.sampled_from([2**j for j in range(4, 34)]),
+                 st.integers(4, 2**20).map(lambda h: 2 * h + 1)))
+@settings(max_examples=150, deadline=None)
+def test_first_probes_equal_the_two_finalizer_oracle(buf, length, seed_a,
+                                                     seed_b, m):
+    # round 0 probes F(F(fold state)) mod m as xs(C**2 * xs(state)) mod m;
+    # the oracle finalizes twice, through g1
+    if seed_a == seed_b:
+        seed_b ^= 1
+    length = min(length, len(buf))
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    state = WindowFold(seed_a, arr).advance(length)
+    windows = [buf[o : o + length] for o in range(len(buf) - length + 1)]
+    expected = [reference_probes(seed_a, seed_b, w, m, 1)[0] for w in windows]
+    assert first_probes(state, m).tolist() == expected
+    # into given arrays, which are overwritten and returned
+    out, tmp = np.full(state.size, 7, dtype=np.uint64), np.empty_like(state)
+    assert first_probes(state, m, out, tmp) is out
+    assert out.tolist() == expected
+    # a k = 1 filter's round-0 hit is its membership (a filter of at most
+    # 2**20 bits, whose table is one bool per bit)
+    filt = BloomFilter(BloomParams(m=min(m, 2**20 + 1), k=1, seed_a=seed_a,
+                                   seed_b=seed_b))
+    filt.add_many(windows[::2])
+    assert filt.first_hits(state).tolist() == \
+        [reference_check(filt, w) for w in windows]
+
+
+@given(st.binary(min_size=1, max_size=120), st.data())
+@settings(max_examples=50)
+def test_folds_of_a_widened_buffer_into_a_given_state(buf, data):
+    # the scan folds a slice's bytes widened to uint64, into one state
+    # array that it reuses for every slice
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    wide = arr.astype(np.uint64)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    state = np.full(len(buf) + data.draw(st.integers(0, 3)), 9, dtype=np.uint64)
+    fold = WindowFold(seed, wide, state)
+    for length in sorted(data.draw(st.sets(st.integers(1, len(buf)),
+                                           min_size=1))):
+        folded = fold.advance(length)
+        assert np.shares_memory(folded, state)
+        assert folded.tolist() == \
+            [reference_fold(seed, buf[o : o + length])
+             for o in range(len(buf) - length + 1)]
+    with pytest.raises(ValueError, match="cannot fold"):
+        WindowFold(seed, wide, state[: len(buf) - 1])
+    positions = np.arange(0, len(buf), 3)
+    length = data.draw(st.integers(1, len(buf)))
+    fits = positions[positions + length <= len(buf)]
+    assert mix64_at(seed, wide, length, fits).tolist() == \
+        mix64_at(seed, arr, length, fits).tolist() == \
+        [reference_mix64(seed, buf[p : p + length]) for p in fits.tolist()]
 
 
 def test_mix64_at_refuses_a_window_past_the_end():

@@ -629,6 +629,37 @@ def test_payloads_gather_joins_payloads_as_payloads_of():
             assert (pos < group.ends[owner]).all()
 
 
+@given(sizes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 9)),
+                      max_size=30),
+       slice_windows=st.integers(1, 40), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_payloads_gather_builds_its_index_one_slice_at_a_time(
+        sizes, slice_windows, data):
+    # payload lengths, zeros included, each after a gap that is not
+    # payload; slices short enough that payloads and gaps cross them
+    lengths = np.array([length for length, _ in sizes], dtype=np.int64)
+    ends = np.cumsum([length + gap for length, gap in sizes], dtype=np.int64)
+    rng = random.Random(int(lengths.sum()))
+    buf = np.frombuffer(rng.randbytes(int(ends[-1]) if sizes else 0),
+                        dtype=np.uint8)
+    payloads = Payloads(buf, ends - lengths, ends)
+    first = data.draw(st.integers(0, len(sizes)))
+    stop = data.draw(st.integers(first, len(sizes)))
+    expected = Payloads.of([payloads[i] for i in range(first, stop)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signatures, "SLICE_WINDOWS", slice_windows)
+        at = np.full(slice_windows, -1, dtype=np.int64)
+        for group in (payloads.gather(first, stop),
+                      payloads.gather(first, stop, at)):
+            assert np.array_equal(group.buf, expected.buf)
+            assert np.array_equal(group.starts, expected.starts)
+            assert np.array_equal(group.ends, expected.ends)
+        if expected.buf.size > 1:
+            with pytest.raises(ValueError, match="cannot hold a slice"):
+                payloads.gather(first, stop, at[: min(slice_windows,
+                                                      expected.buf.size) - 1])
+
+
 @given(sizes=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
                       max_size=60),
        max_payloads=st.integers(1, 8), max_bytes=st.integers(0, 100))
@@ -701,3 +732,28 @@ def test_scan_memory_does_not_grow_with_gaps_between_payloads():
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20, f"{scan.__name__} peaked at {peak >> 20} MiB"
+
+
+def test_scan_memory_of_many_lengths_stays_within_a_slice():
+    # the many-len-hostile shape: 10 lengths, 2,000 patterns, payloads up
+    # to the MTU. Holding a group's first-probe survivors and a group-sized
+    # gather index took 4.7 MiB in scan_batch, and a bool slot table 4.0
+    # MiB in exact_matches_batch
+    rng = random.Random(74)
+    sset = random_signature_set(rng, 2000, lengths=list(range(6, 16)))
+    matcher = SignatureMatcher.program(sset, PARAMS)
+    payloads, total = [], 0
+    while total < 8 << 20:
+        payloads.append(rng.randbytes(rng.randint(200, 1400)))
+        total += len(payloads[-1])
+    payloads = Payloads.of(payloads)
+    for scan, bound in ((matcher.scan_batch, 2.5),
+                        (matcher.exact_matches_batch, 2.0)):
+        tracemalloc.start()
+        try:
+            scan(payloads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, \
+            f"{scan.__name__} peaked at {peak / 2**20:.2f} MiB"

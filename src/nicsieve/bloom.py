@@ -31,18 +31,19 @@ and ``check_many`` (``BloomFilter.first_hits``) probe round 0 this way
 from seed_a's fold state, and finalize g1 and fold seed_b only for the
 elements that pass it.
 
-One fold loop, ``_fold``, is the only implementation of the hash's byte
-fold, and the program's only window hash. The fold state after j bytes
-does not depend on how long the window will be, so a running fold is
-carried across ascending lengths: ``WindowFold`` folds every window
-start of a buffer (``advance``; ``mix64_windows`` finalizes it), and
-``fold_at`` the windows at given positions. ``mix64_at`` is ``fold_at``
-for one length, finalized; the exact route in ``signatures`` takes
-``fold_at``'s states unfinalized, under a seed of its own. ``_fold_rows``
-folds the columns of a same-length group's rows, for ``add_many`` and
-``check_many``. Rounds 1 and up share one probe loop,
-``BloomFilter.narrow``. The test suite checks them against the
-independent reference hash in ``tests/conftest.py``.
+One fold loop, ``fold_at``, is the only implementation of the hash's
+byte fold, and the program's only window hash. The fold state after j
+bytes does not depend on how long the window will be, so ``fold_at``
+carries a running fold across ascending lengths. It folds a ``range`` of
+window starts from strided slices of the buffer, and an index array of
+starts from gathers: every start of a slice (the Bloom route in
+``signatures``), the rows of a row array (``_fold_rows``, for
+``add_many`` and ``check_many``), or scattered starts (the exact route
+in ``signatures``, under a seed of its own). ``mix64_at`` and
+``mix64_windows`` are ``fold_at`` for one length, finalized. Rounds 1
+and up share one probe loop, ``BloomFilter.narrow``. The test suite
+checks them against the independent reference hash in
+``tests/conftest.py``.
 
 The batch calls take a same-length group as one 2-D uint8 array, one row
 per element, so a caller with many elements (the FPR sweep) never builds
@@ -106,115 +107,85 @@ class BloomParams:
             raise ValueError("seed_a and seed_b must differ")
 
 
-class WindowFold:
-    """One running fold of every window start of ``buf``, for one seed.
-
-    ``advance`` carries it through ascending window lengths, so a byte
-    column folded for a shorter length is not folded again for a longer
-    one. ``buf`` holds byte values: uint8, or widened to uint64 once, so
-    that no fold step casts a column. ``state``, if given, is a uint64
-    array of at least ``buf.size`` entries that the fold overwrites, so
-    that one array serves the folds of many buffers. Create one per
-    buffer scan; it is not shared between threads.
-    """
-
-    def __init__(self, seed: int, buf: np.ndarray,
-                 state: np.ndarray | None = None) -> None:
-        self.seed = seed & MASK64
-        self.buf = buf
-        if state is None:
-            state = np.empty(buf.size, dtype=np.uint64)
-        elif state.size < buf.size:
-            raise ValueError(f"a {state.size}-entry state cannot fold "
-                             f"{buf.size} window starts")
-        self.state = state[: buf.size]
-        self.state.fill(self.seed)
-        self.folded = 0  # bytes of every window already in ``state``
-
-    def advance(self, length: int) -> np.ndarray:
-        """The unfinalized fold of every ``length``-byte window of ``buf``.
-
-        One state per window start, in place: the next call overwrites
-        it. ``length`` must not be below what the fold already covers.
-        """
-        if length < self.folded:
-            raise ValueError(f"fold already covers {self.folded} bytes, "
-                             f"cannot advance to length {length}")
-        buf = self.buf
-        n = max(0, buf.size - length + 1)
-        self.state = _fold(self.state[:n], (buf[j : j + n]
-                                            for j in range(self.folded, length)))
-        self.folded = length
-        return self.state
-
-
-def mix64_windows(seed: int, buf: np.ndarray, length: int,
-                  fold: WindowFold | None = None) -> np.ndarray:
+def mix64_windows(seed: int, buf: np.ndarray, length: int) -> np.ndarray:
     """The seeded 64-bit digest of every ``length``-byte window of ``buf``.
 
     Bit-exact by contract: per byte, state = (state XOR byte) *
     0x100000001B3 (mod 2**64), starting from ``seed``; then xor-shift 33,
     multiply by 0xFF51AFD7ED558CCD, xor-shift 33. ``buf`` is a 1-D array
-    of byte values, as ``WindowFold`` takes it; the result has
-    ``buf.size - length + 1`` digests, one per window start offset. With
-    ``fold``, the bytes it already folded are reused and it is advanced
-    to ``length``, which must not be below what it already folded.
+    of byte values, as ``fold_at`` takes it; the result has
+    ``buf.size - length + 1`` digests, one per window start offset.
     """
-    if fold is None:
-        fold = WindowFold(seed, buf)
-    elif fold.buf is not buf or fold.seed != seed & MASK64:
-        raise ValueError("fold belongs to another buffer or seed")
-    return _finalize(fold.advance(length).copy())
+    return mix64_at(seed, buf, length, range(buf.size - length + 1))
 
 
 def mix64_at(seed: int, buf: np.ndarray, length: int,
-             positions: np.ndarray) -> np.ndarray:
+             positions: range | np.ndarray) -> np.ndarray:
     """The ``mix64_windows`` digests of the windows starting at ``positions``.
 
     ``fold_at`` for one length, finalized: ``positions`` ascend, and a
     window past the end of ``buf`` raises ``ValueError``.
     """
     ((_, at, state),) = fold_at(seed, buf, positions, [length])
-    if at.size < positions.size:
+    if len(at) < len(positions):
         raise ValueError(f"a {length}-byte window at {positions[-1]} runs "
                          f"past the {buf.size}-byte buffer")
     return _finalize(state)
 
 
-def fold_at(seed: int, buf: np.ndarray, positions: np.ndarray,
-            lengths: list[int]):
+def fold_at(seed: int, buf: np.ndarray, positions: range | np.ndarray,
+            lengths: list[int], state: np.ndarray | None = None):
     """Yield (length, at, state): the running fold of the windows at ``positions``.
 
-    ``positions`` and ``lengths`` ascend. For each length, ``at`` is the
-    prefix of ``positions`` whose windows fit in ``buf``, and ``state``
-    their unfinalized fold states, overwritten by the next step.
+    ``buf`` holds byte values: uint8, or widened to uint64 once, so that
+    no fold step casts a column. ``positions`` is a ``range`` of window
+    starts with a positive step, folded from strided slices of ``buf``
+    (step 1 for every start of a buffer, the row width for the rows of a
+    row array), or an ascending index array, folded from gathers.
+    ``lengths`` ascend: a byte column folded for a shorter length is not
+    folded again for a longer one. For each length, ``at`` is the prefix
+    of ``positions`` whose windows fit in ``buf``, and ``state`` their
+    unfinalized fold states, overwritten by the next step. ``state``, if
+    given, is a uint64 array of at least ``len(positions)`` entries that
+    the fold overwrites, so that one array serves many folds.
     """
-    state = np.full(positions.size, seed & MASK64, dtype=np.uint64)
-    folded = 0
+    count = len(positions)
+    if state is None:
+        state = np.empty(count, dtype=np.uint64)
+    elif state.size < count:
+        raise ValueError(f"a {state.size}-entry state cannot fold "
+                         f"{count} windows")
+    state = state[:count]
+    state.fill(seed & MASK64)
+    folded = 0  # bytes of every window already in ``state``
     for length in lengths:
-        at = positions[: positions.searchsorted(buf.size - length, side="right")]
-        # byte j of each window is ``buf[j:]`` at the window's start
-        state = _fold(state[: at.size],
-                      (buf[j:].take(at) for j in range(folded, length)))
+        if length < folded:
+            raise ValueError(f"lengths must ascend: {length} after {folded}")
+        if isinstance(positions, range):
+            # the fitting prefix by arithmetic: searchsorted would build
+            # the whole range as an array
+            fit = range(positions.start, buf.size - length + 1, positions.step)
+            at = positions[: len(fit)]
+        else:
+            at = positions[: positions.searchsorted(buf.size - length,
+                                                    side="right")]
+        state = state[: len(at)]
+        for j in range(folded, length):
+            # the FNV step on byte j of every window, a column widened as
+            # it is folded, never the whole buffer
+            state ^= (buf[at.start + j : at.stop + j : at.step]
+                      if isinstance(at, range) else buf[j:].take(at))
+            state *= np.uint64(_FOLD_PRIME)
         folded = length
         yield length, at, state
 
 
-def _fold(state: np.ndarray, columns) -> np.ndarray:
-    """Fold ``columns`` into ``state`` in turn, in place: the FNV step.
-
-    Each column holds the next byte of every window. A uint8 column is
-    widened as it is folded, one column at a time, never the whole buffer.
-    """
-    for column in columns:
-        state ^= column
-        state *= np.uint64(_FOLD_PRIME)
-    return state
-
-
 def _fold_rows(seed: int, rows: np.ndarray) -> np.ndarray:
     """The unfinalized fold under ``seed`` of each row of a row array."""
-    return _fold(np.full(rows.shape[0], seed, dtype=np.uint64), rows.T)
+    n, width = rows.shape
+    ((_, _, state),) = fold_at(seed, rows.ravel(), range(0, n * width, width),
+                               [width])
+    return state
 
 
 def _finalize(state: np.ndarray) -> np.ndarray:

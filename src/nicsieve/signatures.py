@@ -17,10 +17,11 @@ the true match set, confirming every hit byte-for-byte. Both walk a
 read), through one window sieve, ``_sieve``, in cache-sized groups, and
 hash windows with ``bloom``'s one byte fold. A window's fold state after
 j bytes is the same for every length of at least j bytes, so each byte
-column is folded once for all lengths, in ascending order. The Bloom
-route folds every window start with a ``WindowFold`` and probes round 0
-from the fold state (``bloom.first_probes``). The exact route folds only
-the starts that pass its prefix table, under a seed of its own
+column is folded once for all lengths, in ascending order, by
+``bloom.fold_at``, the one fold driver. The Bloom route folds every
+window start of a slice, a ``range``, and probes round 0 from the fold
+state (``bloom.first_probes``). The exact route folds only the starts
+that pass its prefix table, an index array, under a seed of its own
 (``ExactScanner``), and reads no filter bit, filter seed or
 ``BloomParams``. Only the windows that pass a route's first test inside
 one payload outlive their slice; the Bloom route narrows them there
@@ -45,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloom import (BloomFilter, BloomParams, FilterImageError, WindowFold,
-                    fold_at, mix64_at)
+from .bloom import (BloomFilter, BloomParams, FilterImageError, fold_at,
+                    mix64_at)
 from .bloom import mix64_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 PATTERN_MIN_LEN = 2
@@ -410,10 +411,10 @@ class ExactScanner:
         for length, group in groups.items():
             joined = np.frombuffer(b"".join(s.pattern for s in group),
                                    dtype=np.uint8)
-            starts = np.arange(0, joined.size, length)
+            rows = range(0, joined.size, length)
             pair = joined.astype(np.uint16)
-            self._prefixes[(pair[:-1] | pair[1:] << 8)[starts]] = True
-            _, _, state = next(fold_at(_EXACT_SEED, joined, starts, [length]))
+            self._prefixes[(pair[:-1] | pair[1:] << 8)[rows]] = True
+            _, _, state = next(fold_at(_EXACT_SEED, joined, rows, [length]))
             slots = self._slots(length, state)
             np.bitwise_or.at(self._table, slots >> 3,
                              np.left_shift(1, slots & 7).astype(np.uint8))
@@ -567,22 +568,20 @@ class SignatureMatcher:
         fraction with well-sized filters, to narrow them through the rest.
         """
         seed_a, seed_b = self.seeds
-        # one slice's arrays, overwritten by every slice of the scan: a
-        # fold state per window start its view holds, and the round-0
-        # index, temporary and hits of the run's starts
-        state = np.empty(SLICE_WINDOWS + self.lengths[-1] - 1, dtype=np.uint64)
-        idx, tmp = (np.empty(SLICE_WINDOWS, dtype=np.uint64) for _ in range(2))
+        # one slice's arrays, overwritten by every slice of the scan: the
+        # fold state, round-0 index, temporary and hits of the run's starts
+        state, idx, tmp = (np.empty(SLICE_WINDOWS, dtype=np.uint64)
+                           for _ in range(3))
         hit = np.empty(SLICE_WINDOWS, dtype=bool)
 
         def first_probe(view, run):
             # every length's round 0 runs before any narrowing, while the
             # slice's arrays are in cache: narrowing each length in turn
             # took 3-8% longer in-process
-            fold = WindowFold(seed_a, view, state)
             found = []
-            for length in self.lengths:
-                folded = fold.advance(length)[:run]
-                n = folded.size
+            for length, at, folded in fold_at(seed_a, view, range(run),
+                                              self.lengths, state):
+                n = len(at)
                 pos = np.flatnonzero(self.filters[length].first_hits(
                     folded, hit[:n], idx[:n], tmp[:n]))
                 found.append((length, pos, folded[pos]))

@@ -3,14 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nicsieve.bloom import (
     BloomFilter,
     BloomParams,
     FilterImageError,
-    WindowFold,
     first_probes,
     fold_at,
     fpr_theoretical,
@@ -98,43 +97,73 @@ def test_hash_indices_match_independent_mixer():
 @settings(max_examples=50)
 def test_vectorized_digests_match_scalar(buf, length):
     arr = np.frombuffer(buf, dtype=np.uint8)
-    for seed in (PARAMS.seed_a, PARAMS.seed_b):
-        windows = mix64_windows(seed, arr, length)
-        expected = [reference_mix64(seed, buf[o : o + length])
-                    for o in range(len(buf) - length + 1)]
-        assert windows.tolist() == expected
-        pos = np.arange(len(buf) - length + 1, dtype=np.int64)
-        assert mix64_at(seed, arr, length, pos).tolist() == expected
-        # one fold shared by ascending, non-contiguous lengths
-        fold = WindowFold(seed, arr)
-        for shared in (length, length + 2, length + 5):
-            assert mix64_windows(seed, arr, shared, fold=fold).tolist() == \
-                [reference_mix64(seed, buf[o : o + shared])
-                 for o in range(len(buf) - shared + 1)]
-        with pytest.raises(ValueError, match="already covers"):
-            mix64_windows(seed, arr, length, fold=fold)
-        with pytest.raises(ValueError, match="another buffer or seed"):
-            mix64_windows(seed ^ 1, arr, length + 6, fold=fold)
+    expected = {seed: [reference_mix64(seed, buf[o : o + length])
+                       for o in range(len(buf) - length + 1)]
+                for seed in (PARAMS.seed_a, PARAMS.seed_b)}
+    # the scan folds a slice's bytes widened to uint64
+    for values in (arr, arr.astype(np.uint64)):
+        for seed, digests in expected.items():
+            assert mix64_windows(seed, values, length).tolist() == digests
+            pos = np.arange(len(buf) - length + 1, dtype=np.int64)
+            assert mix64_at(seed, values, length, pos).tolist() == digests
+            assert mix64_at(seed, values, length, pos[::3]).tolist() == \
+                digests[::3]
 
 
-@given(st.binary(min_size=1, max_size=120), st.data())
-@settings(max_examples=50)
-def test_fold_at_yields_reference_folds_of_the_windows_that_fit(buf, data):
+@given(st.binary(min_size=1, max_size=120), st.integers(0, 2**64 - 1),
+       st.booleans(), st.sampled_from([None, 1, 2, 5]),
+       st.sets(st.integers(0, 119)), st.integers(0, 6), st.integers(0, 40),
+       st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       st.none() | st.integers(0, 3))
+# always run: rows of a longer step, and a range, equal lengths and a
+# length that run past the buffer's end, into an exact given state
+@example(bytes(range(64)), 7, False, 5, set(), 1, 12, [1, 3, 8], None)
+@example(bytes(range(64)), 7, True, 2, set(), 0, 40, [2, 2, 70], 0)
+@settings(max_examples=100)
+def test_fold_at_yields_reference_folds_of_the_windows_that_fit(
+        buf, seed, wide, step, picked, start, count, lengths, spare):
     arr = np.frombuffer(buf, dtype=np.uint8)
-    seed = data.draw(st.integers(0, 2**64 - 1))
-    # the positions reach the buffer's end, so longer windows drop out
-    picked = data.draw(st.sets(st.integers(0, len(buf) - 1)))
-    positions = np.array(sorted(picked | {len(buf) - 1}), dtype=np.int64)
-    steps = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
-    lengths = np.cumsum(steps).tolist()
+    if wide:
+        arr = arr.astype(np.uint64)  # the scan's widened slice
+    if step is None:
+        # an index array reaching the buffer's end, so longer windows drop out
+        picked = {p for p in picked if p < len(buf)} | {len(buf) - 1}
+        positions = np.array(sorted(picked), dtype=np.int64)
+    else:
+        # a range of starts (step 1) or of rows (a longer step), which may
+        # be empty, start past the buffer's end or run past it
+        positions = range(start, start + step * count, step)
+    lengths = sorted(lengths)
+    # a given state, longer than needed, is overwritten and yielded
+    state = None
+    if spare is not None:
+        state = np.full(len(positions) + spare, 9, dtype=np.uint64)
     seen = []
-    for length, at, state in fold_at(seed, arr, positions, lengths):
-        fits = [p for p in positions.tolist() if p + length <= len(buf)]
-        assert at.tolist() == fits
-        assert state.tolist() == [reference_fold(seed, buf[p : p + length])
-                                  for p in fits]
+    for length, at, folded in fold_at(seed, arr, positions, lengths, state):
+        fits = [p for p in positions if p + length <= len(buf)]
+        assert list(at) == fits
+        assert type(at) is type(positions)
+        assert folded.tolist() == [reference_fold(seed, buf[p : p + length])
+                                   for p in fits]
+        if state is not None:
+            assert state[: len(fits)].tolist() == folded.tolist()
         seen.append(length)
     assert seen == lengths
+    if len(positions):
+        with pytest.raises(ValueError, match="cannot fold"):
+            next(fold_at(seed, arr, positions, lengths,
+                         np.empty(len(positions) - 1, dtype=np.uint64)))
+
+
+def test_fold_at_refuses_lengths_that_do_not_ascend():
+    arr = np.frombuffer(b"abcdefgh", dtype=np.uint8)
+    folds = fold_at(7, arr, np.array([0, 1]), [4, 6, 6])
+    assert [length for length, _, _ in folds] == [4, 6, 6]
+    for positions in (np.array([0, 1]), range(2)):
+        folds = fold_at(7, arr, positions, [6, 4])
+        assert next(folds)[0] == 6
+        with pytest.raises(ValueError, match="lengths must ascend: 4 after 6"):
+            next(folds)
 
 
 @given(st.binary(min_size=1, max_size=80), st.integers(1, 8),
@@ -150,7 +179,7 @@ def test_first_probes_equal_the_two_finalizer_oracle(buf, length, seed_a,
         seed_b ^= 1
     length = min(length, len(buf))
     arr = np.frombuffer(buf, dtype=np.uint8)
-    state = WindowFold(seed_a, arr).advance(length)
+    ((_, _, state),) = fold_at(seed_a, arr, range(len(buf)), [length])
     windows = [buf[o : o + length] for o in range(len(buf) - length + 1)]
     expected = [reference_probes(seed_a, seed_b, w, m, 1)[0] for w in windows]
     assert first_probes(state, m).tolist() == expected
@@ -165,33 +194,6 @@ def test_first_probes_equal_the_two_finalizer_oracle(buf, length, seed_a,
     filt.add_many(windows[::2])
     assert filt.first_hits(state).tolist() == \
         [reference_check(filt, w) for w in windows]
-
-
-@given(st.binary(min_size=1, max_size=120), st.data())
-@settings(max_examples=50)
-def test_folds_of_a_widened_buffer_into_a_given_state(buf, data):
-    # the scan folds a slice's bytes widened to uint64, into one state
-    # array that it reuses for every slice
-    arr = np.frombuffer(buf, dtype=np.uint8)
-    wide = arr.astype(np.uint64)
-    seed = data.draw(st.integers(0, 2**64 - 1))
-    state = np.full(len(buf) + data.draw(st.integers(0, 3)), 9, dtype=np.uint64)
-    fold = WindowFold(seed, wide, state)
-    for length in sorted(data.draw(st.sets(st.integers(1, len(buf)),
-                                           min_size=1))):
-        folded = fold.advance(length)
-        assert np.shares_memory(folded, state)
-        assert folded.tolist() == \
-            [reference_fold(seed, buf[o : o + length])
-             for o in range(len(buf) - length + 1)]
-    with pytest.raises(ValueError, match="cannot fold"):
-        WindowFold(seed, wide, state[: len(buf) - 1])
-    positions = np.arange(0, len(buf), 3)
-    length = data.draw(st.integers(1, len(buf)))
-    fits = positions[positions + length <= len(buf)]
-    assert mix64_at(seed, wide, length, fits).tolist() == \
-        mix64_at(seed, arr, length, fits).tolist() == \
-        [reference_mix64(seed, buf[p : p + length]) for p in fits.tolist()]
 
 
 def test_mix64_at_refuses_a_window_past_the_end():

@@ -9,7 +9,7 @@ when the trace is indexed, so a frame costs no Python object until then.
 
 ``parse_payloads`` locates the payload of every frame at once with numpy
 over the header bytes; it is the one header walk, and ``parse_packet`` is
-``parse_payloads`` of a one-frame trace. It reads Ethernet II, stepping
+``parse_payloads`` of a one-frame capture. It reads Ethernet II, stepping
 over up to two 802.1Q / 802.1ad VLAN tags to the inner ethertype, then
 IPv4 (options honored via IHL) and TCP (options via the data offset) or
 UDP. The payload is the bytes after the last header that could be walked;
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,17 +107,6 @@ class Trace(Sequence):
     caplen: np.ndarray  # uint32
     ts_resolution: int = USEC
 
-    @classmethod
-    def from_frames(cls, frames: Iterable[RawFrame],
-                    ts_resolution: int = USEC) -> Trace:
-        """Append each frame's record, as it arrives, to one little-endian
-        capture, and read that capture back (``read_pcap``)."""
-        buf = bytearray(file_header(ts_resolution))
-        for f in frames:
-            buf += _RECORD.pack(f.ts_sec, f.ts_usec, len(f.data), f.orig_len)
-            buf += f.data
-        return read_pcap(buf)
-
     def __len__(self) -> int:
         return self.data_offset.size
 
@@ -142,8 +131,9 @@ class Trace(Sequence):
 
 def parse_packet(frame: RawFrame) -> bytes | None:
     """The frame's payload, or ``None`` if not parseable: ``parse_payloads``
-    of a one-frame trace. Only ``bench/tracer.py`` reads it."""
-    trace = Trace.from_frames([frame])
+    of a one-frame capture. Only ``bench/tracer.py`` reads it."""
+    trace = read_pcap(file_header(USEC) + _RECORD.pack(
+        frame.ts_sec, frame.ts_usec, len(frame.data), frame.orig_len) + frame.data)
     (start,), (end,), (unparseable,) = parse_payloads(trace)
     return None if unparseable else bytes(trace.buf[start:end])
 

@@ -234,19 +234,18 @@ class Payloads:
             yield first, stop
             first = stop
 
-    def gather(self, first: int, stop: int,
-               at: np.ndarray | None = None) -> Payloads:
+    def gather(self, first: int, stop: int, at: np.ndarray) -> Payloads:
         """Payloads ``first`` to ``stop`` joined end to end in a new buffer.
 
         Only the payload bytes are gathered, never the gaps between them,
         through a running-sum source index built ``SLICE_WINDOWS`` bytes
-        at a time in ``at``, an int64 array of at least that many entries
-        (allocated if not given; ``_sieve`` passes one array for a whole
-        scan, see ``GROUP_BYTES``). The index of a whole 256 KiB group took
-        2 MiB, and was no faster: all the gathers of a scan took 9.9 against
-        9.3 ms on the many-len-hostile capture, 10.3 against 11.1 on
-        small-frames, and 10.6 against 11.5 on 200k payloads of 1-10 bytes
-        (best of 9, in-process). Joining one view per non-empty
+        at a time in ``at``, an int64 array of at least that many entries,
+        or of the joined size if that is less (``_sieve`` passes one array
+        for a whole scan, see ``GROUP_BYTES``). The index of a whole 256 KiB
+        group took 2 MiB, and was no faster: all the gathers of a scan took
+        9.9 against 9.3 ms on the many-len-hostile capture, 10.3 against
+        11.1 on small-frames, and 10.6 against 11.5 on 200k payloads of
+        1-10 bytes (best of 9, in-process). Joining one view per non-empty
         payload took 1.5, 14.1 and 121.5 ms: it pays per payload.
         """
         src = self.starts[first:stop]
@@ -254,11 +253,9 @@ class Payloads:
         ends = np.cumsum(lengths)
         starts = ends - lengths
         buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-        if at is None:
-            at = np.empty(min(buf.size, SLICE_WINDOWS), dtype=np.int64)
-        elif at.size < min(buf.size, SLICE_WINDOWS):
+        if at.size < min(buf.size, SLICE_WINDOWS):
             raise ValueError(f"a {at.size}-entry index cannot hold a slice "
-                             f"of {SLICE_WINDOWS} bytes")
+                             f"of {min(buf.size, SLICE_WINDOWS)} bytes")
         # the source index steps by one per byte, and by one plus the gap
         # at each non-empty payload's first byte; a slice's steps start
         # from the source of its first byte and are summed in place
@@ -492,6 +489,8 @@ class SignatureMatcher:
 
     def __init__(self, signature_set: SignatureSet,
                  filters: dict[int, BloomFilter]) -> None:
+        if not filters:
+            raise ValueError("a matcher needs at least one filter")
         seeds = {n: (f.params.seed_a, f.params.seed_b) for n, f in filters.items()}
         if len(set(seeds.values())) != 1:
             raise ValueError("filters must share seed_a and seed_b: " + ", ".join(

@@ -78,8 +78,7 @@ class Manifest:
 
     Frame i carries signature ``ids[signature[i]]`` spliced in at payload
     offset ``offset[i]``; both columns hold -1 for a background frame.
-    ``ids`` are the rule set's ids in rule order, or, for a manifest read
-    from a file, the ids in the order they first appear there.
+    ``ids`` are the rule set's ids in rule order.
     """
 
     ids: list[str]
@@ -90,39 +89,17 @@ class Manifest:
         return np.flatnonzero(self.signature >= 0)
 
     def to_csv(self) -> bytes:
-        # each id's field is rendered once, quoted as csv.writer quotes it;
+        # each id's field is rendered once, quoted as csv.writer quotes it
+        # with its default "\r\n" line end, which quotes a bare "\r" too;
         # a background frame's code, -1, picks the last label
         labels = []
         for sig_id in self.ids:
             out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerow([1, sig_id])
-            labels.append(out.getvalue()[:-1])
+            csv.writer(out).writerow([1, sig_id])
+            labels.append(out.getvalue()[:-2])
         labels.append("0,")
         return columns_csv(",".join(_MANIFEST_HEADER),
                            (self.signature, labels), self.offset)
-
-    @classmethod
-    def from_csv(cls, data: bytes) -> Manifest:
-        """Read a manifest file, refusing any row ``to_csv`` would not write."""
-        reader = csv.reader(io.StringIO(data.decode("utf-8")))
-        if next(reader, None) != _MANIFEST_HEADER:
-            raise ValueError("not a manifest file")
-        codes: dict[str, int] = {}
-        signature, offset = array("q"), array("q")
-        for row in reader:
-            index, is_attack, sig_id, at = row if len(row) == 4 else [""] * 4
-            attack = (is_attack == "1" and sig_id != "" and at.isascii()
-                      and at.isdecimal() and at == str(int(at)))
-            if index != str(len(signature)) or not (
-                    attack or row[1:] == ["0", "", ""]):
-                raise ValueError(
-                    f"manifest line {reader.line_num}: expected "
-                    f"'{len(signature)},0,,' or '{len(signature)},1,id,offset', "
-                    f"got {row!r}")
-            signature.append(codes.setdefault(sig_id, len(codes)) if attack else -1)
-            offset.append(int(at) if attack else -1)
-        return cls(list(codes), np.frombuffer(signature, dtype=np.int64),
-                   np.frombuffer(offset, dtype=np.int64))
 
 
 # One generated record: the capture's little-endian record header, then an

@@ -13,6 +13,7 @@ import struct
 import warnings
 
 from nicsieve import Signature, SignatureSet
+from nicsieve.codec import USEC, read_pcap
 
 # hypothesis's pytest plugin imports this module while it reports a
 # falsifying example; its dependencies raise a DeprecationWarning on
@@ -197,6 +198,12 @@ def reference_capture(frames, endian: str, resolution: int) -> bytes:
                                  len(f.data), f.orig_len))
         parts.append(f.data)
     return b"".join(parts)
+
+
+def reference_trace(frames, resolution: int = USEC):
+    """The ``Trace`` that ``read_pcap`` reads from ``reference_capture``'s
+    little-endian capture of ``frames``."""
+    return read_pcap(reference_capture(frames, "<", resolution))
 
 
 def random_signature_set(rng: random.Random, count: int,

@@ -10,12 +10,13 @@ import time
 
 from nicsieve.analytics import fpr_sweep
 from nicsieve.bloom import BloomFilter, BloomParams, fpr_theoretical, optimal_k
-from nicsieve.codec import RawFrame, Trace, read_pcap, write_pcap
+from nicsieve.codec import RawFrame, read_pcap, write_pcap
 from nicsieve.pipeline import compare_baseline
 from nicsieve.signatures import Payloads, SignatureMatcher
 from nicsieve.traffic import TrafficSpec, generate_trace
 
-from conftest import naive_exact_matches, random_signature_set, reference_parse
+from conftest import (naive_exact_matches, random_signature_set,
+                      reference_parse, reference_trace)
 
 
 def report(number: int, ok: bool, elapsed: float, bound: float, detail: str):
@@ -169,7 +170,7 @@ def test_criterion_5_bit_exact_persistence():
     frames = [RawFrame(data=rng.randbytes(rng.randint(0, 200)),
                        ts_sec=rng.getrandbits(31), ts_usec=rng.randint(0, 999999),
                        orig_len=rng.randint(0, 300)) for _ in range(500)]
-    trace = Trace.from_frames(frames)
+    trace = reference_trace(frames)
     back = read_pcap(write_pcap(trace))
     pcap_ok = len(back) == len(trace) and all(
         (a.data, a.ts_sec, a.ts_usec, a.orig_len)

@@ -1,10 +1,12 @@
+import csv
+
 import pytest
 
 from nicsieve.bloom import BloomFilter
 from nicsieve.cli import main
-from nicsieve.codec import NSEC, USEC, RawFrame, Trace, read_pcap, write_pcap
+from nicsieve.codec import NSEC, USEC, RawFrame, read_pcap, write_pcap
 from nicsieve.signatures import load_rules
-from nicsieve.traffic import Manifest, TrafficSpec, generate_trace
+from nicsieve.traffic import TrafficSpec, generate_trace
 
 from conftest import reference_capture
 
@@ -24,6 +26,12 @@ def rules_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def attack_rows(manifest_path):
+    """The attack rows of a manifest file, read with the csv module."""
+    with open(manifest_path, newline="") as f:
+        return sum(row["is_attack"] == "1" for row in csv.DictReader(f))
 
 
 # --- build ------------------------------------------------------------------
@@ -92,8 +100,7 @@ def test_gen_writes_trace_and_manifest(tmp_path, rules_file):
                "--out", trace_path, "--manifest", manifest_path) == 0
     trace = read_pcap(trace_path.read_bytes())
     assert len(trace) == 1000
-    manifest = Manifest.from_csv(manifest_path.read_bytes())
-    assert len(manifest.attack_indices()) == 50
+    assert attack_rows(manifest_path) == 50
     # the generated trace's buffer is written as it is: the same file
     # that encoding the trace writes
     spec = TrafficSpec(packet_count=1000, attack_fraction=0.05, seed=7,
@@ -186,13 +193,12 @@ def test_scan_end_to_end(tmp_path, rules_file, built_and_generated, capsys):
                "--in", trace, "--out", fwd, "--report", report,
                "--decision-log", decisions) == 0
 
-    manifest = Manifest.from_csv(manifest_path.read_bytes())
     lines = report.read_text().splitlines()
     header, values = lines[0].split(","), lines[1].split(",")
     row = dict(zip(header, values))
     assert int(row["total"]) == 2000
     assert int(row["total"]) == int(row["forwarded"]) + int(row["dropped"])
-    assert int(row["true_matches"]) == len(manifest.attack_indices()) == 100
+    assert int(row["true_matches"]) == attack_rows(manifest_path) == 100
     assert row["equivalent"] == "1"
 
     forwarded = read_pcap(fwd.read_bytes())
@@ -272,7 +278,7 @@ def test_scan_keeps_nanosecond_timestamps(tmp_path, rules_file,
     frames = [RawFrame(f.data, f.ts_sec, f.ts_usec * 1000 + i % 1000, f.orig_len)
               for i, f in enumerate(read_pcap(trace_path.read_bytes()))]
     ns_trace = tmp_path / "ns.pcap"
-    ns_trace.write_bytes(write_pcap(Trace.from_frames(frames, ts_resolution=NSEC)))
+    ns_trace.write_bytes(reference_capture(frames, "<", NSEC))
     fwd, decisions = tmp_path / "fwd.pcap", tmp_path / "decisions.csv"
     assert run("scan", filters / "index.txt", "--rules", rules_file,
                "--in", ns_trace, "--out", fwd, "--report", tmp_path / "r.csv",

@@ -13,14 +13,13 @@ from nicsieve.codec import (
     USEC,
     PcapError,
     RawFrame,
-    Trace,
     parse_packet,
     parse_payloads,
     read_pcap,
     write_pcap,
 )
 
-from conftest import reference_capture, reference_parse
+from conftest import reference_capture, reference_parse, reference_trace
 
 
 def eth_header(ethertype, dst=b"\x02" * 6, src=b"\x04" * 6):
@@ -54,7 +53,7 @@ def tagged_eth_header(tpids, ethertype):
 
 def batch_bounds(datas):
     """``parse_payloads`` per frame: (start, end) within the frame, or None."""
-    trace = Trace.from_frames([RawFrame(data=d) for d in datas])
+    trace = reference_trace([RawFrame(data=d) for d in datas])
     start, end, unparseable = parse_payloads(trace)
     out = []
     for i, offset in enumerate(trace.data_offset.tolist()):
@@ -300,7 +299,7 @@ def sample_trace():
                        ts_sec=1_600_000_000 + i, ts_usec=i * 250,
                        orig_len=90 + i)
               for i in range(25)]
-    return Trace.from_frames(frames)
+    return reference_trace(frames)
 
 
 def test_pcap_roundtrip_exact():
@@ -315,7 +314,7 @@ def test_pcap_roundtrip_exact():
 
 
 def test_pcap_global_header_layout():
-    data = write_pcap(Trace.from_frames([]))
+    data = write_pcap(reference_trace([]))
     magic, major, minor, zone, sigfigs, snaplen, network = \
         struct.unpack("<IHHiIII", data)
     assert (magic, major, minor, zone, sigfigs, snaplen, network) == \
@@ -327,7 +326,7 @@ def test_pcap_snaplen_covers_the_longest_record():
     jumbo = RawFrame(data=bytes(range(256)) * 273 + b"end")  # 69,891 bytes
     for frames, snaplen in [([RawFrame(b"\xaa" * 60)], 65535),
                             ([RawFrame(b"\xaa" * 60), jumbo], len(jumbo.data))]:
-        data = write_pcap(Trace.from_frames(frames))
+        data = write_pcap(reference_trace(frames))
         assert struct.unpack_from("<I", data, 16)[0] == snaplen
         assert list(read_pcap(data)) == frames
 
@@ -349,9 +348,9 @@ def test_pcap_read_keeps_one_copy():
     # a little-endian capture is the trace's buffer as it is; a big-endian
     # one is copied once, its record headers rewritten in the copy
     rng = random.Random(11)
-    trace = Trace.from_frames([RawFrame(rng.randbytes(rng.randint(84, 174)),
-                                        ts_sec=i, ts_usec=i % USEC)
-                               for i in range(20_000)])
+    trace = reference_trace([RawFrame(rng.randbytes(rng.randint(84, 174)),
+                                      ts_sec=i, ts_usec=i % USEC)
+                             for i in range(20_000)])
     little = write_pcap(trace)
     assert read_pcap(little).buf is little
     big = reference_capture(trace, ">", USEC)
@@ -401,14 +400,14 @@ def test_pcap_unsupported_link_type():
 
 
 def test_pcap_truncated_record():
-    good = write_pcap(Trace.from_frames([RawFrame(data=b"\xaa" * 100)]))
+    good = reference_capture([RawFrame(data=b"\xaa" * 100)], "<", USEC)
     with pytest.raises(PcapError, match="truncated"):
         read_pcap(good[:-60])  # 100 declared, 40 remain
     with pytest.raises(PcapError, match="truncated"):
         read_pcap(good[: 24 + 7])  # record header cut short
 
 
-# the capture reader and both writers against the scalar writer: any
+# the capture reader and writer against the scalar writer: any
 # timestamp fraction (even one past a second) and any original length
 # are kept as they are
 @pytest.mark.parametrize("resolution", [USEC, NSEC], ids=["usec", "nsec"])
@@ -423,15 +422,12 @@ def test_capture_io_equals_reference_capture(endian, resolution, rows):
     back = read_pcap(reference_capture(frames, endian, resolution))
     assert (list(back), back.ts_resolution) == (frames, resolution)
     assert write_pcap(back) == little
-    built = Trace.from_frames(frames, ts_resolution=resolution)
-    assert (list(built), built.ts_resolution) == (frames, resolution)
-    assert write_pcap(built) == little
 
 
 @given(st.lists(st.binary(min_size=0, max_size=60), max_size=20))
 @settings(max_examples=50)
 def test_pcap_roundtrip_property(datas):
-    trace = Trace.from_frames([RawFrame(data=d, ts_sec=i, ts_usec=i * 7)
-                          for i, d in enumerate(datas)])
+    trace = reference_trace([RawFrame(data=d, ts_sec=i, ts_usec=i * 7)
+                             for i, d in enumerate(datas)])
     back = read_pcap(write_pcap(trace))
     assert [f.data for f in back] == datas

@@ -5,7 +5,7 @@ import pytest
 
 from nicsieve.analytics import emit_csv
 from nicsieve.bloom import BloomParams
-from nicsieve.codec import RawFrame, Trace, write_pcap
+from nicsieve.codec import RawFrame, write_pcap
 from nicsieve.pipeline import (
     REASONS,
     Reason,
@@ -26,6 +26,7 @@ from conftest import (
     reference_candidates,
     reference_parse,
     reference_tcp_frame,
+    reference_trace,
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=55, seed_b=56)
@@ -56,7 +57,7 @@ def oracle_decision(matcher, frame):
 def decide_one(matcher, frame):
     """The card's (reason, verified matches, payload length) for one frame,
     which it forwards exactly when the reason is not ``CLEAN``."""
-    report = compare_baseline(matcher, Trace.from_frames([frame]))
+    report = compare_baseline(matcher, reference_trace([frame]))
     log = report.records
     reason = REASONS[log.reason[0]]
     assert log.reason.size == report.stats.total == 1
@@ -167,7 +168,7 @@ def mixed_trace(matcher):
         frame_with_payload(b"EVIL at the start"),
         frame_with_payload(b"clean again, really clean"),
     ]
-    return Trace.from_frames(frames)
+    return reference_trace(frames)
 
 
 def test_run_trace_counters_and_forwarded_trace():
@@ -209,7 +210,7 @@ def test_run_trace_matches_per_packet_processing():
                 sig = rng.choice(sset.signatures)
                 payload[1 : 1 + len(sig.pattern)] = sig.pattern
             frames.append(frame_with_payload(bytes(payload)))
-    trace = Trace.from_frames(frames)
+    trace = reference_trace(frames)
 
     report = compare_baseline(matcher, trace)
     stats, log = report.stats, report.records
@@ -234,14 +235,14 @@ def test_empty_signature_equivalent_trace_only_forwards_non_parseable():
     matcher = simple_matcher(patterns=(b"\x00never-there\x00",))
     frames = [frame_with_payload(b"plain text payload") for _ in range(10)]
     frames.append(RawFrame(data=b"xx"))
-    stats = compare_baseline(matcher, Trace.from_frames(frames)).stats
+    stats = compare_baseline(matcher, reference_trace(frames)).stats
     assert stats.forwarded == stats.non_parseable_forwards == 1
 
 
 def test_saturated_trace_forwards_everything():
     matcher = simple_matcher()
     frames = [frame_with_payload(b"EVIL" * 3) for _ in range(8)]
-    stats = compare_baseline(matcher, Trace.from_frames(frames)).stats
+    stats = compare_baseline(matcher, reference_trace(frames)).stats
     assert stats.forwarded == stats.total == 8
     assert stats.dropped == 0
 
@@ -326,7 +327,7 @@ def test_compare_baseline_nop_sled_matches_every_window():
     matcher = SignatureMatcher.program(rules, BloomParams())
     data = reference_tcp_frame(b"\x02" * 6, b"\x04" * 6, b"\x0a\0\0\x01",
                                b"\xc0\xa8\0\x01", 1234, 80, b"\x90" * 1400)
-    report = compare_baseline(matcher, Trace.from_frames([RawFrame(data)] * 20))
+    report = compare_baseline(matcher, reference_trace([RawFrame(data)] * 20))
     assert report.stats.equivalent
     assert report.stats.forwarded == len(report.forwarded) == 20
     sled = [(offset, 14, "nop") for offset in range(1387)]
@@ -341,7 +342,7 @@ def test_compare_baseline_nop_sled_matches_every_window():
 
 def test_compare_baseline_empty_trace():
     matcher = simple_matcher()
-    report = compare_baseline(matcher, Trace.from_frames([]))
+    report = compare_baseline(matcher, reference_trace([]))
     assert report.stats.equivalent
     assert report.stats.reduction == 0.0
     assert report.stats.total == 0

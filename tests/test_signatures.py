@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicsieve import signatures
-from nicsieve.codec import RawFrame, Trace, parse_payloads
+from nicsieve.codec import RawFrame, parse_payloads
 from nicsieve.bloom import (DEFAULT_SEED_A, DEFAULT_SEED_B, BloomParams,
                            fpr_theoretical)
 from nicsieve.signatures import (
@@ -28,6 +28,7 @@ from conftest import (
     naive_exact_matches,
     random_signature_set,
     reference_candidates,
+    reference_trace,
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=77, seed_b=78)
@@ -209,6 +210,12 @@ def test_images_reload_gives_identical_scans():
     assert scanned == scan_each(matcher, corpus)
     assert [as_windows(c) for c in scanned] == \
         [reference_candidates(reloaded.filters, p) for p in corpus]
+
+
+def test_matcher_needs_at_least_one_filter():
+    sset = random_signature_set(random.Random(34), 5, lengths=[4])
+    with pytest.raises(ValueError, match="at least one filter"):
+        SignatureMatcher(sset, {})
 
 
 def test_from_images_validates_consistency():
@@ -609,16 +616,17 @@ def test_payloads_gather_joins_payloads_as_payloads_of():
     def data(size):
         return RawFrame(build_tcp_frame(*addrs, rng.randbytes(size)))
 
-    trace = Trace.from_frames([ack, ack, data(1), ack, long, ack, data(300),
-                               data(7), data(40), ack])
+    trace = reference_trace([ack, ack, data(1), ack, long, ack, data(300),
+                             data(7), data(40), ack])
     start, end, unparseable = parse_payloads(trace)
     assert not unparseable.any()
     payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)
     assert (end - start).max() > signatures.GROUP_BYTES
     n = len(payloads)
+    at = np.empty(signatures.SLICE_WINDOWS, dtype=np.int64)
     for first in range(n + 1):
         for stop in range(first, n + 1):
-            group = payloads.gather(first, stop)
+            group = payloads.gather(first, stop, at)
             expected = Payloads.of([payloads[i] for i in range(first, stop)])
             assert np.array_equal(group.buf, expected.buf)
             assert np.array_equal(group.starts, expected.starts)
@@ -648,16 +656,18 @@ def test_payloads_gather_builds_its_index_one_slice_at_a_time(
     expected = Payloads.of([payloads[i] for i in range(first, stop)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signatures, "SLICE_WINDOWS", slice_windows)
+        # a group shorter than a slice needs an index of its size only
+        need = min(slice_windows, expected.buf.size)
         at = np.full(slice_windows, -1, dtype=np.int64)
-        for group in (payloads.gather(first, stop),
-                      payloads.gather(first, stop, at)):
+        for group in (payloads.gather(first, stop, at),
+                      payloads.gather(first, stop, at[:need])):
             assert np.array_equal(group.buf, expected.buf)
             assert np.array_equal(group.starts, expected.starts)
             assert np.array_equal(group.ends, expected.ends)
-        if expected.buf.size > 1:
-            with pytest.raises(ValueError, match="cannot hold a slice"):
-                payloads.gather(first, stop, at[: min(slice_windows,
-                                                      expected.buf.size) - 1])
+        if need:
+            with pytest.raises(ValueError,
+                               match=f"cannot hold a slice of {need} bytes"):
+                payloads.gather(first, stop, at[: need - 1])
 
 
 @given(sizes=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
@@ -720,7 +730,7 @@ def test_scan_memory_does_not_grow_with_gaps_between_payloads():
     jumbo[20] |= 0x20  # more fragments: an IPv4 fragment is not parseable
     jumbo = RawFrame(bytes(jumbo))
     frames = ([ack] * 150 + [jumbo, data]) * 400
-    trace = Trace.from_frames(frames)
+    trace = reference_trace(frames)
     start, end, unparseable = parse_payloads(trace)
     assert unparseable.sum() == 400 and (end > start).sum() == 400
     payloads = Payloads(np.frombuffer(trace.buf, dtype=np.uint8), start, end)

@@ -97,10 +97,12 @@ def _distinct_tokens(rng: np.random.Generator, count: int,
         draw = rng.integers(0, 1 << 63, size=count - tokens.shape[0],
                             dtype=np.uint64)
         drawn = draw.astype("<u8").view(np.uint8).reshape(draw.size, 8)
-        tokens = np.concatenate([tokens, drawn[:, :width]])
-        # a void row compares as its bytes, so unique sorts like bytes
-        tokens = np.unique(tokens.view(f"V{width}").ravel())
-        tokens = tokens.view(np.uint8).reshape(-1, width)
+        rows = np.concatenate([tokens, drawn[:, :width]])
+        # a void row compares as its bytes, so it sorts like bytes; a row
+        # equal to the one before it is a duplicate
+        rows = np.sort(rows.view(f"V{width}").ravel()).view(np.uint8)
+        rows = rows.reshape(-1, width)
+        tokens = rows[np.insert((rows[1:] != rows[:-1]).any(axis=1), 0, True)]
     return tokens
 
 

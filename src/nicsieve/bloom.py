@@ -37,18 +37,19 @@ bytes does not depend on how long the window will be, so ``fold_at``
 carries a running fold across ascending lengths. It folds a ``range`` of
 window starts from strided slices of the buffer, and an index array of
 starts from gathers: every start of a slice (the Bloom route in
-``signatures``), the rows of a row array (``_fold_rows``, for
-``add_many`` and ``check_many``), or scattered starts (the exact route
-in ``signatures``, under a seed of its own). ``mix64_at`` and
-``mix64_windows`` are ``fold_at`` for one length, finalized. Rounds 1
-and up share one probe loop, ``BloomFilter.narrow``. The test suite
-checks them against the independent reference hash in
-``tests/conftest.py``.
+``signatures``), the rows of a row array (``fold_rows``, for
+``add_many``, ``check_many`` and the exact route's slot table), or
+scattered starts (the exact route in ``signatures``, under a seed of its
+own). ``mix64_at`` and ``mix64_windows`` are ``fold_at`` for one
+length, finalized. Rounds 1 and up share one probe loop,
+``BloomFilter.narrow``. The test suite checks them against the
+independent reference hash in ``tests/conftest.py``.
 
-The batch calls take a same-length group as one 2-D uint8 array, one row
-per element, so a caller with many elements (the FPR sweep) never builds
-a Python object per element. A list of ``bytes`` is joined into such row
-arrays once, one per element length, and takes the same path.
+The batch calls, ``add_many`` and ``check_many``, take only a row array:
+a 2-D uint8 array, one element per row, so a caller with many elements
+(the FPR sweep) never builds a Python object per element. Rules of
+several pattern lengths reach the filters as one row array per length,
+from ``SignatureSet.by_length``.
 
 A filter keeps its vector unpacked, one bool per bit, so a probe round
 is one gather; the packed LSB-first bytes exist only in ``vector_bytes``
@@ -180,8 +181,8 @@ def fold_at(seed: int, buf: np.ndarray, positions: range | np.ndarray,
         yield length, at, state
 
 
-def _fold_rows(seed: int, rows: np.ndarray) -> np.ndarray:
-    """The unfinalized fold under ``seed`` of each row of a row array."""
+def fold_rows(seed: int, rows: np.ndarray) -> np.ndarray:
+    """The unfinalized fold under ``seed`` of each row of a 2-D uint8 array."""
     n, width = rows.shape
     ((_, _, state),) = fold_at(seed, rows.ravel(), range(0, n * width, width),
                                [width])
@@ -223,30 +224,16 @@ def first_probes(state: np.ndarray, m: int, out: np.ndarray | None = None,
     return _reduce(out, m)
 
 
-def _row_groups(elements: list[bytes] | np.ndarray) -> list[np.ndarray]:
-    """``elements`` as C-contiguous row arrays, one per element length.
-
-    A row array is a 2-D uint8 array with one element per row; it is
-    returned as the only group. A list of ``bytes`` is grouped by length
-    in first-seen order, each group joined into one row array, so an
-    empty list gives no groups. Raises ``ValueError`` for an empty
-    element, a 0-width array, or an array that is not 2-D uint8.
-    """
-    if isinstance(elements, np.ndarray):
-        if elements.ndim != 2 or elements.dtype != np.uint8:
-            raise ValueError("a row array must be 2-D uint8, got "
-                             f"{elements.ndim}-D {elements.dtype}")
-        if elements.shape[1] == 0:
-            raise ValueError("element must be non-empty")
-        return [np.ascontiguousarray(elements)]
-    by_length: dict[int, list[bytes]] = {}
-    for element in elements:
-        if len(element) == 0:
-            raise ValueError("element must be non-empty")
-        by_length.setdefault(len(element), []).append(element)
-    return [np.frombuffer(b"".join(group), dtype=np.uint8)
-            .reshape(len(group), length)
-            for length, group in by_length.items()]
+def _rows(elements: np.ndarray) -> np.ndarray:
+    """A row array (2-D uint8, at least one column) made C-contiguous."""
+    if (not isinstance(elements, np.ndarray) or elements.ndim != 2
+            or elements.dtype != np.uint8):
+        got = (f"{elements.ndim}-D {elements.dtype}"
+               if isinstance(elements, np.ndarray) else type(elements).__name__)
+        raise ValueError(f"elements must be a 2-D uint8 row array, got {got}")
+    if elements.shape[1] == 0:
+        raise ValueError("element must be non-empty")
+    return np.ascontiguousarray(elements)
 
 
 class BloomFilter:
@@ -267,24 +254,22 @@ class BloomFilter:
 
     def _strides(self, rows: np.ndarray) -> np.ndarray:
         """The odd stride (g2, made odd) of each row of a row array."""
-        return _finalize(_fold_rows(self.params.seed_b, rows)) | np.uint64(1)
+        return _finalize(fold_rows(self.params.seed_b, rows)) | np.uint64(1)
 
-    def add_many(self, elements: list[bytes] | np.ndarray) -> None:
-        """Set the k bits of every element, one batch per element length.
+    def add_many(self, elements: np.ndarray) -> None:
+        """Set the k bits of every element of a row array, in one batch.
 
-        ``elements`` is a list of non-empty ``bytes`` or a row array: a
-        2-D uint8 array, one element per row. Duplicates are
-        indistinguishable from first insertions, so ``count_programmed``
-        grows by the number of elements, not by the number of distinct
-        elements.
+        Duplicates are indistinguishable from first insertions, so
+        ``count_programmed`` grows by the number of rows, not by the
+        number of distinct rows.
         """
-        for rows in _row_groups(elements):
-            g1 = _finalize(_fold_rows(self.params.seed_a, rows))
-            stride = self._strides(rows)
-            for i in range(self.params.k):
-                idx = self.probe_indices(g1, stride, i)
-                self._table[idx.view(np.int64)] = True
-            self.count_programmed += rows.shape[0]
+        rows = _rows(elements)
+        g1 = _finalize(fold_rows(self.params.seed_a, rows))
+        stride = self._strides(rows)
+        for i in range(self.params.k):
+            idx = self.probe_indices(g1, stride, i)
+            self._table[idx.view(np.int64)] = True
+        self.count_programmed += rows.shape[0]
 
     def probe_indices(self, g1: np.ndarray, stride: np.ndarray,
                       i: int) -> np.ndarray:
@@ -326,20 +311,10 @@ class BloomFilter:
             alive = alive[self.test_bits(idx)]
         return alive
 
-    def check_many(self, elements: list[bytes] | np.ndarray) -> np.ndarray:
-        """Membership of each element, as a bool array. Never mutates.
-
-        ``elements`` is a row array (a 2-D uint8 array, one element per
-        row, at least one column) or a list of equal-length non-empty
-        ``bytes``.
-        """
-        groups = _row_groups(elements)
-        if len(groups) > 1:
-            raise ValueError("check_many requires equal-length elements")
-        if not groups:
-            return np.zeros(0, dtype=bool)
-        rows = groups[0]
-        state = _fold_rows(self.params.seed_a, rows)
+    def check_many(self, elements: np.ndarray) -> np.ndarray:
+        """Membership of each row of a row array, as bools. Never mutates."""
+        rows = _rows(elements)
+        state = fold_rows(self.params.seed_a, rows)
         alive = np.flatnonzero(self.first_hits(state))
         stride = self._strides(rows[alive])
         member = np.zeros(state.size, dtype=bool)

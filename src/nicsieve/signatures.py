@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .bloom import (BloomFilter, BloomParams, FilterImageError, fold_at,
-                    mix64_at)
+                    fold_rows, mix64_at)
 from .bloom import mix64_windows  # noqa: F401  (bench/tracer.py wraps it here)
 
 PATTERN_MIN_LEN = 2
@@ -116,11 +116,19 @@ class SignatureSet:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def by_length(self) -> dict[int, list[Signature]]:
+    def by_length(self) -> dict[int, tuple[list[str], np.ndarray]]:
+        """(ids, rows) of each pattern length, lengths in first-seen order.
+
+        Row i of ``rows``, a 2-D uint8 array, is the pattern of ``ids[i]``,
+        in rule order; a duplicate pattern keeps a row per id.
+        """
         groups: dict[int, list[Signature]] = {}
         for sig in self.signatures:
             groups.setdefault(len(sig.pattern), []).append(sig)
-        return groups
+        return {length: ([sig.id for sig in group],
+                         np.frombuffer(b"".join(sig.pattern for sig in group),
+                                       dtype=np.uint8).reshape(-1, length))
+                for length, group in groups.items()}
 
 
 def text_lines(text: bytes | str) -> list[str]:
@@ -405,14 +413,9 @@ class ExactScanner:
         self.lengths = sorted(groups)
         self._prefixes = np.zeros(1 << 16, dtype=bool)
         self._table = np.zeros(1 << (self._TABLE_BITS - 3), dtype=np.uint8)
-        for length, group in groups.items():
-            joined = np.frombuffer(b"".join(s.pattern for s in group),
-                                   dtype=np.uint8)
-            rows = range(0, joined.size, length)
-            pair = joined.astype(np.uint16)
-            self._prefixes[(pair[:-1] | pair[1:] << 8)[rows]] = True
-            _, _, state = next(fold_at(_EXACT_SEED, joined, rows, [length]))
-            slots = self._slots(length, state)
+        for length, (_, rows) in groups.items():
+            self._prefixes[rows[:, 1].astype(np.int64) << 8 | rows[:, 0]] = True
+            slots = self._slots(length, fold_rows(_EXACT_SEED, rows))
             np.bitwise_or.at(self._table, slots >> 3,
                              np.left_shift(1, slots & 7).astype(np.uint8))
 
@@ -511,10 +514,10 @@ class SignatureMatcher:
         """Build and program one filter per distinct pattern length."""
         if len(signature_set) == 0:
             raise ValueError("signature set is empty")
-        groups = signature_set.by_length()
-        filters = {length: BloomFilter(params) for length in groups}
-        for length, group in groups.items():
-            filters[length].add_many([sig.pattern for sig in group])
+        filters = {}
+        for length, (_, rows) in signature_set.by_length().items():
+            filters[length] = BloomFilter(params)
+            filters[length].add_many(rows)
         return cls(signature_set, filters)
 
     @classmethod
@@ -534,19 +537,18 @@ class SignatureMatcher:
             raise ValueError(f"image lengths {sorted(images)} do not match "
                              f"rule lengths {sorted(groups)}")
         filters = {}
-        for length, image in images.items():
+        missing: list[str] = []
+        for length, (ids, rows) in sorted(groups.items()):
             try:
-                filters[length] = filt = BloomFilter.from_image(image)
+                filters[length] = filt = BloomFilter.from_image(images[length])
             except FilterImageError as exc:
                 raise FilterImageError(f"length-{length} image: {exc}") from None
-            if filt.count_programmed != len(groups[length]):
+            if filt.count_programmed != len(ids):
                 raise ValueError(f"length-{length} image programmed with "
                                  f"{filt.count_programmed} elements, rules "
-                                 f"have {len(groups[length])}")
-        missing: list[str] = []
-        for length, group in sorted(groups.items()):
-            member = filters[length].check_many([sig.pattern for sig in group])
-            missing += [sig.id for sig, ok in zip(group, member) if not ok]
+                                 f"have {len(ids)}")
+            member = filt.check_many(rows)
+            missing += [i for i, ok in zip(ids, member) if not ok]
         if missing:
             raise ValueError("filter images are stale: no filter holds the "
                              f"pattern of {', '.join(missing)}")

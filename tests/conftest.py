@@ -12,6 +12,8 @@ import random
 import struct
 import warnings
 
+import numpy as np
+
 from nicsieve import Signature, SignatureSet
 from nicsieve.codec import USEC, read_pcap
 
@@ -38,6 +40,13 @@ def naive_exact_matches(signatures, payload: bytes) -> list[tuple[int, int, str]
                 out.append((off, len(pat), sig.id))
     out.sort()
     return out
+
+
+def row_array(elements: list[bytes]) -> np.ndarray:
+    """Equal-length ``bytes`` as a row array: 2-D uint8, one per row."""
+    (width,) = {len(e) for e in elements}
+    return np.frombuffer(b"".join(elements), dtype=np.uint8).reshape(
+        len(elements), width)
 
 
 def reference_finalize(value: int) -> int:

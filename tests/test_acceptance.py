@@ -16,7 +16,7 @@ from nicsieve.signatures import Payloads, SignatureMatcher
 from nicsieve.traffic import TrafficSpec, generate_trace
 
 from conftest import (naive_exact_matches, random_signature_set,
-                      reference_parse, reference_trace)
+                      reference_parse, reference_trace, row_array)
 
 
 def report(number: int, ok: bool, elapsed: float, bound: float, detail: str):
@@ -161,8 +161,9 @@ def test_criterion_5_bit_exact_persistence():
                              seed_a=rng.getrandbits(64),
                              seed_b=rng.getrandbits(64) | 1)
         filt = BloomFilter(params)
-        filt.add_many([rng.randbytes(rng.randint(1, 32))
-                       for _ in range(rng.randint(0, 400))] or [b"x"])
+        elements = [rng.randbytes(rng.randint(1, 32))
+                    for _ in range(rng.randint(0, 400))] or [b"x"]
+        _add_by_length(filt, elements)
         image = filt.to_image()
         image_ok &= BloomFilter.from_image(image).to_image() == image
 
@@ -208,14 +209,14 @@ def test_criterion_6_bloom_structural_properties():
         filt = BloomFilter(params)
         elements = [rng.randbytes(rng.randint(1, 16)) for _ in range(size)]
         if trial % 2:
-            filt.add_many(elements)
+            _add_by_length(filt, elements)
         else:
             _add_in_slices(filt, elements)
         false_negatives += sum(not hit for hit in _grouped_check(filt, elements))
 
     # purity: checks leave the serialized image untouched
     filt = BloomFilter(BloomParams(m=4096, k=4, seed_a=1, seed_b=2))
-    filt.add_many([rng.randbytes(8) for _ in range(100)])
+    filt.add_many(row_array([rng.randbytes(8) for _ in range(100)]))
     before = filt.to_image()
     _grouped_check(filt, [rng.randbytes(rng.randint(1, 12)) for _ in range(2000)])
     purity_ok = filt.to_image() == before
@@ -223,7 +224,7 @@ def test_criterion_6_bloom_structural_properties():
     # monotonicity: later adds never clear bits or revoke membership
     filt = BloomFilter(BloomParams(m=2048, k=3, seed_a=3, seed_b=4))
     first = [rng.randbytes(6) for _ in range(50)]
-    filt.add_many(first)
+    filt.add_many(row_array(first))
     bits_before = filt.vector_bytes()
     _add_in_slices(filt, [rng.randbytes(6) for _ in range(500)])
     bits_after = filt.vector_bytes()
@@ -240,20 +241,30 @@ def test_criterion_6_bloom_structural_properties():
     assert monotone_ok
 
 
+def _by_length(elements):
+    """``elements`` as row arrays, one per length, in first-seen order."""
+    groups = {}
+    for e in elements:
+        groups.setdefault(len(e), []).append(e)
+    return [row_array(group) for group in groups.values()]
+
+
+def _add_by_length(filt, elements):
+    """Program ``elements``, one ``add_many`` call per length."""
+    for rows in _by_length(elements):
+        filt.add_many(rows)
+
+
 def _add_in_slices(filt, elements, size=64):
-    """Program ``elements`` incrementally, ``size`` per ``add_many`` call."""
+    """Program ``elements`` incrementally, ``size`` at a time."""
     for start in range(0, len(elements), size):
-        filt.add_many(elements[start : start + size])
+        _add_by_length(filt, elements[start : start + size])
 
 
 def _grouped_check(filt, elements):
-    by_length = {}
-    for e in elements:
-        by_length.setdefault(len(e), []).append(e)
-    out = []
-    for group in by_length.values():
-        out.extend(filt.check_many(group))
-    return out
+    """Membership of ``elements``, grouped by length (not in their order)."""
+    return [hit for rows in _by_length(elements)
+            for hit in filt.check_many(rows)]
 
 
 def test_criterion_7_optimal_k_consistency():

@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,21 @@ def test_tokens_are_little_endian_draws(count, width):
     assert queries.dtype == np.uint8 and queries.shape == (500, 9)
     assert [row.tobytes() for row in queries] == \
         [int(x).to_bytes(8, "little") + b"\x00" for x in draw]
+
+
+def test_sweep_leaves_numpy_ma_unimported():
+    # duplicate members are removed by a sort and a compare with the row
+    # before; np.unique on void rows would import numpy.ma into every
+    # sweep. A fresh process shows what the sweep itself loads.
+    code = ("import sys\n"
+            "from nicsieve.analytics import fpr_sweep\n"
+            "fpr_sweep(1024, [2], [0, 100], trials=1000, seed=1)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(analytics.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_sweep_memory_does_not_grow_with_trials():

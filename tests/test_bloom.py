@@ -19,7 +19,7 @@ from nicsieve.bloom import (
 )
 
 from conftest import (reference_check, reference_fold, reference_mix64,
-                      reference_probes)
+                      reference_probes, row_array)
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=101, seed_b=202)
 # m neither a power of two nor a multiple of 8: probes reduce modulo m and
@@ -57,7 +57,7 @@ def test_new_filter_all_zero():
     filt = BloomFilter(BloomParams(m=16384, k=4, seed_a=1, seed_b=2))
     assert filt.popcount() == 0
     assert filt.count_programmed == 0
-    assert filt.check_many([b"anything"]).tolist() == [False]
+    assert filt.check_many(row_array([b"anything"])).tolist() == [False]
 
 
 # --- hash indices -----------------------------------------------------------
@@ -79,17 +79,17 @@ def test_hash_indices_deterministic_and_in_range():
 
 def test_hash_indices_rejects_empty_element():
     filt = BloomFilter(PARAMS)
-    with pytest.raises(ValueError):
-        filt.add_many([b""])
     with pytest.raises(ValueError, match="non-empty"):
-        filt.check_many([b""])
+        filt.add_many(row_array([b""]))
+    with pytest.raises(ValueError, match="non-empty"):
+        filt.check_many(row_array([b""]))
 
 
 def test_hash_indices_match_independent_mixer():
     # programmed bits recomputed from an independent mixer rewrite
     for element in (b"abc", b"GET /", bytes(range(64))):
         filt = BloomFilter(PARAMS)
-        filt.add_many([element])
+        filt.add_many(row_array([element]))
         assert filt.vector_bytes() == reference_vector(PARAMS, [element])
 
 
@@ -191,7 +191,7 @@ def test_first_probes_equal_the_two_finalizer_oracle(buf, length, seed_a,
     # 2**20 bits, whose table is one bool per bit)
     filt = BloomFilter(BloomParams(m=min(m, 2**20 + 1), k=1, seed_a=seed_a,
                                    seed_b=seed_b))
-    filt.add_many(windows[::2])
+    filt.add_many(row_array(windows[::2]))
     assert filt.first_hits(state).tolist() == \
         [reference_check(filt, w) for w in windows]
 
@@ -208,45 +208,63 @@ def test_mix64_at_refuses_a_window_past_the_end():
 
 def test_add_sets_k_bits_and_counts():
     filt = BloomFilter(PARAMS)
-    filt.add_many([b"element-1"])
+    filt.add_many(row_array([b"element-1"]))
     assert 1 <= filt.popcount() <= PARAMS.k
     assert filt.count_programmed == 1
-    assert filt.check_many([b"element-1"])[0]
+    assert filt.check_many(row_array([b"element-1"]))[0]
 
 
 def test_add_twice_is_idempotent_on_bits():
     filt = BloomFilter(PARAMS)
-    filt.add_many([b"dup"])
+    filt.add_many(row_array([b"dup"]))
     once = filt.vector_bytes()
-    filt.add_many([b"dup"])
+    filt.add_many(row_array([b"dup"]))
     assert filt.vector_bytes() == once
     assert filt.count_programmed == 2
 
 
 def test_check_does_not_mutate():
     filt = BloomFilter(PARAMS)
-    filt.add_many([b"stored"])
+    filt.add_many(row_array([b"stored"]))
     before = filt.to_image()
     for probe in (b"stored", b"missing", b"\xff" * 32):
-        filt.check_many([probe])
+        filt.check_many(row_array([probe]))
     assert filt.to_image() == before
 
 
 def test_check_many_input_checks():
-    # the empty element is in test_hash_indices_rejects_empty_element
+    # the batch calls take a row array and nothing else: a list of bytes,
+    # a 1-D array, another dtype, another rank and a 0-width array are
+    # refused, and no bit is set
     filt = BloomFilter(PARAMS)
-    filt.add_many([b"ab", b"abc"])
-    assert filt.check_many([]).tolist() == []
-    with pytest.raises(ValueError, match="equal-length"):
-        filt.check_many([b"ab", b"abc"])
+    for bad in ([b"ab", b"cd"], [b"ab"], [np.zeros(2, dtype=np.uint8)],
+                np.zeros(9, dtype=np.uint8), np.zeros((2, 3, 4), np.uint8),
+                np.zeros((4, 9), dtype=np.int64),
+                np.zeros((4, 9), dtype=np.int8)):
+        with pytest.raises(ValueError, match="2-D uint8 row array"):
+            filt.check_many(bad)
+        with pytest.raises(ValueError, match="2-D uint8 row array"):
+            filt.add_many(bad)
+    for bad in (np.zeros((3, 0), dtype=np.uint8),
+                np.zeros((0, 0), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="non-empty"):
+            filt.check_many(bad)
+        with pytest.raises(ValueError, match="non-empty"):
+            filt.add_many(bad)
+    assert filt.popcount() == 0 and filt.count_programmed == 0
+    # no rows is a batch of none
+    assert filt.check_many(np.zeros((0, 3), dtype=np.uint8)).tolist() == []
 
 
 def test_add_many_equals_sequential_adds():
+    # elements of many lengths, programmed one length's rows at a time
     rng = random.Random(5)
     elements = [rng.randbytes(rng.randint(1, 24)) for _ in range(500)]
     for params in (PARAMS, ODD_M):
         filt = BloomFilter(params)
-        filt.add_many(elements)
+        for length in {len(e) for e in elements}:
+            filt.add_many(row_array([e for e in elements
+                                     if len(e) == length]))
         assert filt.vector_bytes() == reference_vector(params, elements)
         assert filt.count_programmed == len(elements)
 
@@ -254,9 +272,9 @@ def test_add_many_equals_sequential_adds():
 def test_check_many_equals_scalar_checks():
     rng = random.Random(6)
     filt = BloomFilter(PARAMS)
-    filt.add_many([rng.randbytes(8) for _ in range(300)])
+    filt.add_many(row_array([rng.randbytes(8) for _ in range(300)]))
     probes = [rng.randbytes(8) for _ in range(2000)]
-    assert filt.check_many(probes).tolist() == \
+    assert filt.check_many(row_array(probes)).tolist() == \
         [reference_check(filt, p) for p in probes]
 
 
@@ -266,7 +284,7 @@ def test_check_many_equals_scalar_checks():
 @settings(max_examples=80, deadline=None)
 def test_check_many_rows_equal_bytes_and_oracle(m, k, width, count, seed,
                                                 data):
-    # a row array answers as the same rows given as bytes, and as the
+    # a row array answers as its rows checked one at a time, and as the
     # oracle; members are a random subset of the rows plus other elements
     rng = random.Random(seed)
     filt = BloomFilter(BloomParams(m=m, k=k, seed_a=rng.getrandbits(64),
@@ -275,30 +293,14 @@ def test_check_many_rows_equal_bytes_and_oracle(m, k, width, count, seed,
     rows = rows.reshape(count, width)
     elements = [row.tobytes() for row in rows]
     members = [e for e in elements if data.draw(st.booleans())]
-    filt.add_many(members + [rng.randbytes(width) for _ in range(10)])
+    filt.add_many(row_array(members + [rng.randbytes(width)
+                                       for _ in range(10)]))
     member = filt.check_many(rows)
     assert member.dtype == bool and member.shape == (count,)
-    assert member.tolist() == filt.check_many(elements).tolist() == \
+    assert member.tolist() == \
+        [bool(filt.check_many(rows[i : i + 1])[0]) for i in range(count)] == \
         [reference_check(filt, e) for e in elements]
     assert member[[elements.index(e) for e in members]].all()
-
-
-def test_row_arrays_are_checked():
-    filt = BloomFilter(PARAMS)
-    for bad in (np.zeros((3, 0), dtype=np.uint8),
-                np.zeros((0, 0), dtype=np.uint8)):
-        with pytest.raises(ValueError, match="non-empty"):
-            filt.check_many(bad)
-        with pytest.raises(ValueError, match="non-empty"):
-            filt.add_many(bad)
-    for bad in (np.zeros(9, dtype=np.uint8), np.zeros((2, 3, 4), np.uint8),
-                np.zeros((4, 9), dtype=np.int64),
-                np.zeros((4, 9), dtype=np.int8)):
-        with pytest.raises(ValueError, match="2-D uint8"):
-            filt.check_many(bad)
-        with pytest.raises(ValueError, match="2-D uint8"):
-            filt.add_many(bad)
-    assert filt.popcount() == 0 and filt.count_programmed == 0
 
 
 def test_add_many_rows_equal_bytes():
@@ -321,8 +323,8 @@ def test_add_many_rows_equal_bytes():
 def test_no_false_negatives(elements):
     filt = BloomFilter(BloomParams(m=512, k=3, seed_a=7, seed_b=9))
     for e in elements:
-        filt.add_many([e])
-    assert all(filt.check_many([e])[0] for e in elements)
+        filt.add_many(row_array([e]))
+    assert all(filt.check_many(row_array([e]))[0] for e in elements)
 
 
 @given(st.lists(st.binary(min_size=1, max_size=16), min_size=1, max_size=40),
@@ -332,22 +334,23 @@ def test_adds_are_monotone(first, later):
     params = BloomParams(m=256, k=2, seed_a=3, seed_b=4)
     filt = BloomFilter(params)
     for e in first:
-        filt.add_many([e])
+        filt.add_many(row_array([e]))
     bits_before = filt.vector_bytes()
-    members_before = [p for p in first + later if filt.check_many([p])[0]]
+    members_before = [p for p in first + later
+                      if filt.check_many(row_array([p]))[0]]
     for e in later:
-        filt.add_many([e])
+        filt.add_many(row_array([e]))
     bits_after = filt.vector_bytes()
     # no bit flips 1 -> 0, and member answers never regress
     assert all(b & a == b for b, a in zip(bits_before, bits_after))
-    assert all(filt.check_many([p])[0] for p in members_before)
+    assert all(filt.check_many(row_array([p]))[0] for p in members_before)
 
 
 def test_popcount_bounded_by_k_times_n():
     rng = random.Random(8)
     filt = BloomFilter(PARAMS)
     for _ in range(200):
-        filt.add_many([rng.randbytes(12)])
+        filt.add_many(row_array([rng.randbytes(12)]))
     assert filt.popcount() <= PARAMS.k * filt.count_programmed
 
 
@@ -356,9 +359,9 @@ def test_member_rate_tracks_theory():
     # standard deviations of the closed form
     rng = random.Random(123)
     filt = BloomFilter(BloomParams(m=16384, k=4, seed_a=41, seed_b=43))
-    filt.add_many([rng.randbytes(8) for _ in range(2000)])
-    probes = [rng.randbytes(10) for _ in range(100_000)]
-    rate = sum(filt.check_many(probes)) / len(probes)
+    filt.add_many(row_array([rng.randbytes(8) for _ in range(2000)]))
+    probes = row_array([rng.randbytes(10) for _ in range(100_000)])
+    rate = filt.check_many(probes).sum() / len(probes)
     theory = fpr_theoretical(16384, 4, 2000).fpr
     assert abs(theory - 0.0223) < 1e-4 + 5e-5
     sigma = math.sqrt(theory * (1 - theory) / len(probes))
@@ -422,7 +425,8 @@ def test_image_roundtrip_bit_identical():
         rng = random.Random(44)
         filt = BloomFilter(params)
         elements = [rng.randbytes(rng.randint(1, 20)) for _ in range(100)]
-        filt.add_many(elements)
+        for e in elements:
+            filt.add_many(row_array([e]))
         image = filt.to_image()
         back = BloomFilter.from_image(image)
         assert back.to_image() == image
@@ -431,7 +435,8 @@ def test_image_roundtrip_bit_identical():
         assert back.vector_bytes() == filt.vector_bytes()
         # a reloaded filter keeps programming onto the loaded bits
         more = [rng.randbytes(rng.randint(1, 20)) for _ in range(50)]
-        back.add_many(more)
+        for e in more:
+            back.add_many(row_array([e]))
         assert back.vector_bytes() == reference_vector(params, elements + more)
     # bits 1001..1007 of ODD_M's last vector byte are padding: a set one
     # still round-trips
@@ -449,7 +454,7 @@ def test_image_layout_matches_documented_format():
     import zlib
 
     filt = BloomFilter(BloomParams(m=64, k=2, seed_a=9, seed_b=10))
-    filt.add_many([b"ab"])
+    filt.add_many(row_array([b"ab"]))
     image = filt.to_image()
     assert image[:4] == b"PEIC"
     version, k = struct.unpack_from("<HH", image, 4)
@@ -465,7 +470,7 @@ def test_image_layout_matches_documented_format():
 
 def test_image_error_cases():
     filt = BloomFilter(BloomParams(m=256, k=2, seed_a=1, seed_b=2))
-    filt.add_many([b"xy"])
+    filt.add_many(row_array([b"xy"]))
     image = filt.to_image()
 
     with pytest.raises(FilterImageError, match="magic"):
@@ -491,5 +496,5 @@ def test_image_error_cases():
 def test_image_roundtrip_property(elements, m, k):
     filt = BloomFilter(BloomParams(m=m, k=k, seed_a=21, seed_b=22))
     for e in elements:
-        filt.add_many([e])
+        filt.add_many(row_array([e]))
     assert BloomFilter.from_image(filt.to_image()).to_image() == filt.to_image()

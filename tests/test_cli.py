@@ -8,7 +8,7 @@ from nicsieve.codec import NSEC, USEC, RawFrame, read_pcap, write_pcap
 from nicsieve.signatures import load_rules
 from nicsieve.traffic import TrafficSpec, generate_trace
 
-from conftest import reference_capture
+from conftest import reference_capture, row_array
 
 RULES = b"""# demo rules
 web1,ascii,GET /etc/passwd
@@ -419,7 +419,7 @@ def test_scan_tampered_image_exit_3(tmp_path, rules_file, built_and_generated,
     filters, trace, _ = built_and_generated
     original = BloomFilter.from_image((filters / "len15.bfi").read_bytes())
     bogus = BloomFilter(original.params)
-    bogus.add_many([b"not the real pattern"])  # count matches, bits do not
+    bogus.add_many(row_array([b"not the real pattern"]))  # count matches, bits do not
     (filters / "len15.bfi").write_bytes(bogus.to_image())
     argv = ("scan", filters / "index.txt", "--rules", rules_file,
             "--in", trace, "--out", tmp_path / "f.pcap",

@@ -29,6 +29,7 @@ from conftest import (
     random_signature_set,
     reference_candidates,
     reference_trace,
+    row_array,
 )
 
 PARAMS = BloomParams(m=16384, k=4, seed_a=77, seed_b=78)
@@ -162,6 +163,28 @@ def test_signature_set_rejects_duplicate_ids():
         SignatureSet(signatures=[Signature("a", b"xx"), Signature("a", b"yy")])
 
 
+def test_by_length_rows_follow_rule_order():
+    # each length's rows are its patterns in rule order, a duplicate
+    # pattern keeps a row per id, and row i is the pattern of ids[i]
+    sset = load_rules(b"a,ascii,GET /\nb,hex,0d0a\nc,ascii,EVIL\n"
+                      b"d,ascii,GET /\ne,ascii,xy\nf,hex,0d0a\n")
+    groups = sset.by_length()
+    assert list(groups) == [5, 2, 4]
+    assert groups[5][0] == ["a", "d"]
+    assert groups[2][0] == ["b", "e", "f"]
+    assert [row.tobytes() for row in groups[2][1]] == [b"\r\n", b"xy", b"\r\n"]
+    for sset in (sset, random_signature_set(random.Random(35), 300)):
+        pattern = {s.id: s.pattern for s in sset.signatures}
+        for length, (ids, rows) in sset.by_length().items():
+            assert rows.dtype == np.uint8 and rows.shape == (len(ids), length)
+            assert ids == [s.id for s in sset.signatures
+                           if len(s.pattern) == length]
+            assert [row.tobytes() for row in rows] == [pattern[i] for i in ids]
+        assert sum(len(ids) for ids, _ in sset.by_length().values()) == \
+            len(sset)
+    assert SignatureSet([]).by_length() == {}
+
+
 # --- programming ------------------------------------------------------------
 
 def test_program_groups_by_length():
@@ -193,7 +216,8 @@ def test_program_thousand_random_patterns_all_member():
     sset = random_signature_set(rng, 1000)
     matcher = SignatureMatcher.program(sset, PARAMS)
     for sig in sset.signatures:
-        assert matcher.filters[len(sig.pattern)].check_many([sig.pattern])[0]
+        filt = matcher.filters[len(sig.pattern)]
+        assert filt.check_many(row_array([sig.pattern]))[0]
 
 
 def test_images_reload_gives_identical_scans():
@@ -260,10 +284,11 @@ def test_images_of_different_m_and_k_scan_as_one_card(data):
                                  unique=True), label="lengths")
     sset = random_signature_set(rng, data.draw(st.integers(1, 40)), lengths)
     images = {}
-    for length, group in sset.by_length().items():
+    for length in sset.by_length():
         params = BloomParams(m=data.draw(st.integers(8, 3000), label="m"),
                              k=data.draw(st.integers(1, 5), label="k"),
                              seed_a=77, seed_b=78)
+        group = [s for s in sset.signatures if len(s.pattern) == length]
         single = SignatureMatcher.program(SignatureSet(group), params)
         images[length] = single.filter_images()[length]
     matcher = SignatureMatcher.from_images(sset, images)

@@ -24,17 +24,28 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analytics import emit_csv, fpr_sweep
+from . import _lazy_names
 from .bloom import BloomParams, fpr_theoretical
-from .codec import read_pcap, write_pcap
-from .pipeline import compare_baseline, decision_log_csv
-from .signatures import SignatureMatcher, load_rules, text_lines
-from .traffic import TrafficSpec, generate_trace
 
 DEFAULT_K_LIST = (2, 4, 6, 8)
 DEFAULT_N_LIST = (100, 250, 500, 1000, 2000, 4000)
 DEFAULT_PARAMS = BloomParams()
-DEFAULT_TRAFFIC = TrafficSpec(packet_count=0)
+
+# The names the subcommands call from the other modules, and the module of
+# each. Each is imported the first time it is asked for and bound on this
+# module, so a subcommand loads only the modules it runs. The commands call
+# them as attributes of ``_cli``, so a name replaced on this module
+# (``bench/tracer.py`` wraps eight of them) is the one they call.
+_COLLABORATORS = {
+    "SignatureMatcher": "signatures", "load_rules": "signatures",
+    "text_lines": "signatures",
+    "read_pcap": "codec", "write_pcap": "codec",
+    "compare_baseline": "pipeline", "decision_log_csv": "pipeline",
+    "TrafficSpec": "traffic", "generate_trace": "traffic",
+    "emit_csv": "analytics", "fpr_sweep": "analytics",
+}
+__getattr__ = _lazy_names(globals(), _COLLABORATORS)
+_cli = sys.modules[__name__]  # this module, also when run as __main__
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("--count", type=int, required=True, help="packets to generate")
-    gen.add_argument("--attack-fraction", type=float,
-                     default=DEFAULT_TRAFFIC.attack_fraction,
+    # a flag left out is absent from the parsed arguments, and cmd_gen
+    # takes TrafficSpec's default for it
+    gen.add_argument("--attack-fraction", type=float, default=argparse.SUPPRESS,
                      help="fraction of packets carrying a signature")
     gen.add_argument("--rules", help="rule file (required when attacks requested)")
-    payload_min, payload_max = DEFAULT_TRAFFIC.payload_len_range
-    gen.add_argument("--payload-min", type=int, default=payload_min)
-    gen.add_argument("--payload-max", type=int, default=payload_max)
-    gen.add_argument("--seed", type=int, default=DEFAULT_TRAFFIC.seed)
+    gen.add_argument("--payload-min", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--payload-max", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, help="output capture file")
     gen.add_argument("--manifest", required=True, help="output ground-truth CSV")
     gen.set_defaults(func=cmd_gen)
@@ -130,8 +141,8 @@ def _parsed(path: str | Path, parse):
 def cmd_build(args: argparse.Namespace) -> int:
     params = BloomParams(m=args.m, k=args.k, seed_a=args.seed_a,
                          seed_b=args.seed_b)
-    matcher = _parsed(args.rules, lambda data: SignatureMatcher.program(
-        load_rules(data), params))
+    matcher = _parsed(args.rules, lambda data: _cli.SignatureMatcher.program(
+        _cli.load_rules(data), params))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,15 +165,19 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    ruleset = None if args.rules is None else _parsed(args.rules, load_rules)
-    if ruleset is not None and len(ruleset) == 0 and args.attack_fraction > 0:
+    default = _cli.TrafficSpec(packet_count=0)
+    payload_min, payload_max = default.payload_len_range
+    attack_fraction = getattr(args, "attack_fraction", default.attack_fraction)
+    ruleset = None if args.rules is None else _parsed(args.rules, _cli.load_rules)
+    if ruleset is not None and len(ruleset) == 0 and attack_fraction > 0:
         raise ValueError(f"{args.rules}: attack packets requested but the "
                          "file holds no signatures")
-    spec = TrafficSpec(packet_count=args.count,
-                       attack_fraction=args.attack_fraction,
-                       payload_len_range=(args.payload_min, args.payload_max),
-                       seed=args.seed, signatures=ruleset)
-    trace, manifest = generate_trace(spec)
+    spec = _cli.TrafficSpec(
+        packet_count=args.count, attack_fraction=attack_fraction,
+        payload_len_range=(getattr(args, "payload_min", payload_min),
+                           getattr(args, "payload_max", payload_max)),
+        seed=getattr(args, "seed", default.seed), signatures=ruleset)
+    trace, manifest = _cli.generate_trace(spec)
     # a generated trace's buffer is the whole little-endian capture file
     Path(args.out).write_bytes(trace.buf)
     Path(args.manifest).write_bytes(manifest.to_csv())
@@ -173,7 +188,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _load_index(index_path: Path) -> dict[int, bytes]:
     images: dict[int, bytes] = {}
-    for lineno, line in enumerate(_parsed(index_path, text_lines), start=1):
+    for lineno, line in enumerate(_parsed(index_path, _cli.text_lines), start=1):
         line = line.strip()
         if not line:
             continue
@@ -196,18 +211,19 @@ def _load_index(index_path: Path) -> dict[int, bytes]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    ruleset = _parsed(args.rules, load_rules)
+    ruleset = _parsed(args.rules, _cli.load_rules)
     images = _load_index(Path(args.index))
     with _about(f"{args.index} with {args.rules}"):
-        matcher = SignatureMatcher.from_images(ruleset, images)
-    trace = _parsed(args.in_trace, read_pcap)
+        matcher = _cli.SignatureMatcher.from_images(ruleset, images)
+    trace = _parsed(args.in_trace, _cli.read_pcap)
 
-    report = compare_baseline(matcher, trace)
-    Path(args.out).write_bytes(write_pcap(report.forwarded))
+    report = _cli.compare_baseline(matcher, trace)
+    Path(args.out).write_bytes(_cli.write_pcap(report.forwarded))
     stats = report.stats
-    Path(args.report).write_bytes(emit_csv([stats]))
+    Path(args.report).write_bytes(_cli.emit_csv([stats]))
     if args.decision_log:
-        Path(args.decision_log).write_bytes(decision_log_csv(report.records))
+        Path(args.decision_log).write_bytes(
+            _cli.decision_log_csv(report.records))
 
     print(f"{stats.total} packets: forwarded {stats.forwarded} "
           f"({100.0 * stats.forwarded / stats.total if stats.total else 0.0:.2f}%), "
@@ -220,9 +236,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = fpr_sweep(args.m, args.k_list, args.n_list, args.trials,
-                     seed=args.seed)
-    Path(args.out).write_bytes(emit_csv(rows))
+    rows = _cli.fpr_sweep(args.m, args.k_list, args.n_list, args.trials,
+                          seed=args.seed)
+    Path(args.out).write_bytes(_cli.emit_csv(rows))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

@@ -460,7 +460,12 @@ class ExactScanner:
 
     def confirm(self, payload: bytes,
                 candidates: list[CandidateMatch]) -> list[CandidateMatch]:
-        """Keep windows whose bytes equal a pattern, one match per id, sorted."""
+        """Keep windows whose bytes equal a pattern, one match per id.
+
+        Matches are sorted by (offset, length, signature id), so the ids
+        of rules that share a pattern come in id order at each window,
+        not in rule order.
+        """
         confirmed = []
         for cand in candidates:
             if cand.offset < 0 or cand.offset + cand.length > len(payload):

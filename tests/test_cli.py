@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from nicsieve import cli
 from nicsieve.bloom import BloomFilter
 from nicsieve.cli import main
 from nicsieve.codec import NSEC, USEC, RawFrame, read_pcap, write_pcap
@@ -149,14 +150,17 @@ def test_gen_deterministic(tmp_path, rules_file):
 
 
 @pytest.mark.parametrize("flags, spec", [
-    ((), TrafficSpec(packet_count=300, signatures=load_rules(RULES))),
-    (("--attack-fraction", 0.1, "--seed", 5),
+    ((), TrafficSpec(packet_count=300)),
+    (("--rules", "rules.txt"),
+     TrafficSpec(packet_count=300, signatures=load_rules(RULES))),
+    (("--rules", "rules.txt", "--attack-fraction", 0.1, "--seed", 5),
      TrafficSpec(packet_count=300, attack_fraction=0.1, seed=5,
                  signatures=load_rules(RULES))),
-], ids=["no-flags", "no-payload-flags"])
-def test_gen_defaults_are_the_spec_defaults(tmp_path, rules_file, flags, spec):
-    assert run("gen", "--count", 300, "--rules", rules_file, *flags,
-               "--out", tmp_path / "t.pcap",
+], ids=["no-flags", "rules-only", "no-payload-flags"])
+def test_gen_defaults_are_the_spec_defaults(tmp_path, rules_file, monkeypatch,
+                                            flags, spec):
+    monkeypatch.chdir(tmp_path)  # where rules_file wrote rules.txt
+    assert run("gen", "--count", 300, *flags, "--out", tmp_path / "t.pcap",
                "--manifest", tmp_path / "m.csv") == 0
     trace, manifest = generate_trace(spec)
     assert (tmp_path / "t.pcap").read_bytes() == write_pcap(trace)
@@ -514,6 +518,42 @@ def test_sweep_deterministic(tmp_path):
                    "--trials", 2000, "--seed", 3,
                    "--out", tmp_path / f"{tag}.csv") == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# --- the names bench/tracer.py wraps -----------------------------------------
+
+def test_commands_call_the_names_bound_on_the_cli_module(tmp_path, rules_file,
+                                                         monkeypatch):
+    # the tracer times each layer by replacing these names on nicsieve.cli;
+    # a command that reached them any other way would escape its wraps
+    calls = []
+    for name in ("load_rules", "read_pcap", "write_pcap", "compare_baseline",
+                 "decision_log_csv", "generate_trace", "fpr_sweep", "emit_csv"):
+        def recording(*args, name=name, fn=getattr(cli, name), **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
+
+    def called(*argv):
+        calls.clear()
+        assert run(*argv) == 0
+        return calls[:]
+
+    filters, trace = tmp_path / "filters", tmp_path / "trace.pcap"
+    assert called("build", "--rules", rules_file, "--out", filters) == \
+        ["load_rules"]
+    assert called("gen", "--count", 50, "--attack-fraction", 0.1,
+                  "--rules", rules_file, "--out", trace,
+                  "--manifest", tmp_path / "truth.csv") == \
+        ["load_rules", "generate_trace"]
+    assert called("scan", filters / "index.txt", "--rules", rules_file,
+                  "--in", trace, "--out", tmp_path / "forwarded.pcap",
+                  "--report", tmp_path / "report.csv",
+                  "--decision-log", tmp_path / "decisions.csv") == \
+        ["load_rules", "read_pcap", "compare_baseline", "write_pcap",
+         "emit_csv", "decision_log_csv"]
+    assert called("sweep", "--k-list", 4, "--n-list", 100, "--trials", 1000,
+                  "--out", tmp_path / "sweep.csv") == ["fpr_sweep", "emit_csv"]
 
 
 def test_usage_error_exit_1():

@@ -1,11 +1,27 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nicsieve
 from nicsieve.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(nicsieve.__file__).resolve().parents[1]
+
+# Runs ``nicsieve.cli`` as ``python -m nicsieve.cli`` does, then prints the
+# modules the process loaded as the last line of its output.
+RUN_CLI = """\
+import runpy, sys
+try:
+    runpy.run_module("nicsieve.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(sys.modules))
+"""
 
 
 def test_exports_resolve_and_are_listed_once():
@@ -13,6 +29,60 @@ def test_exports_resolve_and_are_listed_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(nicsieve, name)]
     assert missing == []
+    assert set(names) <= set(dir(nicsieve))
+
+
+def loaded_modules(*argv, cwd=None):
+    """The modules a fresh interpreter holds after running ``argv``."""
+    run = subprocess.run([sys.executable, *argv], capture_output=True,
+                         text=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = loaded_modules("-c", "import sys, nicsieve\n"
+                                  "print(*sorted(sys.modules))")
+    assert "nicsieve" in loaded
+    assert [name for name in loaded if name.startswith("nicsieve.")] == []
+
+
+@pytest.fixture(scope="module")
+def session_dir(tmp_path_factory):
+    """A rule file, its filters and a capture, for one run of each command."""
+    work = tmp_path_factory.mktemp("session")
+    rules = work / "rules.txt"
+    rules.write_text("web1,ascii,GET /x\nhex1,hex,deadbeef\n")
+    assert main(["build", "--rules", str(rules), "--out", str(work / "f")]) == 0
+    assert main(["gen", "--count", "50", "--attack-fraction", "0.1",
+                 "--rules", str(rules), "--out", str(work / "t.pcap"),
+                 "--manifest", str(work / "m.csv")]) == 0
+    return work
+
+
+# each subcommand loads only the modules it runs: sweep and build pay for
+# neither the capture nor the traffic code, scan not for the generator and
+# its csv and fractions imports, gen not for the card's data path
+@pytest.mark.parametrize("argv, absent", [
+    (["sweep", "--k-list", "4", "--n-list", "100", "--trials", "1000",
+      "--out", "s.csv"],
+     {"nicsieve.signatures", "nicsieve.codec", "nicsieve.pipeline",
+      "nicsieve.traffic"}),
+    (["build", "--rules", "rules.txt", "--out", "f2"],
+     {"nicsieve.codec", "nicsieve.pipeline", "nicsieve.traffic",
+      "nicsieve.analytics"}),
+    (["scan", "f/index.txt", "--rules", "rules.txt", "--in", "t.pcap",
+      "--out", "o.pcap", "--report", "r.csv", "--decision-log", "d.csv"],
+     {"nicsieve.traffic", "fractions", "csv"}),
+    (["gen", "--count", "50", "--attack-fraction", "0.1", "--rules",
+      "rules.txt", "--out", "t2.pcap", "--manifest", "m2.csv"],
+     {"nicsieve.pipeline"}),
+], ids=["sweep", "build", "scan", "gen"])
+def test_each_subcommand_imports_only_what_it_runs(session_dir, argv, absent):
+    loaded = loaded_modules("-c", RUN_CLI, *argv, cwd=session_dir)
+    assert {"nicsieve", "nicsieve.bloom", "numpy"} <= loaded
+    assert loaded & absent == set()
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

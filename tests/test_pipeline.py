@@ -300,8 +300,13 @@ def test_compare_baseline_two_calls_return_their_own_records():
     assert first.records.reason.size == second.records.reason.size == len(trace)
 
 
-def test_compare_baseline_duplicate_patterns_carry_every_id():
-    sset = load_rules(b"a,ascii,EVILX\nb,ascii,EVILX\nc,hex,deadbeef\n")
+@pytest.mark.parametrize("rules", [
+    b"a,ascii,EVILX\nb,ascii,EVILX\nc,hex,deadbeef\n",
+    b"b,ascii,EVILX\nc,hex,deadbeef\na,ascii,EVILX\n",
+], ids=["ids-in-rule-order", "ids-against-rule-order"])
+def test_compare_baseline_duplicate_patterns_carry_every_id(rules):
+    # both sides list the ids of one window sorted, whatever the rule order
+    sset = load_rules(rules)
     matcher = SignatureMatcher.program(sset, PARAMS)
     spec = TrafficSpec(packet_count=400, attack_fraction=0.2, seed=11,
                        payload_len_range=(30, 120), signatures=sset)
@@ -315,9 +320,9 @@ def test_compare_baseline_duplicate_patterns_carry_every_id():
     for i in evil:
         for detections in (report.baseline_detections[i],
                            report.records.verified[i]):
-            ids = {m.signature_id for m in detections
-                   if m.offset == manifest.offset[i] and m.length == 5}
-            assert ids == {"a", "b"}
+            ids = [m.signature_id for m in detections
+                   if m.offset == manifest.offset[i] and m.length == 5]
+            assert ids == ["a", "b"]
 
 
 def test_compare_baseline_nop_sled_matches_every_window():

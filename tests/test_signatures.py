@@ -376,9 +376,12 @@ def test_verify_bounds_check():
         matcher.verify(b"tiny", [CandidateMatch(-1, 3)])
 
 
-def test_verify_expands_duplicate_patterns_to_all_ids():
-    rules = load_rules(b"a,ascii,attack\na2,ascii,attack\n")
-    matcher = SignatureMatcher.program(rules, PARAMS)
+@pytest.mark.parametrize("rules", [b"a,ascii,attack\na2,ascii,attack\n",
+                                   b"a2,ascii,attack\na,ascii,attack\n"],
+                         ids=["ids-in-rule-order", "ids-against-rule-order"])
+def test_verify_expands_duplicate_patterns_to_all_ids(rules):
+    # the ids of one window come sorted, whatever the rule order
+    matcher = SignatureMatcher.program(load_rules(rules), PARAMS)
     payload = b"--attack--"
     verified = matcher.verify(payload, scan_one(matcher, payload))
     assert as_tuples(verified) == [(2, 6, "a"), (2, 6, "a2")]

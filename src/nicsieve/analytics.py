@@ -4,7 +4,10 @@
 against the closed form across a (k, n) grid -- fresh filter per cell,
 random distinct members, non-member queries only. ``emit_csv`` renders
 any homogeneous list of row dataclasses; ``columns_csv`` renders a
-per-frame table (the manifest, the decision log) from its columns.
+per-frame table (the manifest, the decision log) from its columns, a
+block of rows at a time, each block laid out with numpy as one char
+matrix and a mask of the chars it keeps, so that no row is formatted in
+Python; ``tests/conftest.py`` keeps the per-row renderer as its oracle.
 
 Members and queries are drawn as 64-bit integers and written out as
 little-endian uint8 rows (see ``bloom``), so the sweep builds no Python
@@ -141,23 +144,56 @@ def columns_csv(header: str, *columns) -> bytes:
     integer array, whose negative entries (-1: none) are written as
     empty fields, or a pair ``(codes, labels)``, written as
     ``labels[code]``; a label may span several fields.
+
+    A block is laid out as one char matrix, a row of the matrix per CSV
+    row, with each field right-aligned in columns of its own, and a mask
+    of the chars to keep: a number's digits come from repeated division
+    by 10 and its leading zeros are not kept, and a label is a row of a
+    byte table made once per column, padded on the right.
     """
     size = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
-    row = ",".join(["%s"] * (len(columns) + 1)) + "\n"
+    tables = [_label_table(c[1]) if isinstance(c, tuple) else None
+              for c in columns]
     parts = [f"{header}\n".encode("utf-8")]
     for a in range(0, size, CSV_BLOCK):
         b = min(a + CSV_BLOCK, size)
-        fields = [range(a, b)] + [_block_fields(c, a, b) for c in columns]
-        parts.append("".join([row % r for r in zip(*fields)]).encode("utf-8"))
+        comma = (np.full((b - a, 1), ord(","), dtype=np.uint8),
+                 np.ones((b - a, 1), dtype=bool))
+        fields = [_digits(np.arange(a, b))]
+        for column, table in zip(columns, tables):
+            fields += [comma, _digits(column[a:b]) if table is None else
+                       tuple(t.take(column[0][a:b], axis=0) for t in table)]
+        fields.append((np.full((b - a, 1), ord("\n"), dtype=np.uint8),
+                       comma[1]))
+        chars, keep = (np.concatenate(c, axis=1) for c in zip(*fields))
+        parts.append(chars[keep].tobytes())
     return b"".join(parts)
 
 
-def _block_fields(column, a: int, b: int) -> list:
-    if isinstance(column, tuple):
-        codes, labels = column
-        return [labels[c] for c in codes[a:b].tolist()]
-    block = column[a:b]
-    fields = block.tolist()
-    for i in np.flatnonzero(block < 0).tolist():
-        fields[i] = ""
-    return fields
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's decimal digits, right-aligned, and which to keep.
+
+    A negative value keeps no digit: its field is empty.
+    """
+    rest = np.maximum(values, 0)
+    width = len(str(int(rest.max())))
+    chars = np.empty((rest.size, width), dtype=np.uint8)
+    keep = np.empty((rest.size, width), dtype=bool)
+    for j in range(width - 1, -1, -1):
+        np.greater(rest, 0, out=keep[:, j])
+        rest, chars[:, j] = np.divmod(rest, 10)
+    keep[:, -1] = True  # zero is one digit
+    keep &= (values >= 0)[:, None]
+    chars += ord("0")
+    return chars, keep
+
+
+def _label_table(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each label, one padded row per code, and which
+    bytes of each row to keep."""
+    encoded = [label.encode("utf-8") for label in labels]
+    width = max(map(len, encoded), default=0)
+    chars = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded),
+                          dtype=np.uint8).reshape(len(encoded), width)
+    keep = np.arange(width) < np.array([len(e) for e in encoded])[:, None]
+    return chars, keep

@@ -18,14 +18,18 @@ read), through one window sieve, ``_sieve``, in cache-sized groups, and
 hash windows with ``bloom``'s one byte fold. A window's fold state after
 j bytes is the same for every length of at least j bytes, so each byte
 column is folded once for all lengths, in ascending order, by
-``bloom.fold_at``, the one fold driver. The Bloom route folds every
-window start of a slice, a ``range``, and probes round 0 from the fold
-state (``bloom.first_probes``). The exact route folds only the starts
-that pass its prefix table, an index array, under a seed of its own
-(``ExactScanner``), and reads no filter bit, filter seed or
-``BloomParams``. Only the windows that pass a route's first test inside
-one payload outlive their slice; the Bloom route narrows them there
-through the other probes. Both routes
+``bloom.fold_at``, the one fold driver. The sieve runs in two stages.
+The dense stage tests every window start of a slice: the Bloom route
+folds them all, a ``range``, and probes round 0 from the fold state
+(``bloom.first_probes``); the exact route looks their first two bytes
+up in its prefix table. Only the starts that pass outlive their slice,
+in a survivor buffer that the survivor stage empties once per group, or
+sooner if it fills, one numpy pass per length for many slices' worth.
+There the Bloom route keeps the windows inside one payload and narrows
+them through the other probes, and the exact route folds its starts, an
+index array, under a seed of its own and keeps the windows its slot
+table marks inside one payload (``ExactScanner``); it reads no filter
+bit, filter seed or ``BloomParams``. Both routes
 leave the sieve the same way, as ``Windows``: arrays of (payload,
 offset, length) for the whole batch, sorted, with no Python object per
 payload. The Bloom route returns them as its candidates;
@@ -57,21 +61,32 @@ _EXACT_SEED = 0  # the exact route's own fold seed, not a filter seed
 _LENGTH_MULT = 0x9E3779B1  # odd: a window's length moves its hash's slot
 
 # Scan working-set bounds: payload bytes per group, and window starts per
-# slice (also the most payloads a group holds). A scan allocates its slice
-# arrays once (256 KiB each, uint64) and narrows survivors in their slice,
-# so a group holds only its gathered bytes. On 2 MiB of payloads shaped as
-# many-len-hostile (10 lengths, 2,000 patterns; in-process, 15 interleaved
-# rounds on a shared 2-vCPU VM), scan_batch took a median 437 ms with a
-# 1.96 MiB traced peak; slices of 16 Ki starts took 567 ms (1.21 MiB) and
-# of 64 Ki 396 ms (3.62 MiB), while groups of 32 KiB to 1 MiB moved the time
-# only within noise (437-455 ms), 1 MiB groups peaking at 3.43 MiB. The
-# slice arrays must be reused: allocated per operation, each one is above
-# glibc's 128 KiB mmap threshold, so it is mapped and faulted again on every
-# use; a many-len-hostile scan child built that way took 54k minor faults
-# against 6.7k, and 19% longer. Smaller slice temporaries fault too: the
-# exact route's three 64 KiB prefix arrays, freed at the top of the heap,
-# were trimmed and faulted back each slice in some heap layouts (2.5k
-# faults a scan against 0.4k with one reused array).
+# slice (also the most payloads a group holds, and the survivor buffer's
+# entries). A scan allocates its slice arrays and survivor buffer once
+# (256 KiB each, 64-bit), so a group holds only its gathered bytes. On 2
+# MiB of payloads shaped as many-len-hostile (10 lengths, 2,000 patterns;
+# in-process, 15 alternating processes, best of 3 each, on a shared
+# 2-vCPU VM), scan_batch took a median 179 ms with a 2.19 MiB traced peak,
+# against 192 ms and 1.94 MiB when each slice's survivors were narrowed in
+# their slice, and exact_matches_batch 23 against 33 ms, 1.39 MiB both.
+# The buffer holds a slice's worth, not a group's: a group of this shape
+# has about 125k round-0 survivors, 2 MiB with their states. Measured
+# before the survivor stage, against 437 ms: slices of 16 Ki starts took
+# 567 ms (1.21 MiB) and of 64 Ki 396 ms (3.62 MiB), while groups of 32 KiB
+# to 1 MiB moved the time only within noise, 1 MiB groups peaking at 3.43
+# MiB. The slice arrays must be reused: allocated per operation, each one
+# is above glibc's 128 KiB mmap threshold, so it is mapped and faulted
+# again on every use; a many-len-hostile scan child built that way took
+# 54k minor faults against 6.7k, and 19% longer. Smaller slice temporaries
+# fault too: the exact route's three 64 KiB prefix arrays, freed at the
+# top of the heap, were trimmed and faulted back each slice in some heap
+# layouts (2.5k faults a scan against 0.4k with one reused array). Scan
+# children (posix_spawn launcher, 24 alternating pairs, outputs under
+# paths of one length, as the heap layout moves the fault count), with
+# the survivor stage against without: small-frames 0.196 against 0.211 s
+# median, 35.3 against 35.0 MB, 8.4k against 8.2k minor faults;
+# many-len-hostile 0.305 against 0.325 s, 34.3 against 34.0 MB, 6.9k
+# against 6.8k.
 GROUP_BYTES = 256 * 1024
 SLICE_WINDOWS = 32 * 1024
 
@@ -330,9 +345,69 @@ class Windows:
         return matches
 
 
-def _sieve(payloads: Payloads, lengths: list[int], test,
-           narrow=None) -> Windows:
-    """The windows of ``payloads`` that pass ``test``, and ``narrow`` if given.
+def _owners(group: Payloads, pos: np.ndarray) -> np.ndarray:
+    """The payload of ``group`` that holds each byte position in ``pos``."""
+    # the first payload to end after a position holds it, so an empty
+    # payload never holds a window
+    return group.ends.searchsorted(pos, side="right")
+
+
+def _inside(group: Payloads, length: int, pos: np.ndarray) -> np.ndarray:
+    """Whether each ``length``-byte window at ``pos`` lies in one payload."""
+    return pos + length <= group.ends[_owners(group, pos)]
+
+
+class _Survivors:
+    """A scan's survivor buffer, of ``pos.size`` entries, allocated once.
+
+    An entry is a window start's position in its group, kept in ``pos``
+    (an int64 array), and, with ``digests``, its fold state. Each key's
+    entries lie in runs, in the order they were added.
+    """
+
+    def __init__(self, pos: np.ndarray, digests: bool) -> None:
+        self.pos = pos
+        self.state = np.empty(pos.size, dtype=np.uint64) if digests else None
+        self.runs: dict = {}  # key -> [(start, stop), ...]
+        self.fill = 0
+
+    def add(self, key, pos: np.ndarray, offset: int,
+            state: np.ndarray | None) -> None:
+        """Add the starts ``pos + offset`` and, with digests, ``state[pos]``."""
+        a, b = self.fill, self.fill + pos.size
+        np.add(pos, offset, out=self.pos[a:b])
+        if self.state is not None:
+            state.take(pos, out=self.state[a:b])
+        runs = self.runs.setdefault(key, [])
+        if runs and runs[-1][1] == a:
+            runs[-1] = (runs[-1][0], b)
+        else:
+            runs.append((a, b))
+        self.fill = b
+
+    def drain(self, survive, group: Payloads):
+        """Yield from ``survive(group, key, positions, states or None)`` for
+        each key, its entries joined in the order they were added, and
+        empty the buffer. ``survive`` holds the only reference to the
+        joined arrays, so it can free them as it goes."""
+        for key, runs in self.runs.items():
+            yield from survive(group, key, _joined(self.pos, runs),
+                               None if self.state is None
+                               else _joined(self.state, runs))
+        self.runs = {}
+        self.fill = 0
+
+
+def _joined(column: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """The entries of ``column`` in ``runs``, as one array (a view of one run)."""
+    if len(runs) == 1:
+        return column[runs[0][0] : runs[0][1]]
+    return np.concatenate([column[a:b] for a, b in runs])
+
+
+def _sieve(payloads: Payloads, lengths: list[int], dense, survive,
+           digests: bool = False) -> Windows:
+    """The windows of ``payloads`` that pass a route's two stages.
 
     The batch is cut into groups of consecutive whole payloads, at most
     ``GROUP_BYTES`` payload bytes and ``SLICE_WINDOWS`` payloads each (a
@@ -340,26 +415,45 @@ def _sieve(payloads: Payloads, lengths: list[int], test,
     nor its per-payload arrays grow with the capture. A group's payload
     bytes are gathered (``Payloads.gather``) and walked in slices of
     ``SLICE_WINDOWS`` window starts, each slice's bytes widened to uint64
-    into one array that every slice reuses. ``test(view, run)`` returns
-    (length, starts, digests) for each of the ascending ``lengths``: the
-    windows that start in the first ``run`` entries of ``view`` and pass
-    the route's first test, and a digest of each. Of those, the windows
-    that lie inside one payload are kept, and when there are any,
-    ``narrow(view, length, starts, digests)`` may select among them, in
-    their slice, so that no group holds a list of survivors. Windows never
-    cross payloads, so the groups need no overlap.
+    into one array that every slice reuses.
+
+    The dense stage runs per slice: ``dense(view, run)`` yields (key,
+    pos, state) for the windows that start in the first ``run`` entries
+    of ``view`` and pass the route's first test, ``pos`` their starts in
+    ascending order and, with ``digests``, ``state`` the slice's fold
+    states, read at ``pos``. Those survivors go into a buffer of
+    ``SLICE_WINDOWS`` entries, allocated once per scan (``_Survivors``).
+    The survivor stage runs on the buffer at the end of each group, and
+    before an addition that would overflow it, so numpy's cost per call
+    is paid per group rather than per slice: ``survive(group, key, pos,
+    state)`` gets each key's survivors, in position order, with the
+    group's gathered uint8 bytes, and yields (length, pos) for the
+    windows it keeps, each inside one payload (``_inside``). A flush may
+    come between two keys of a slice, so ``survive`` must leave
+    ``dense``'s arrays alone.
+    Windows never cross payloads, so the groups need no overlap.
     """
     empty = np.zeros(0, dtype=np.int64)
     if not lengths:
         return Windows(len(payloads), empty, empty, empty)
-    rows = [(empty, empty, empty)]  # (payload, offset, length) per group
+    rows = [(empty, empty, empty)]  # (payload, offset, length) per flush
     # one slice's arrays, reused by every slice: the gathers' index, and
     # the slice's bytes widened, so that no fold step casts a byte
     at = np.empty(SLICE_WINDOWS, dtype=np.int64)
     wide = np.empty(SLICE_WINDOWS + lengths[-1] - 1, dtype=np.uint64)
+    # a group is gathered only while the buffer is empty, so the buffer
+    # keeps its positions in the gathers' index
+    survivors = _Survivors(at, digests)
+
+    def flush(first, group):
+        for length, pos in survivors.drain(survive, group):
+            if pos.size:
+                owner = _owners(group, pos)
+                rows.append((owner + first, pos - group.starts[owner],
+                             np.full(pos.size, length, dtype=np.int64)))
+
     for first, stop in payloads.blocks(SLICE_WINDOWS, GROUP_BYTES):
         group = payloads.gather(first, stop, at)
-        kept = []  # (position, owner, length) of the group's windows
         # a view reaches ``lengths[-1] - 1`` bytes past its run, so it holds
         # every window that starts in the run; an empty group gives one
         # empty view
@@ -367,21 +461,15 @@ def _sieve(payloads: Payloads, lengths: list[int], test,
             piece = group.buf[a : a + wide.size]
             view = wide[: piece.size]
             np.copyto(view, piece)
-            for length, pos, digests in test(view, SLICE_WINDOWS):
-                # the first payload to end after a position holds it, so
-                # an empty payload never owns a window
-                owner = group.ends.searchsorted(pos + a, side="right")
-                inside = pos + (a + length) <= group.ends[owner]
-                pos, owner = pos[inside], owner[inside]
-                if narrow is not None and pos.size:
-                    keep = narrow(view, length, pos, digests[inside])
-                    pos, owner = pos[keep], owner[keep]
-                if pos.size:
-                    kept.append((pos + a, owner, np.full(pos.size, length,
-                                                         dtype=np.int64)))
-        if kept:
-            pos, owner, length = (np.concatenate(c) for c in zip(*kept))
-            rows.append((owner + first, pos - group.starts[owner], length))
+            for key, pos, state in dense(view, SLICE_WINDOWS):
+                if not pos.size:
+                    continue
+                # a key's survivors in one slice are at most a slice's
+                # starts, so they fit once the buffer is flushed
+                if survivors.fill + pos.size > at.size:
+                    flush(first, group)
+                survivors.add(key, pos, a, state)
+        flush(first, group)
     payload, offset, length = (np.concatenate(c) for c in zip(*rows))
     order = np.lexsort((length, offset, payload))
     return Windows(len(payloads), payload[order], offset[order], length[order])
@@ -448,14 +536,16 @@ class ExactScanner:
             n = max(0, min(run, view.size - 1))
             np.left_shift(view[1 : n + 1], np.uint64(8), out=pair[:n])
             np.bitwise_or(pair[:n], view[:n], out=pair[:n])
-            pos = np.flatnonzero(prefixes.take(pair[:n].view(np.int64),
-                                               out=hit[:n], mode="clip"))
-            for length, at, state in fold_at(_EXACT_SEED, view, pos,
-                                             self.lengths):
-                known = self._in_table(length, state)
-                yield length, at[known], state[known]
+            yield None, np.flatnonzero(prefixes.take(
+                pair[:n].view(np.int64), out=hit[:n], mode="clip")), None
 
-        windows = _sieve(payloads, self.lengths, marked)
+        def known(group, _, pos, __):
+            for length, at, state in fold_at(_EXACT_SEED, group.buf, pos,
+                                             self.lengths):
+                at = at[self._in_table(length, state)]
+                yield length, at[_inside(group, length, at)]
+
+        windows = _sieve(payloads, self.lengths, marked, known)
         return windows.confirmed(payloads, self.confirm)
 
     def confirm(self, payload: bytes,
@@ -566,12 +656,15 @@ class SignatureMatcher:
     def scan_batch(self, payloads: Payloads) -> Windows:
         """Candidate windows of every programmed length.
 
-        The sieve folds every window start under seed_a into one slice's
-        arrays, allocated once per scan, and probes round 0 from the fold
-        state (``BloomFilter.first_hits``), which needs no digest and no
-        stride. Where a filter has more rounds, g1 and the stride are made
-        only for the windows that pass inside one payload, a small
-        fraction with well-sized filters, to narrow them through the rest.
+        The sieve's dense stage folds every window start under seed_a
+        into one slice's arrays, allocated once per scan, and probes round
+        0 from the fold state (``BloomFilter.first_hits``), which needs no
+        digest and no stride. The survivors wait, with their fold states,
+        for the survivor stage, which keeps those inside one payload, a
+        small fraction with well-sized filters, and, where a filter has
+        more rounds, makes their g1 and stride and narrows them through
+        the rest: ``mix64_at`` and ``BloomFilter.narrow`` run once per
+        length and group, not per slice.
         """
         seed_a, seed_b = self.seeds
         # one slice's arrays, overwritten by every slice of the scan: the
@@ -581,26 +674,23 @@ class SignatureMatcher:
         hit = np.empty(SLICE_WINDOWS, dtype=bool)
 
         def first_probe(view, run):
-            # every length's round 0 runs before any narrowing, while the
-            # slice's arrays are in cache: narrowing each length in turn
-            # took 3-8% longer in-process
-            found = []
             for length, at, folded in fold_at(seed_a, view, range(run),
                                               self.lengths, state):
                 n = len(at)
-                pos = np.flatnonzero(self.filters[length].first_hits(
-                    folded, hit[:n], idx[:n], tmp[:n]))
-                found.append((length, pos, folded[pos]))
-            return found
+                yield length, np.flatnonzero(self.filters[length].first_hits(
+                    folded, hit[:n], idx[:n], tmp[:n])), folded
 
-        def other_probes(view, length, pos, folded):
+        def other_probes(group, length, pos, folded):
+            inside = _inside(group, length, pos)
+            pos, folded = pos[inside], folded[inside]
             filt = self.filters[length]
-            if filt.params.k == 1:
-                return slice(None)
-            stride = mix64_at(seed_b, view, length, pos) | np.uint64(1)
-            return filt.narrow(folded, stride)
+            if filt.params.k > 1 and pos.size:
+                stride = mix64_at(seed_b, group.buf, length, pos) | np.uint64(1)
+                pos = pos[filt.narrow(folded, stride)]
+            yield length, pos
 
-        return _sieve(payloads, self.lengths, first_probe, other_probes)
+        return _sieve(payloads, self.lengths, first_probe, other_probes,
+                      digests=True)
 
     def verify(self, payload: bytes,
                candidates: list[CandidateMatch]) -> list[CandidateMatch]:

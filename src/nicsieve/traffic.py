@@ -30,7 +30,6 @@ import random
 import struct
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -232,13 +231,25 @@ def _redraw_dirty(rng: random.Random, signatures: SignatureSet,
                 "set matches random bytes too often")
 
 
+def _attack_count(fraction: float, count: int) -> int:
+    """The floor of ``fraction`` as written, ``repr(fraction)``, times ``count``.
+
+    Exact, in integers: 0.29 * 100 is 28.999... in floats, and 29 here.
+    ``repr`` writes a decimal mantissa, perhaps with an exponent (1e-05).
+    """
+    mantissa, _, exponent = repr(fraction).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    scale = int(exponent or 0) - len(decimals)
+    product = int(whole + decimals) * count
+    return product * 10**scale if scale >= 0 else product // 10**-scale
+
+
 def generate_trace(spec: TrafficSpec) -> tuple[Trace, Manifest]:
     """Generate a trace and its manifest, deterministically from the seed."""
     rng = random.Random(spec.seed)
     lo, hi = spec.payload_len_range
     signatures = spec.signatures.signatures if spec.signatures else []
-    # the floor of the fraction as written: 0.29 * 100 is 28.999... in floats
-    attack_count = int(Fraction(repr(spec.attack_fraction)) * spec.packet_count)
+    attack_count = _attack_count(spec.attack_fraction, spec.packet_count)
     attack_set = set(rng.sample(range(spec.packet_count), attack_count))
 
     if attack_count:

@@ -215,6 +215,27 @@ def reference_trace(frames, resolution: int = USEC):
     return read_pcap(reference_capture(frames, "<", resolution))
 
 
+def reference_columns_csv(header: str, *columns) -> bytes:
+    """Per-row ``%``-formatting renderer of ``analytics.columns_csv``'s table.
+
+    Row i is i, then a field per column: an integer column's entry, empty
+    when negative, or a ``(codes, labels)`` column's ``labels[code]``.
+    """
+    size = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+    row = ",".join(["%s"] * (len(columns) + 1)) + "\n"
+    lines = [f"{header}\n"]
+    for i in range(size):
+        fields = [i]
+        for column in columns:
+            if isinstance(column, tuple):
+                codes, labels = column
+                fields.append(labels[int(codes[i])])
+            else:
+                fields.append("" if column[i] < 0 else int(column[i]))
+        lines.append(row % tuple(fields))
+    return "".join(lines).encode("utf-8")
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

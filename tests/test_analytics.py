@@ -8,10 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicsieve import analytics
-from nicsieve.analytics import FprSweepRow, emit_csv, fpr_sweep
+from nicsieve.analytics import (CSV_BLOCK, FprSweepRow, columns_csv, emit_csv,
+                                fpr_sweep)
 from nicsieve.bloom import fpr_theoretical, optimal_k
+
+from conftest import reference_columns_csv
 
 
 @dataclass
@@ -195,3 +200,52 @@ def test_emit_csv_rejects_mixed_rows():
         emit_csv([])
     with pytest.raises(ValueError):
         emit_csv([object()])
+
+
+# --- per-frame tables -------------------------------------------------------
+
+# labels that span fields, quote, end lines, hold NUL or are UTF-8
+LABEL_TEXT = st.text(st.sampled_from(',"\n\r\0 aZ9\u00e9\u20ac\U0001f600')
+                     | st.characters(), max_size=6)
+
+
+@given(size=st.one_of(st.sampled_from([0, 1, CSV_BLOCK - 1, CSV_BLOCK,
+                                       CSV_BLOCK + 1]), st.integers(0, 40)),
+       kinds=st.lists(st.booleans(), min_size=1, max_size=4),
+       values=st.lists(st.integers(-2**63, 2**63 - 1), max_size=8),
+       labels=st.lists(LABEL_TEXT, min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_columns_csv_equals_the_per_row_renderer(size, kinds, values, labels,
+                                                 seed):
+    # integer columns draw from the values, -1, 0 and the widest int64;
+    # a label column's codes run from -len(labels), as list indices do
+    rng = np.random.default_rng(seed)
+    pool = np.array(values + [-1, 0, 2**63 - 1], dtype=np.int64)
+    columns = [(rng.integers(-len(labels), len(labels), size), labels)
+               if is_label else rng.choice(pool, size) for is_label in kinds]
+    header = ",".join(f"c{i}" for i in range(len(kinds) + 1))
+    assert columns_csv(header, *columns) == \
+        reference_columns_csv(header, *columns)
+
+
+def test_columns_csv_memory_is_its_output_and_a_few_blocks():
+    # the blocks' bytes and the file joined from them are twice the file;
+    # above that, a block's char matrix and mask (80 KiB here) at a time,
+    # where rendering every row at once would take 200 times that
+    size = 200_000
+    rng = np.random.default_rng(8)
+    labels = ["DROP,CLEAN", "FORWARD,MATCH_CANDIDATE", "FORWARD,NON_PARSEABLE"]
+    columns = ((rng.integers(0, 3, size).astype(np.uint8), labels),
+               rng.integers(-1, 100, size), rng.integers(0, 1400, size))
+    tracemalloc.start()
+    try:
+        data = columns_csv("index,verdict,reason,candidates,payload_len",
+                           *columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data == reference_columns_csv(
+        "index,verdict,reason,candidates,payload_len", *columns)
+    width = max(map(len, data.splitlines(keepends=True)))
+    assert peak - 2 * len(data) < 4 * 2 * CSV_BLOCK * width

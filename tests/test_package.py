@@ -61,9 +61,17 @@ def session_dir(tmp_path_factory):
     return work
 
 
+def test_traffic_loads_neither_fractions_nor_decimal():
+    # the attack count is integer arithmetic on the fraction's digits
+    loaded = loaded_modules("-c", "import sys, nicsieve.traffic\n"
+                                  "print(*sorted(sys.modules))")
+    assert "nicsieve.traffic" in loaded
+    assert loaded & {"fractions", "decimal", "_decimal", "_pydecimal"} == set()
+
+
 # each subcommand loads only the modules it runs: sweep and build pay for
 # neither the capture nor the traffic code, scan not for the generator and
-# its csv and fractions imports, gen not for the card's data path
+# its csv import, gen not for the card's data path
 @pytest.mark.parametrize("argv, absent", [
     (["sweep", "--k-list", "4", "--n-list", "100", "--trials", "1000",
       "--out", "s.csv"],

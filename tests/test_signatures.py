@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nicsieve import signatures
 from nicsieve.codec import RawFrame, parse_payloads
-from nicsieve.bloom import (DEFAULT_SEED_A, DEFAULT_SEED_B, BloomParams,
-                           fpr_theoretical)
+from nicsieve.bloom import (DEFAULT_SEED_A, DEFAULT_SEED_B, BloomFilter,
+                           BloomParams, fpr_theoretical)
 from nicsieve.signatures import (
     CandidateMatch,
     ExactScanner,
@@ -28,6 +28,7 @@ from conftest import (
     naive_exact_matches,
     random_signature_set,
     reference_candidates,
+    reference_probes,
     reference_trace,
     row_array,
 )
@@ -376,17 +377,28 @@ def test_verify_bounds_check():
         matcher.verify(b"tiny", [CandidateMatch(-1, 3)])
 
 
-@pytest.mark.parametrize("rules", [b"a,ascii,attack\na2,ascii,attack\n",
-                                   b"a2,ascii,attack\na,ascii,attack\n"],
-                         ids=["ids-in-rule-order", "ids-against-rule-order"])
-def test_verify_expands_duplicate_patterns_to_all_ids(rules):
-    # the ids of one window come sorted, whatever the rule order
+@pytest.mark.parametrize("rules, payload, expected", [
+    (b"a,ascii,attack\na2,ascii,attack\n", b"--attack--",
+     [(2, 6, "a"), (2, 6, "a2")]),
+    (b"a2,ascii,attack\na,ascii,attack\n", b"--attack--",
+     [(2, 6, "a"), (2, 6, "a2")]),
+    # three ids against rule order, beside a shorter pattern at the same
+    # offset, each twice
+    (b"z9,ascii,evil!\nb,ascii,evil!\nm0,ascii,evil!\ne,ascii,ev\n",
+     b"-evil!--evil!",
+     [(at, n, i) for at in (1, 8)
+      for n, i in ((2, "e"), (5, "b"), (5, "m0"), (5, "z9"))]),
+], ids=["ids-in-rule-order", "ids-against-rule-order",
+        "three-ids-two-lengths"])
+def test_verify_expands_duplicate_patterns_to_all_ids(rules, payload,
+                                                      expected):
+    # the ids of one window come sorted, whatever the rule order, from
+    # confirm itself and from both routes
     matcher = SignatureMatcher.program(load_rules(rules), PARAMS)
-    payload = b"--attack--"
-    verified = matcher.verify(payload, scan_one(matcher, payload))
-    assert as_tuples(verified) == [(2, 6, "a"), (2, 6, "a2")]
-    assert as_tuples(exact_one(matcher, payload)) == \
-        [(2, 6, "a"), (2, 6, "a2")]
+    candidates = scan_one(matcher, payload)
+    assert as_tuples(matcher.exact.confirm(payload, candidates)) == expected
+    assert as_tuples(matcher.verify(payload, candidates)) == expected
+    assert as_tuples(exact_one(matcher, payload)) == expected
 
 
 def test_scan_verify_equals_naive_oracle_on_random_pairs():
@@ -529,6 +541,43 @@ EDGE_MATCHERS = {prefix + name: SignatureMatcher.program(rules, params)
                                       ("k1", SINGLE_PROBE))}
 
 
+def record_flushes(monkeypatch):
+    """A log of the scans' group gathers ("group") and survivor flushes
+    (the buffer's fill when flushed), in the order they happen."""
+    log = []
+    gather, drain = Payloads.gather, signatures._Survivors.drain
+
+    def logged_gather(self, *args):
+        log.append("group")
+        return gather(self, *args)
+
+    def logged_drain(self, *args):
+        log.append(self.fill)
+        return drain(self, *args)
+
+    monkeypatch.setattr(Payloads, "gather", logged_gather)
+    monkeypatch.setattr(signatures._Survivors, "drain", logged_drain)
+    return log
+
+
+def flush_groups(log):
+    """The fills of each group's flushes, from a ``record_flushes`` log:
+    a list per group, its last flush the one at the group's end."""
+    groups = []
+    for entry in log:
+        if entry == "group":
+            groups.append([])
+        else:
+            groups[-1].append(entry)
+    return groups
+
+
+def repeated(sig):
+    """``sig``'s pattern over and over, in a group's bytes at most: a
+    window start that passes each route's first test every few bytes."""
+    return sig.pattern * (EDGE_GROUP_BYTES // len(sig.pattern))
+
+
 @pytest.mark.parametrize("name", list(EDGE_MATCHERS))
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
@@ -538,8 +587,10 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
     embedded = st.builds(lambda pre, sig, post: pre + sig.pattern + post,
                          st.binary(max_size=20), st.sampled_from(sigs),
                          st.binary(max_size=20))
+    # a repeated pattern fills the survivor buffer before its group ends
     payloads = data.draw(st.lists(
-        st.one_of(st.just(b""), st.binary(max_size=40), embedded), max_size=24))
+        st.one_of(st.just(b""), st.binary(max_size=40), embedded,
+                  st.sampled_from(sigs).map(repeated)), max_size=24))
     # the first payload opens the first group, so a pattern placed
     # ``cut`` bytes before SLICE_WINDOWS straddles the first slice edge
     sig = data.draw(st.sampled_from(sigs))
@@ -552,11 +603,16 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
     long_payload = long_body[:30] + data.draw(embedded) + long_body[30:]
     for extra in (b"", long_payload, b""):
         payloads.insert(data.draw(st.integers(0, len(payloads))), extra)
+    # twice a group's count of empty payloads: one group at least holds
+    # only empty payloads, and so no survivor
+    empties = data.draw(st.integers(0, len(payloads)))
+    payloads[empties:empties] = [b""] * (2 * EDGE_SLICE_WINDOWS)
     payloads.insert(0, straddler)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
         mp.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
+        log = record_flushes(mp)
         scanned = scan_each(matcher, payloads)
         exact = per_payload(matcher.exact_matches_batch(Payloads.of(payloads)),
                             len(payloads))
@@ -566,6 +622,91 @@ def test_scans_agree_with_oracles_across_group_and_slice_edges(name, data):
         [naive_exact_matches(sigs, p) for p in payloads]
     assert (EDGE_SLICE_WINDOWS - cut, len(sig.pattern), sig.id) in \
         as_tuples(exact[0])
+    # every group ends with a flush, and no flush holds more than the buffer
+    groups = flush_groups(log)
+    assert all(fills and max(fills) <= EDGE_SLICE_WINDOWS for fills in groups)
+    assert [0] in groups
+
+
+@pytest.mark.parametrize("name", list(EDGE_MATCHERS))
+def test_survivor_flushes_land_mid_group_at_group_ends_and_when_full(
+        name, monkeypatch):
+    # both routes, over one fixed batch: the survivor buffer is flushed
+    # while a group is open and as one ends, exactly full and part full,
+    # and some groups have no survivor; the windows stay the oracles'
+    monkeypatch.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
+    monkeypatch.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
+    matcher = EDGE_MATCHERS[name]
+    sigs = matcher.signature_set.signatures
+    rng = random.Random(45)
+    payloads = [rng.randbytes(rng.randint(0, 70)) for _ in range(120)]
+    for sig in rng.sample(sigs, 20):
+        payloads.insert(rng.randint(0, len(payloads)),
+                        repeated(sig)[: rng.randint(2, EDGE_GROUP_BYTES)])
+    payloads[60:60] = [b""] * (2 * EDGE_SLICE_WINDOWS)
+    log = record_flushes(monkeypatch)
+    scanned = scan_each(matcher, payloads)
+    bloom, log[:] = flush_groups(log), []
+    exact = per_payload(matcher.exact_matches_batch(Payloads.of(payloads)),
+                        len(payloads))
+    for groups in (bloom, flush_groups(log)):
+        assert any(len(fills) > 1 for fills in groups)  # mid-group
+        assert any(fills[-1] for fills in groups)  # at a group's end
+        assert any(EDGE_SLICE_WINDOWS in fills for fills in groups)
+        assert [0] in groups
+    assert [as_windows(c) for c in scanned] == \
+        [reference_candidates(matcher.filters, p) for p in payloads]
+    assert [as_tuples(m) for m in exact] == \
+        [naive_exact_matches(sigs, p) for p in payloads]
+
+
+@pytest.mark.parametrize("edges", [False, True],
+                         ids=["default-sizes", "edge-sizes"])
+def test_narrowing_hashes_each_survivor_inside_a_payload_once(edges,
+                                                              monkeypatch):
+    # bench/tracer.py counts first_probe_survivors@L from the positions
+    # signatures.mix64_at receives, and bloom.probes from the sizes of
+    # probe_indices' results: per length, the round-0 survivors inside one
+    # payload, and the probes of rounds 1..k-1 each of them reaches, as
+    # narrowing each slice's survivors on their own gave them
+    if edges:
+        monkeypatch.setattr(signatures, "GROUP_BYTES", EDGE_GROUP_BYTES)
+        monkeypatch.setattr(signatures, "SLICE_WINDOWS", EDGE_SLICE_WINDOWS)
+    matcher = EDGE_MATCHERS["dense"]
+    rng = random.Random(46)
+    payloads = [rng.randbytes(rng.randint(0, 70)) for _ in range(150)]
+    hashed, probed = [], []
+    mix64_at, probe_indices = signatures.mix64_at, BloomFilter.probe_indices
+
+    def counting_mix64_at(seed, buf, length, positions):
+        hashed.append((length, len(positions)))
+        return mix64_at(seed, buf, length, positions)
+
+    def counting_probe_indices(self, g1, stride, i):
+        idx = probe_indices(self, g1, stride, i)
+        probed.append(idx.size)
+        return idx
+
+    monkeypatch.setattr(signatures, "mix64_at", counting_mix64_at)
+    monkeypatch.setattr(BloomFilter, "probe_indices", counting_probe_indices)
+    matcher.scan_batch(Payloads.of(payloads))
+
+    survivors, probes = dict.fromkeys(matcher.lengths, 0), 0
+    for length, filt in matcher.filters.items():
+        p, vector = filt.params, filt.vector_bytes()
+        for payload in payloads:
+            for off in range(len(payload) - length + 1):
+                hits = [vector[i // 8] >> (i % 8) & 1 for i in reference_probes(
+                    p.seed_a, p.seed_b, payload[off : off + length], p.m, p.k)]
+                if hits[0]:
+                    survivors[length] += 1
+                    probes += sum(all(hits[:i]) for i in range(1, p.k))
+    # a length with no survivor is not hashed at all: the tracer would
+    # count it as 0
+    assert all(count > 0 for _, count in hashed)
+    assert {n: sum(c for m, c in hashed if m == n) for n in survivors} == \
+        survivors
+    assert sum(probed) == probes
 
 
 def test_two_byte_pattern_at_payload_group_and_slice_ends(monkeypatch):

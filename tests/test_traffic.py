@@ -3,6 +3,7 @@ import io
 import random
 import struct
 import tracemalloc
+from fractions import Fraction
 from hashlib import sha256
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_attack_count_is_floor_of_fraction():
         _, manifest = generate_trace(spec)
         assert len(manifest.attack_indices()) == expected
         assert manifest.signature.size == manifest.offset.size == count
+
+
+@given(fraction=st.floats(0.0, 1.0), count=st.integers(0, 10**9))
+@example(fraction=0.29, count=100)
+@example(fraction=1e-05, count=300_000)
+@example(fraction=5e-324, count=10**9)
+@example(fraction=1.0, count=7)
+@example(fraction=-0.0, count=7)  # TrafficSpec takes it: -0.0 >= 0.0
+@settings(max_examples=500, deadline=None)
+def test_attack_count_is_exact_on_the_written_fraction(fraction, count):
+    # repr gives a decimal, with an exponent below 1e-4 and at the
+    # subnormals; the count is the exact floor of that decimal times count
+    expected = int(Fraction(repr(fraction)) * count)
+    assert traffic._attack_count(fraction, count) == expected
 
 
 def test_frames_are_well_formed_tcp():

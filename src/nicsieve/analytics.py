@@ -2,16 +2,19 @@
 
 ``fpr_sweep`` measures the filter's empirical false-positive fraction
 against the closed form across a (k, n) grid -- fresh filter per cell,
-random distinct members, non-member queries only. ``emit_csv`` renders
+distinct members, non-member queries only. ``emit_csv`` renders
 any homogeneous list of row dataclasses; ``columns_csv`` renders a
 per-frame table (the manifest, the decision log) from its columns, a
 block of rows at a time, each block laid out with numpy as one char
 matrix and a mask of the chars it keeps, so that no row is formatted in
 Python; ``tests/conftest.py`` keeps the per-row renderer as its oracle.
 
-Members and queries are drawn as 64-bit integers and written out as
-little-endian uint8 rows (see ``bloom``), so the sweep builds no Python
-object per query and its CSV does not depend on the host's byte order.
+Members and queries are one SplitMix64 counter stream (Steele, Lea &
+Flood, OOPSLA 2014), written out as little-endian uint8 rows (see
+``bloom``): draw i of seed s mixes s + (i + 1) * 0x9E3779B97F4A7C15 mod
+2**64, a bijection of i, so no draw repeats. Its own multipliers keep
+the draws independent of the filter hash under test, and its bytes
+depend neither on numpy's generators nor on the host's byte order.
 Each cell queries in blocks of ``QUERY_BLOCK`` rows, so its memory does
 not grow with ``trials``.
 """
@@ -31,8 +34,6 @@ from .bloom import BloomFilter, BloomParams, fpr_theoretical
 QUERY_BLOCK = 1 << 16
 # Rows rendered at a time by ``columns_csv``.
 CSV_BLOCK = 1024
-# One query row: a drawn token as 8 little-endian bytes, then a zero byte.
-_QUERY = np.dtype([("token", "<u8"), ("zero", "u1")])
 
 
 @dataclass
@@ -50,9 +51,12 @@ def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
               seed: int = 0) -> list[FprSweepRow]:
     """Empirical vs. theoretical FPR over the (k, n) grid.
 
-    Each cell programs a fresh filter with n random distinct 8-byte
-    elements and queries ``trials`` fresh 9-byte elements (disjoint by
-    length, so every query is a true non-member). Deterministic per seed.
+    Each cell programs a fresh filter with the stream's next n draws as
+    8-byte elements and queries the ``trials`` draws after them as
+    9-byte elements, a zero byte appended (disjoint by length, so every
+    query is a true non-member). One running index through the cells
+    makes the CSV a function of the seed, in 0..2**64-1, however the
+    queries are split into blocks.
     """
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
@@ -60,17 +64,22 @@ def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
         raise ValueError("k_list and n_list must be non-empty")
     if any(k < 1 for k in k_list) or any(n < 0 for n in n_list):
         raise ValueError("grid values must satisfy k >= 1, n >= 0")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
 
-    rng = np.random.default_rng(seed)
+    drawn = 0
     rows = []
     for k in k_list:
         params = BloomParams(m=m, k=k)
         for n in n_list:
             filt = BloomFilter(params)
-            filt.add_many(_distinct_tokens(rng, n, 8))
+            filt.add_many(_draws(seed, drawn, n, 8))
+            drawn += n
             hits = 0
             for start in range(0, trials, QUERY_BLOCK):
-                queries = _query_rows(rng, min(QUERY_BLOCK, trials - start))
+                count = min(QUERY_BLOCK, trials - start)
+                queries = _draws(seed, drawn, count, 9)
+                drawn += count
                 hits += int(np.count_nonzero(filt.check_many(queries)))
             theory = fpr_theoretical(m, k, n).fpr
             rows.append(FprSweepRow(
@@ -80,33 +89,21 @@ def fpr_sweep(m: int, k_list: list[int], n_list: list[int], trials: int,
     return rows
 
 
-def _query_rows(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` fresh 9-byte queries: a drawn token, then a zero byte."""
-    rows = np.zeros(count, dtype=_QUERY)
-    rows["token"] = rng.integers(0, 1 << 63, size=count, dtype=np.uint64)
-    return rows.view(np.uint8).reshape(count, _QUERY.itemsize)
-
-
-def _distinct_tokens(rng: np.random.Generator, count: int,
-                     width: int) -> np.ndarray:
-    """``count`` distinct ``width``-byte rows, in ``sorted(bytes)`` order.
-
-    Each round draws as many tokens as are still missing and keeps the
-    first ``width`` of each token's 8 little-endian bytes, until
-    ``count`` distinct rows remain.
+def _draws(seed: int, first: int, count: int, width: int) -> np.ndarray:
+    """Draws ``first`` .. ``first + count - 1`` of seed's stream, as rows
+    of ``width`` >= 8 bytes: the draw's 8 little-endian bytes, then zeros.
     """
-    tokens = np.zeros((0, width), dtype=np.uint8)
-    while tokens.shape[0] < count:
-        draw = rng.integers(0, 1 << 63, size=count - tokens.shape[0],
-                            dtype=np.uint64)
-        drawn = draw.astype("<u8").view(np.uint8).reshape(draw.size, 8)
-        rows = np.concatenate([tokens, drawn[:, :width]])
-        # a void row compares as its bytes, so it sorts like bytes; a row
-        # equal to the one before it is a duplicate
-        rows = np.sort(rows.view(f"V{width}").ravel()).view(np.uint8)
-        rows = rows.reshape(-1, width)
-        tokens = rows[np.insert((rows[1:] != rows[:-1]).any(axis=1), 0, True)]
-    return tokens
+    z = np.arange(first + 1, first + 1 + count, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # array arithmetic wraps silently
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    rows = np.zeros((count, width), dtype=np.uint8)
+    rows[:, :8] = z.astype("<u8").view(np.uint8).reshape(count, 8)
+    return rows
 
 
 def emit_csv(rows: list) -> bytes:

@@ -236,6 +236,21 @@ def reference_columns_csv(header: str, *columns) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+def reference_splitmix64(seed: int):
+    """Independent rewrite of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014),
+    as published: add the golden gamma to the state, then mix the state.
+
+    Yields the outputs of ``seed``'s generator, one Python int at a time.
+    """
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
 def random_signature_set(rng: random.Random, count: int,
                          lengths: list[int] | None = None) -> SignatureSet:
     """Distinct random patterns with ids s0..s{count-1}."""

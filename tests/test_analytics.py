@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +19,7 @@ from nicsieve.analytics import (CSV_BLOCK, FprSweepRow, columns_csv, emit_csv,
                                 fpr_sweep)
 from nicsieve.bloom import fpr_theoretical, optimal_k
 
-from conftest import reference_columns_csv
+from conftest import reference_columns_csv, reference_splitmix64
 
 
 @dataclass
@@ -66,12 +69,27 @@ def test_sweep_spot_value_within_four_stderr():
     assert abs(row.fpr_empirical - row.fpr_theory) <= 4 * row.std_err
 
 
+def test_sweep_mean_hits_over_seeds_match_theory():
+    # the stream's draws do not interact with the filter hash: over 200
+    # seeds of one bench cell, the mean hit count is within 4 standard
+    # errors of the closed form
+    seeds, trials = 200, 25_000
+    rows = [fpr_sweep(16384, [6], [1000], trials=trials, seed=seed)[0]
+            for seed in range(seeds)]
+    mean_hits = sum(r.fpr_empirical for r in rows) * trials / seeds
+    theory_hits = rows[0].fpr_theory * trials
+    assert abs(mean_hits - theory_hits) <= \
+        4 * rows[0].std_err * trials / math.sqrt(seeds)
+
+
 # sha256 of the sweep CSVs of the bench grids at m 16384, seed 1, 5000
-# trials, as written when the sweep built one ``bytes`` object per query
+# trials, drawn from the SplitMix64 stream; the many-len-hostile cell's
+# 5000 queries expect 0.03 hits, so its digest pins the layout and the
+# closed form more than the draws
 PINNED_SWEEPS = [
     pytest.param(
         [2, 4, 6, 8], [100, 500, 1000, 2000],
-        "de4dd04ed4d24f2f7c1bdfde87d1f24a48adf78b31b3173da231d712d47a18c5",
+        "febfdd2d652a8d5c1a5dbf5b03e8fbf1ac299c25fec546c09ed49905ee7d1956",
         id="small-frames"),
     pytest.param(
         [4], [200],
@@ -85,55 +103,89 @@ PINNED_SWEEPS = [
 @pytest.mark.parametrize("k_list, n_list, digest", PINNED_SWEEPS)
 def test_sweep_csv_matches_pinned_digest(monkeypatch, block, k_list, n_list,
                                          digest):
-    # the row-array sweep reproduces the per-query sweep byte for byte,
-    # also when a cell's queries are drawn in many short blocks
+    # one digest per grid, also when a cell's queries are drawn in many
+    # short blocks
     monkeypatch.setattr(analytics, "QUERY_BLOCK", block)
     rows = fpr_sweep(16384, k_list, n_list, trials=5000, seed=1)
     assert hashlib.sha256(emit_csv(rows)).hexdigest() == digest
 
 
-def _reference_tokens(seed, count, width):
-    """The member draw rounds, with each token as explicit Python bytes."""
-    rng = np.random.default_rng(seed)
-    tokens = set()
-    while len(tokens) < count:
-        draw = rng.integers(0, 1 << 63, size=count - len(tokens),
-                            dtype=np.uint64)
-        tokens.update(int(x).to_bytes(8, "little")[:width] for x in draw)
-    return sorted(tokens)
+def test_oracle_is_the_published_splitmix64():
+    # the first outputs of seed 1234567 in the algorithm's published
+    # reference implementation
+    assert list(itertools.islice(reference_splitmix64(1234567), 5)) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
 
 
-@pytest.mark.parametrize("count, width", [(0, 8), (1, 8), (300, 8),
-                                          (200, 1), (5000, 2)])
-def test_tokens_are_little_endian_draws(count, width):
-    # width 1 and 2 collide, so they take several draw rounds
-    tokens = analytics._distinct_tokens(np.random.default_rng(11), count,
-                                        width)
-    assert tokens.dtype == np.uint8 and tokens.shape == (count, width)
-    assert [row.tobytes() for row in tokens] == \
-        _reference_tokens(11, count, width)
+def _oracle_rows(seed, first, count, tail=b""):
+    draws = itertools.islice(reference_splitmix64(seed), first, first + count)
+    return [x.to_bytes(8, "little") + tail for x in draws]
 
-    queries = analytics._query_rows(np.random.default_rng(12), 500)
-    draw = np.random.default_rng(12).integers(0, 1 << 63, size=500,
-                                              dtype=np.uint64)
-    assert queries.dtype == np.uint8 and queries.shape == (500, 9)
-    assert [row.tobytes() for row in queries] == \
-        [int(x).to_bytes(8, "little") + b"\x00" for x in draw]
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_stream_is_splitmix64(seed):
+    rows = analytics._draws(seed, 0, 1000, 8)
+    assert rows.dtype == np.uint8 and rows.shape == (1000, 8)
+    assert [row.tobytes() for row in rows] == _oracle_rows(seed, 0, 1000)
+
+
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 3000),
+       count=st.integers(0, 300))
+@settings(max_examples=50, deadline=None)
+def test_stream_splits_draw_the_oracle_draws(seed, first, count):
+    rows = analytics._draws(seed, first, count, 8)
+    assert [row.tobytes() for row in rows] == _oracle_rows(seed, first, count)
+
+
+@pytest.mark.parametrize("block", [analytics.QUERY_BLOCK, 777],
+                         ids=["block", "short-blocks"])
+def test_tokens_are_little_endian_draws(monkeypatch, block):
+    # each cell's members are the stream's next draws as 8 little-endian
+    # bytes, and its queries the draws after them as those 8 bytes and a
+    # zero byte; the cells share one running index, so no draw is used
+    # twice, however the queries are split into blocks
+    seen = []
+
+    class Recording(analytics.BloomFilter):
+        def add_many(self, elements):
+            seen.append(elements.copy())
+            super().add_many(elements)
+
+        def check_many(self, elements):
+            seen.append(elements.copy())
+            return super().check_many(elements)
+
+    monkeypatch.setattr(analytics, "BloomFilter", Recording)
+    monkeypatch.setattr(analytics, "QUERY_BLOCK", block)
+    fpr_sweep(4096, [2, 3], [0, 300], trials=2000, seed=11)
+    blocks = [(min(block, 2000 - a), 9) for a in range(0, 2000, block)]
+    assert [rows.shape for rows in seen] == \
+        2 * ([(0, 8)] + blocks + [(300, 8)] + blocks)
+    drawn = 0
+    for rows in seen:
+        assert rows.dtype == np.uint8
+        tail = b"\x00" * (rows.shape[1] - 8)
+        assert [row.tobytes() for row in rows] == \
+            _oracle_rows(11, drawn, len(rows), tail)
+        drawn += len(rows)
 
 
 def test_sweep_leaves_numpy_ma_unimported():
-    # duplicate members are removed by a sort and a compare with the row
-    # before; np.unique on void rows would import numpy.ma into every
-    # sweep. A fresh process shows what the sweep itself loads.
+    # the draws are numpy arithmetic on a counter, and members need no
+    # dedup, so neither numpy.random nor numpy.ma (which np.unique on void
+    # rows imports) is loaded into a sweep. A fresh process shows what the
+    # sweep itself loads.
     code = ("import sys\n"
             "from nicsieve.analytics import fpr_sweep\n"
             "fpr_sweep(1024, [2], [0, 100], trials=1000, seed=1)\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print('numpy.ma' in sys.modules,\n"
+            "      'numpy.random' in sys.modules)\n")
     src = Path(analytics.__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
 
 
 def test_sweep_memory_does_not_grow_with_trials():
@@ -154,6 +206,18 @@ def test_sweep_validation():
         fpr_sweep(16384, [], [100], trials=2000)
     with pytest.raises(ValueError):
         fpr_sweep(16384, [0], [100], trials=2000)
+    # a 64-bit stream state would alias 2**64 to 0
+    for seed in (-1, 2**64):
+        message = f"seed must be in 0..2**64-1, got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fpr_sweep(16384, [4], [100], trials=1000, seed=seed)
+
+
+def test_sweep_takes_both_ends_of_the_seed_range():
+    low, high = (fpr_sweep(1024, [2], [100], trials=1000, seed=seed)[0]
+                 for seed in (0, 2**64 - 1))
+    assert low.fpr_empirical > 0 and high.fpr_empirical > 0
+    assert low.fpr_empirical != high.fpr_empirical
 
 
 def test_theory_minimum_consistent_with_optimal_k():

@@ -512,6 +512,14 @@ def test_sweep_too_few_trials_exit_1(tmp_path):
     assert run("sweep", "--trials", 10, "--out", tmp_path / "s.csv") == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sweep_seed_outside_64_bits_exit_1(tmp_path, capsys, seed):
+    assert run("sweep", "--trials", 1000, "--seed", seed,
+               "--out", tmp_path / "s.csv") == 1
+    assert f"seed must be in 0..2**64-1, got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_deterministic(tmp_path):
     for tag in ("a", "b"):
         assert run("sweep", "--k-list", "2,4", "--n-list", "100,500",
